@@ -62,6 +62,12 @@ class RunConfig:
             raise ValueError("target_h must be positive")
         if self.mesh_file is not None and not os.path.exists(self.mesh_file):
             raise ValueError(f"mesh file not found: {self.mesh_file}")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be positive and finite")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
+        if not np.isfinite(self.initial_guess):
+            raise ValueError("initial_guess must be finite")
         if self.solver not in ("lu", "cg"):
             raise ValueError(f"unknown solver '{self.solver}'")
         if not all(np.isfinite(v) for v in self.isoline_levels):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmwrite
 
 
 class SingularSystemError(RuntimeError):
@@ -247,7 +246,3 @@ def assemble_csr(rows, cols, vals, n: int) -> sp.csr_matrix:
     A.sum_duplicates()
     A.sort_indices()
     return A
-
-
-def dump_matrix_market(A: sp.spmatrix, path) -> None:
-    mmwrite(str(path), A.tocoo())

@@ -41,12 +41,12 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
     equals ``level``; an empty result is valid.
     """
     values = np.asarray(values, float)
+    tri_values = values[mesh.triangles]
+    missed = (tri_values.min(axis=1) > level) | (tri_values.max(axis=1) < level)
     segments = []
-    for tri in mesh.triangles:
-        t = values[tri]
-        if t.min() > level or t.max() < level:
-            continue
-        pts = _crossings(mesh.nodes[tri], t, level)
+    for m in np.flatnonzero(~missed):
+        tri = mesh.triangles[m]
+        pts = _crossings(mesh.nodes[tri], tri_values[m], level)
         if len(pts) == 2:
             segments.append((pts[0], pts[1]))
         elif len(pts) > 2:

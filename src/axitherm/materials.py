@@ -91,8 +91,16 @@ def fit_piecewise_quadratic(samples, knots) -> PiecewiseQuadratic:
     at the 1e-10 relative level despite the T^2 scaling.
     """
     Ta, Tb, Tc = knots
-    lo = [(T, v) for T, v in samples if Ta - 1e-12 <= T <= Tb]
-    hi = [(T, v) for T, v in samples if Tb <= T <= Tc + 1e-12 and (T, v) not in lo]
+    lo = [(T, v) for T, v in samples if Ta - 1e-12 <= T < Tb]
+    hi = [(T, v) for T, v in samples if Tb < T <= Tc + 1e-12]
+    # a sample at Tb lies on both closed pieces: give it to the one
+    # short of two samples
+    for T, v in samples:
+        if T == Tb:
+            if len(lo) < 2:
+                lo.append((T, v))
+            else:
+                hi.insert(0, (T, v))
     if len(samples) != 4 or len(lo) != 2 or len(hi) != 2:
         raise ValueError("need exactly two samples per piece inside the knot range")
     if len({T for T, _ in samples}) != 4:

@@ -91,38 +91,26 @@ def element_strain(triangle, u_values, eval_point) -> np.ndarray:
     return np.array([dur[0], duy[1], ur / r, dur[1] + duy[0]])
 
 
-def _edge_normal(mesh, i, j):
-    """Outward unit normal of boundary edge (i, j) from its one triangle."""
-    tris = mesh.triangles
-    has_i = np.any(tris == i, axis=1)
-    has_j = np.any(tris == j, axis=1)
-    owners = np.flatnonzero(has_i & has_j)
-    tri = tris[owners[0]]
-    k = [n for n in tri if n != i and n != j][0]
-    p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[k]
-    t = q - p
-    n = np.array([t[1], -t[0]])
-    if n @ (o - p) > 0:
-        n = -n
-    return n / np.linalg.norm(n)
+def _exterior_conditions(table, bc: MechanicalBC):
+    """(row, condition) for every tagged exterior edge, in table order."""
+    for e, tag in enumerate(table.tags):
+        if tag is BoundaryTag.INTERFACE or tag is None:
+            continue
+        yield e, bc.lookup(tag)
 
 
 def _contact_constraints(mesh: Mesh, bc: MechanicalBC, dofs: DofMap):
     """u . n = 0 on contact edges: u_y on horizontal edges, u_r on
     vertical ones (and always u_r on the axis)."""
+    table = mesh.boundary_edge_table()
     any_uy = False
-    for (i, j, tag) in mesh.boundary_edges:
-        if tag is BoundaryTag.INTERFACE or tag is None:
+    for e, cond in _exterior_conditions(table, bc):
+        axis = table.tags[e] is BoundaryTag.AXIS
+        if not (cond == FRICTIONLESS_CONTACT or axis):
             continue
-        cond = bc.lookup(tag)
-        is_contact = cond == FRICTIONLESS_CONTACT or tag is BoundaryTag.AXIS
-        if not is_contact:
-            continue
-        p, q = mesh.nodes[i], mesh.nodes[j]
-        horizontal = abs(p[1] - q[1]) <= abs(p[0] - q[0])
-        comp = 1 if horizontal else 0
-        if tag is BoundaryTag.AXIS:
-            comp = 0
+        i, j = int(table.i[e]), int(table.j[e])
+        dr, dy = mesh.nodes[j] - mesh.nodes[i]
+        comp = 0 if axis or abs(dy) > abs(dr) else 1
         dofs.constrain(i, comp, 0.0)
         dofs.constrain(j, comp, 0.0)
         if comp == 1:
@@ -204,15 +192,13 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     np.add.at(f, dof_idx.ravel(), fe.ravel())
 
     # boundary tractions (edge interiors; contact constraints win at nodes)
-    for (i, j, tag) in mesh.boundary_edges:
-        if tag is BoundaryTag.INTERFACE or tag is None:
-            continue
-        cond = bc.lookup(tag)
+    table = mesh.boundary_edge_table()
+    for e, cond in _exterior_conditions(table, bc):
         if not isinstance(cond, Traction):
             continue
+        i, j = table.i[e], table.j[e]
         p, q = mesh.nodes[i], mesh.nodes[j]
-        length = float(np.linalg.norm(q - p))
-        normal = _edge_normal(mesh, i, j)
+        length, normal = table.length[e], table.normal[e]
         for t, wg in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):
             r = p[0] * (1 - t) + q[0] * t
             y = p[1] * (1 - t) + q[1] * t
@@ -300,20 +286,15 @@ def boundary_stress_components(mesh: Mesh, field: StressField, tag: BoundaryTag)
     Returns a list of (edge, sigma_n, tangential traction vector) using
     the adjacent element's recovered stress.
     """
-    tris = mesh.triangles
-    out = []
-    for (i, j, t) in mesh.boundary_edges:
-        if t is not tag:
-            continue
-        has_i = np.any(tris == i, axis=1)
-        has_j = np.any(tris == j, axis=1)
-        owner = int(np.flatnonzero(has_i & has_j)[0])
-        n = _edge_normal(mesh, i, j)
-        s = field.stress[owner]
-        traction = np.array([
-            s[0] * n[0] + s[3] * n[1],
-            s[3] * n[0] + s[1] * n[1],
-        ])
-        sigma_n = float(traction @ n)
-        out.append(((i, j), sigma_n, traction - sigma_n * n))
-    return out
+    table = mesh.boundary_edge_table()
+    rows = table.rows_with_tag(tag)
+    n = table.normal[rows]
+    s = field.stress[table.owner[rows]]
+    traction = np.column_stack([
+        s[:, 0] * n[:, 0] + s[:, 3] * n[:, 1],
+        s[:, 3] * n[:, 0] + s[:, 1] * n[:, 1],
+    ])
+    sigma_n = traction[:, 0] * n[:, 0] + traction[:, 1] * n[:, 1]
+    tangential = traction - sigma_n[:, None] * n
+    return [((int(table.i[e]), int(table.j[e])), float(sn), tan)
+            for e, sn, tan in zip(rows, sigma_n, tangential)]

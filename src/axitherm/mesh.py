@@ -77,6 +77,30 @@ class SubdomainPolygon:
         return inside
 
 
+@dataclass(frozen=True)
+class BoundaryEdgeTable:
+    """Per-edge arrays for ``Mesh.boundary_edges``, one row per edge in
+    the same order.
+
+    i, j     (E,) int arrays of the edge's node ids
+    tags     tuple of BoundaryTag (or None for untagged exterior edges)
+    owner    (E,) lowest-numbered triangle containing the edge
+    normal   (E, 2) unit normal pointing away from the owner's third node
+    length   (E,) edge length
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    tags: tuple
+    owner: np.ndarray
+    normal: np.ndarray
+    length: np.ndarray
+
+    def rows_with_tag(self, tag) -> np.ndarray:
+        """Row indices of the edges carrying ``tag``, in table order."""
+        return np.flatnonzero([t is tag for t in self.tags])
+
+
 @dataclass
 class Mesh:
     """Conforming triangle mesh with subdomain and boundary tagging.
@@ -93,6 +117,9 @@ class Mesh:
     tri_subdomain: np.ndarray
     boundary_edges: list = field(default_factory=list)
     h: float = 0.0
+    # (copy of boundary_edges the table was built from, table)
+    _edge_table: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -106,6 +133,61 @@ class Mesh:
 
     def edges_with_tag(self, tag: BoundaryTag) -> list:
         return [(i, j) for (i, j, t) in self.boundary_edges if t is tag]
+
+    def boundary_edge_table(self) -> BoundaryEdgeTable:
+        """Owners, normals and lengths of ``boundary_edges`` as arrays.
+
+        Built on first use and kept until ``boundary_edges`` changes
+        (replaced or edited in place), when it is built afresh.
+        """
+        cached = self._edge_table
+        if cached is None or cached[0] != self.boundary_edges:
+            cached = (list(self.boundary_edges), _build_edge_table(self))
+            self._edge_table = cached
+        return cached[1]
+
+
+def _sorted_edge_keys(triangles: np.ndarray, num_nodes: int):
+    """Every triangle edge as the key lo * num_nodes + hi, sorted.
+
+    Returns (keys, tri): equal keys are adjacent and ordered by
+    triangle index, and ``tri`` gives each key's triangle.
+    """
+    tris = np.asarray(triangles, dtype=np.int64)
+    ends = tris[:, [[0, 1], [1, 2], [2, 0]]]          # (M, 3, 2)
+    keys = (ends.min(axis=2) * num_nodes + ends.max(axis=2)).ravel()
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order // 3
+
+
+def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
+    n_edges = len(mesh.boundary_edges)
+    i = np.fromiter((e[0] for e in mesh.boundary_edges), np.int64, n_edges)
+    j = np.fromiter((e[1] for e in mesh.boundary_edges), np.int64, n_edges)
+    tags = tuple(e[2] for e in mesh.boundary_edges)
+    n = mesh.num_nodes
+    keys, tri = _sorted_edge_keys(mesh.triangles, n)
+    want = np.minimum(i, j) * n + np.maximum(i, j)
+    pos = np.searchsorted(keys, want)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == want[found]
+    if not np.all(found):
+        e = int(np.flatnonzero(~found)[0])
+        raise ValueError(f"boundary edge ({i[e]}, {j[e]}) lies on no triangle")
+    owner = tri[pos]
+    third = np.asarray(mesh.triangles, np.int64)[owner].sum(axis=1) - i - j
+    p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]
+    t = q - p
+    normal = np.column_stack([t[:, 1], -t[:, 0]])
+    inward = np.einsum("ed,ed->e", normal, o - p) > 0
+    normal[inward] *= -1.0
+    length = np.linalg.norm(t, axis=1)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    # the table is shared by every caller of the mesh: keep it read-only
+    for a in (i, j, owner, normal, length):
+        a.setflags(write=False)
+    return BoundaryEdgeTable(i=i, j=j, tags=tags, owner=owner,
+                             normal=normal, length=length)
 
 
 # Hearth geometry. Vertex coordinates in meters. Subdomain 2 consists of
@@ -253,28 +335,24 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
 
 def _collect_boundary_edges(mesh: Mesh) -> None:
     """Find exterior and inter-subdomain edges; exterior ones untagged."""
-    tris = mesh.triangles
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    owner_sub = np.tile(mesh.tri_subdomain, 3)
-    key = np.sort(edges, axis=1)
-    uniq, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                                  return_counts=True)
-    mesh.boundary_edges = []
-    first_sub = np.full(len(uniq), -1)
-    second_sub = np.full(len(uniq), -1)
-    for e, s in zip(inv, owner_sub):
-        if first_sub[e] < 0:
-            first_sub[e] = s
-        else:
-            second_sub[e] = s
-    for idx in range(len(uniq)):
-        i, j = int(uniq[idx, 0]), int(uniq[idx, 1])
-        if counts[idx] == 1:
-            mesh.boundary_edges.append((i, j, None))
-        elif counts[idx] == 2 and first_sub[idx] != second_sub[idx]:
-            mesh.boundary_edges.append((i, j, BoundaryTag.INTERFACE))
-        elif counts[idx] > 2:
-            raise ValueError(f"non-conforming edge ({i}, {j})")
+    n = mesh.num_nodes
+    keys, tri = _sorted_edge_keys(mesh.triangles, n)
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[start, len(keys)])
+    lo, hi = keys[start] // n, keys[start] % n
+    if np.any(counts > 2):
+        e = int(np.flatnonzero(counts > 2)[0])
+        raise ValueError(f"non-conforming edge ({lo[e]}, {hi[e]})")
+    sub = mesh.tri_subdomain[tri]
+    shared = counts == 2
+    interface = np.zeros(len(start), dtype=bool)
+    interface[shared] = sub[start[shared]] != sub[start[shared] + 1]
+    keep = (counts == 1) | interface
+    mesh.boundary_edges = [
+        (i, j, BoundaryTag.INTERFACE if iface else None)
+        for i, j, iface in zip(lo[keep].tolist(), hi[keep].tolist(),
+                               interface[keep].tolist())
+    ]
 
 
 def _on_segment(p, q, seg) -> bool:

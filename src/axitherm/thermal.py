@@ -57,17 +57,20 @@ class ThermalBC:
 
     conditions: dict  # BoundaryTag -> Robin | ADIABATIC
 
-    def robin_edges(self, mesh: Mesh):
-        """Yield (i, j, Robin) for every convection edge, in mesh order."""
-        for (i, j, tag) in mesh.boundary_edges:
+    def robin_rows(self, table):
+        """(rows, conditions) of every convection edge of a
+        :class:`~axitherm.mesh.BoundaryEdgeTable`, in table order."""
+        rows, conds = [], []
+        for e, tag in enumerate(table.tags):
             if tag is BoundaryTag.INTERFACE or tag is None:
                 continue
             if tag not in self.conditions:
                 raise ValueError(f"no thermal boundary condition for tag {tag}")
             cond = self.conditions[tag]
-            if cond is ADIABATIC:
-                continue
-            yield i, j, cond
+            if cond is not ADIABATIC:
+                rows.append(e)
+                conds.append(cond)
+        return np.asarray(rows, dtype=int), conds
 
 
 @dataclass
@@ -99,9 +102,10 @@ class SolveReport:
 
 
 class _ThermalWorkspace:
-    """Geometry and quadrature data shared by residual and Jacobian."""
+    """Geometry, quadrature and Robin edge data shared by residual and
+    Jacobian; valid for the mesh, materials and bc it was built with."""
 
-    def __init__(self, mesh: Mesh, materials: MaterialSet):
+    def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
         self.mesh = mesh
         self.materials = materials
         self.geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
@@ -117,6 +121,7 @@ class _ThermalWorkspace:
         missing = set(np.unique(mesh.tri_subdomain)) - set(materials.subdomain_ids())
         if missing:
             raise ValueError(f"no material record for subdomains {sorted(missing)}")
+        self.edges = _edge_arrays(mesh, bc)
 
     def conductivity(self, T_q):
         k = np.empty_like(T_q)
@@ -132,20 +137,21 @@ class _ThermalWorkspace:
 
 
 def _edge_arrays(mesh, bc):
-    edges = list(bc.robin_edges(mesh))
-    if not edges:
+    table = mesh.boundary_edge_table()
+    rows, conds = bc.robin_rows(table)
+    if len(rows) == 0:
         return None
-    ij = np.array([[i, j] for i, j, _ in edges], dtype=int)
+    ij = np.column_stack([table.i[rows], table.j[rows]])
     p = mesh.nodes[ij[:, 0]]
     q = mesh.nodes[ij[:, 1]]
-    length = np.linalg.norm(q - p, axis=1)
-    h = np.array([c.h for _, _, c in edges])
+    length = table.length[rows]
+    h = np.array([c.h for c in conds])
     # rule points along each edge
     t = ROBIN_EDGE_POINTS
     r_g = p[:, 0, None] * (1 - t) + q[:, 0, None] * t
     y_g = p[:, 1, None] * (1 - t) + q[:, 1, None] * t
     TR_g = np.empty_like(r_g)
-    for row, (_, _, c) in enumerate(edges):
+    for row, c in enumerate(conds):
         TR_g[row] = c.ambient(r_g[row], y_g[row])
     return ij, length, h, r_g, y_g, TR_g
 
@@ -156,7 +162,7 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None
                               ) -> np.ndarray:
     """Residual vector of the weak form tested with every hat function."""
-    ws = workspace or _ThermalWorkspace(mesh, materials)
+    ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geom, rule = ws.geom, ws.rule
     tris = mesh.triangles
     T_el = T[tris]                                   # (M, 3)
@@ -176,7 +182,7 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
             contrib -= (w * f_q)[:, None] * lam[None, :]
         np.add.at(R, tris, contrib)
 
-    edge_data = _edge_arrays(mesh, bc)
+    edge_data = ws.edges
     if edge_data is not None:
         ij, length, h, r_g, y_g, TR_g = edge_data
         T_g = T[ij[:, 0], None] * (1 - ROBIN_EDGE_POINTS) \
@@ -192,7 +198,7 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
                               bc: ThermalBC, T: np.ndarray,
                               workspace: _ThermalWorkspace | None = None):
     """Exact Jacobian: k-stiffness + dk/dT secondary term + Robin mass."""
-    ws = workspace or _ThermalWorkspace(mesh, materials)
+    ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geom, rule = ws.geom, ws.rule
     tris = mesh.triangles
     M = len(tris)
@@ -215,7 +221,7 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     cols = np.tile(tris, (1, 3)).ravel()
     vals = blocks.reshape(M, 9).ravel()
 
-    edge_data = _edge_arrays(mesh, bc)
+    edge_data = ws.edges
     if edge_data is not None:
         ij, length, h, r_g, y_g, _ = edge_data
         erows, ecols, evals = [], [], []
@@ -238,7 +244,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
                  config: NewtonConfig | None = None, source=None):
     """Solve the nonlinear thermal problem; returns (T, SolveReport)."""
     config = config or NewtonConfig()
-    ws = _ThermalWorkspace(mesh, materials)
+    ws = _ThermalWorkspace(mesh, materials, bc)
     T = np.full(mesh.num_nodes, float(config.initial_guess))
     report = SolveReport()
     start = time.perf_counter()
@@ -248,7 +254,13 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     ref = norm if (config.relative and norm > 0) else 1.0
     report.residuals.append(norm)
 
-    while norm / ref > config.abs_tol:
+    # negated so that a NaN norm enters the loop and is rejected there
+    while not norm / ref <= config.abs_tol:
+        if not np.isfinite(norm):
+            report.wall_time = time.perf_counter() - start
+            raise ConvergenceError(
+                f"Newton residual is not finite ({norm}) after "
+                f"{report.iterations} iterations")
         if report.iterations >= config.max_iter:
             report.wall_time = time.perf_counter() - start
             raise ConvergenceError(

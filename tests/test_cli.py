@@ -39,6 +39,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="finite"):
             RunConfig(isoline_levels=[float("nan")]).validate()
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("initial_guess", float("nan"), "initial_guess"),
+        ("initial_guess", float("inf"), "initial_guess"),
+        ("newton_tol", 0.0, "newton_tol"),
+        ("newton_tol", -1e-4, "newton_tol"),
+        ("newton_max_iter", 0, "newton_max_iter"),
+    ])
+    def test_validate_rejects_bad_newton_settings(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**{field: value}).validate()
+
     def test_json_round_trip(self, tmp_path):
         config = RunConfig(target_h=0.3, isoline_levels=[1423.0])
         path = tmp_path / "config.json"

@@ -98,6 +98,20 @@ class TestFitPiecewiseQuadratic:
         assert c0 == pytest.approx(5.3)
         assert c1 == pytest.approx(5.3)
 
+    def test_sample_at_middle_knot(self):
+        # T == Tb lies on both closed pieces; it used to be counted in
+        # the lower piece only and rejected as a third sample there
+        samples = list(zip((293.0, 473.0, 673.0, 1273.0),
+                           CONDUCTIVITY_SAMPLES[1]))
+        m = fit_piecewise_quadratic(samples, (293.0, 673.0, 1800.0))
+        for T, v in samples:
+            assert m(T) == pytest.approx(v, rel=1e-10)
+        a0, b0, c0, a1, b1, c1 = m.coeffs
+        Tb = 673.0
+        assert a0 * Tb**2 + b0 * Tb + c0 == pytest.approx(
+            a1 * Tb**2 + b1 * Tb + c1, rel=1e-10)
+        assert 2 * a0 * Tb + b0 == pytest.approx(2 * a1 * Tb + b1, rel=1e-9)
+
     def test_needs_two_samples_per_piece(self):
         bad = [(300.0, 1.0), (400.0, 2.0), (500.0, 3.0), (1273.0, 4.0)]
         with pytest.raises(ValueError, match="two samples per piece"):

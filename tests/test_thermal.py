@@ -137,6 +137,14 @@ class TestNewtonSolve:
             newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
                          NewtonConfig(abs_tol=1e-30, max_iter=2))
 
+    def test_non_finite_residual_raises(self):
+        # a NaN residual norm used to compare as converged (nan > tol is
+        # False) and return a NaN field after 0 iterations
+        mesh = _strip_mesh()
+        with pytest.raises(ConvergenceError, match="not finite"):
+            newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
+                         NewtonConfig(initial_guess=float("nan")))
+
     def test_cg_agrees_with_lu(self):
         mesh = _strip_mesh(h=0.2)
         bc = ThermalBC(ALL_ROBIN)
