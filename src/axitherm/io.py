@@ -14,8 +14,12 @@ import numpy as np
 from .mesh import Mesh
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _format_rows(fmt: str, *columns) -> str:
+    """``fmt`` (one line, ending in a newline) applied to each row of the
+    given columns in one ``%`` operation over Python scalars from
+    ``tolist``: the same text as formatting each value on its own."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    return (fmt * len(cols[0])) % tuple(v for row in zip(*cols) for v in row)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -37,47 +41,44 @@ def vtk_text(mesh: Mesh, temperature=None, displacement=None,
     """Render the mesh and fields as a legacy ASCII VTK unstructured grid."""
     n = mesh.num_nodes
     m = len(mesh.triangles)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "axitherm fields",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
+    tris = np.asarray(mesh.triangles)
+    parts = [
+        "# vtk DataFile Version 3.0\n"
+        "axitherm fields\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n} double\n",
+        _format_rows("%.12g %.12g 0\n", mesh.nodes[:, 0], mesh.nodes[:, 1]),
+        f"CELLS {m} {4 * m}\n",
+        _format_rows("3 %s %s %s\n", tris[:, 0], tris[:, 1], tris[:, 2]),
+        f"CELL_TYPES {m}\n",
+        "5\n" * m,
     ]
-    for r, y in mesh.nodes:
-        lines.append(f"{_fmt(r)} {_fmt(y)} 0")
-    lines.append(f"CELLS {m} {4 * m}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"3 {i} {j} {k}")
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend(["5"] * m)
 
     point_fields = []
     if temperature is not None:
         point_fields.append(("temperature", temperature))
     if point_fields or displacement is not None:
-        lines.append(f"POINT_DATA {n}")
+        parts.append(f"POINT_DATA {n}\n")
     for name, values in point_fields:
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in np.asarray(values, float))
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(_format_rows("%.12g\n", np.asarray(values, float)))
     if displacement is not None:
-        lines.append("VECTORS displacement double")
-        for ur, uy in np.asarray(displacement, float):
-            lines.append(f"{_fmt(ur)} {_fmt(uy)} 0")
+        u = np.asarray(displacement, float)
+        parts.append("VECTORS displacement double\n")
+        parts.append(_format_rows("%.12g %.12g 0\n", u[:, 0], u[:, 1]))
 
-    lines.append(f"CELL_DATA {m}")
-    lines.append("SCALARS subdomain int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(s)) for s in mesh.tri_subdomain)
+    parts.append(f"CELL_DATA {m}\n"
+                 "SCALARS subdomain int 1\n"
+                 "LOOKUP_TABLE default\n")
+    parts.append(_format_rows("%d\n", np.asarray(mesh.tri_subdomain, int)))
     if stress is not None:
         stress = np.asarray(stress, float)
         for col, name in enumerate(
                 ["stress_rr", "stress_yy", "stress_tt", "stress_ry"]):
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in stress[:, col])
-    return "\n".join(lines) + "\n"
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            parts.append(_format_rows("%.12g\n", stress[:, col]))
+    return "".join(parts)
 
 
 def export_vtk(mesh: Mesh, path, temperature=None, displacement=None,
@@ -164,15 +165,13 @@ def parse_vtk(text: str) -> dict:
 
 def export_csv(mesh: Mesh, path, temperature, displacement=None) -> None:
     """Per-node table: node_id,r,y,T,u_r,u_y."""
-    u = displacement if displacement is not None \
+    u = np.asarray(displacement, float) if displacement is not None \
         else np.zeros((mesh.num_nodes, 2))
-    lines = ["node_id,r,y,T,u_r,u_y"]
-    for n in range(mesh.num_nodes):
-        r, y = mesh.nodes[n]
-        lines.append(
-            f"{n},{_fmt(r)},{_fmt(y)},{_fmt(temperature[n])},"
-            f"{_fmt(u[n, 0])},{_fmt(u[n, 1])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    T = np.asarray(temperature, float)[:mesh.num_nodes]
+    text = "node_id,r,y,T,u_r,u_y\n" + _format_rows(
+        "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n", np.arange(mesh.num_nodes),
+        mesh.nodes[:, 0], mesh.nodes[:, 1], T, u[:, 0], u[:, 1])
+    atomic_write_text(path, text)
 
 
 def export_report(report, path) -> None:

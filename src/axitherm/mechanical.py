@@ -17,11 +17,9 @@ from .fem_core import (
     EDGE_GAUSS_WEIGHTS,
     DofMap,
     SingularSystemError,
-    TriangleGeometry,
     apply_constraints,
     assemble_csr,
     solve_lu,
-    triangle_rule,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
 from .mesh import BoundaryTag, Mesh
@@ -68,29 +66,6 @@ def hydrostatic_bc(y_max: float) -> Traction:
     return Traction(g)
 
 
-def element_strain(triangle, u_values, eval_point) -> np.ndarray:
-    """Axisymmetric strain of the P1 interpolant at one point.
-
-    triangle: (3, 2) node coordinates; u_values: (3, 2) nodal (u_r, u_y);
-    eval_point: (r, y) with r > 0 (the hoop strain is u_r / r).
-    """
-    p = np.asarray(triangle, float)
-    u = np.asarray(u_values, float)
-    r, y = eval_point
-    if r <= 0:
-        raise ValueError("strain evaluation requires r > 0")
-    geom = TriangleGeometry.from_mesh(p, np.array([[0, 1, 2]]))
-    grads = geom.grads[0]  # (3, 2)
-    # barycentric coordinates of the evaluation point
-    A = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    xi = np.linalg.solve(A, np.array([r, y]) - p[0])
-    lam = np.array([1 - xi[0] - xi[1], xi[0], xi[1]])
-    du = np.einsum("i,id->d", u[:, 0], grads), np.einsum("i,id->d", u[:, 1], grads)
-    dur, duy = du
-    ur = lam @ u[:, 0]
-    return np.array([dur[0], duy[1], ur / r, dur[1] + duy[0]])
-
-
 def _exterior_conditions(table, bc: MechanicalBC):
     """(row, condition) for every tagged exterior edge, in table order."""
     for e, tag in enumerate(table.tags):
@@ -128,68 +103,72 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     prescribed displacement values.
     """
     T = np.asarray(T, float)
-    geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
-    rule = triangle_rule(3)
-    tris = mesh.triangles
-    M = len(tris)
+    geo = mesh.assembly_workspace()
+    quad = geo.quadrature(3)
+    M = len(geo.triangles)
     ndof = 2 * mesh.num_nodes
-    T_el = T[tris]
-    r_q = np.einsum("qi,mi->mq", rule.points, geom.coords[:, :, 0])
-    y_q = np.einsum("qi,mi->mq", rule.points, geom.coords[:, :, 1])
-
-    Ke = np.zeros((M, 6, 6))
-    fe = np.zeros((M, 6))
-    ident = np.array([1.0, 1.0, 1.0, 0.0])
-
-    sub_ids = sorted(set(np.unique(mesh.tri_subdomain)))
-    missing = set(sub_ids) - set(materials.subdomain_ids())
+    missing = set(geo.subdomains) - set(materials.subdomain_ids())
     if missing:
         raise ValueError(f"no material record for subdomains {sorted(missing)}")
 
-    for q in range(len(rule.weights)):
-        lam = rule.points[q]
-        w = rule.weights[q] * 2.0 * geom.area * r_q[:, q]  # (M,)
-        T_q = T_el @ lam
-        # strain-displacement matrix at this quadrature point: (M, 4, 6)
-        B = np.zeros((M, 4, 6))
-        for i in range(3):
-            B[:, 0, 2 * i] = geom.grads[:, i, 0]
-            B[:, 1, 2 * i + 1] = geom.grads[:, i, 1]
-            B[:, 2, 2 * i] = lam[i] / r_q[:, q]
-            B[:, 3, 2 * i] = geom.grads[:, i, 1]
-            B[:, 3, 2 * i + 1] = geom.grads[:, i, 0]
-        for sid in sub_ids:
-            mask = mesh.tri_subdomain == sid
-            rec = materials[sid]
-            C_unit = elasticity_matrix(1.0, rec.nu)
-            E_q = np.asarray(rec.E(T_q[mask]))
-            Bm = B[mask]
-            CB = np.einsum("ab,mbj->maj", C_unit, Bm)
-            Ke[mask] += (w[mask] * E_q)[:, None, None] * \
-                np.einsum("mai,maj->mij", Bm, CB)
-            # thermal-strain load: B^T C alpha dT {1,1,1,0}
-            sig0 = E_q * rec.alpha * (T_q[mask] - materials.T0) / (1 - 2 * rec.nu)
-            fe[mask] += (w[mask] * sig0)[:, None] * \
-                np.einsum("mai,a->mi", Bm, ident)
-        if body_force is not None:
-            fr, fy = body_force(r_q[:, q], y_q[:, q])
-            for i in range(3):
-                fe[:, 2 * i] += w * lam[i] * fr
-                fe[:, 2 * i + 1] += w * lam[i] * fy
+    # per-element material data at the quadrature points
+    T_q = T[geo.triangles] @ quad.rule.points.T              # (M, Q)
+    E_q = np.empty_like(T_q)
+    C_unit = np.empty((M, 4, 4))
+    alpha = np.empty(M)
+    nu = np.empty(M)
+    for sid, idx in geo.subdomains.items():
+        rec = materials[sid]
+        E_q[idx] = rec.E(T_q[idx])
+        C_unit[idx] = elasticity_matrix(1.0, rec.nu)
+        alpha[idx] = rec.alpha
+        nu[idx] = rec.nu
+    # thermal stress E alpha dT / (1 - 2 nu) on the normal components
+    sig0 = E_q * alpha[:, None] * (T_q - materials.T0) / (1 - 2 * nu)[:, None]
 
-    dof_idx = np.empty((M, 6), dtype=int)
-    dof_idx[:, 0::2] = 2 * tris
-    dof_idx[:, 1::2] = 2 * tris + 1
-    rows = np.repeat(dof_idx, 6, axis=1).ravel()
-    cols = np.tile(dof_idx, (1, 6)).ravel()
-    K = assemble_csr(rows, cols, Ke.reshape(M, 36).ravel(), ndof)
-    # restore bitwise symmetry lost to floating summation order in the
-    # B^T C B products and the duplicate accumulation
-    K = (K + K.T) * 0.5
-    K = K.tocsr()
-    K.sort_indices()
-    f = np.zeros(ndof)
-    np.add.at(f, dof_idx.ravel(), fe.ravel())
+    # The strain-displacement matrix at point q is B_q = G + e_tt h_q^T:
+    # G (M, 4, 6) holds the rr, yy and ry rows, constant on an element,
+    # and h_q the hoop row lambda_i / r_q on the u_r dofs. With
+    # a_q = w_q E_q, the element stiffness sum_q a_q B_q^T C B_q is
+    #   (sum_q a_q) G^T C G + v b^T + b v^T + C_tt,tt sum_q a_q h_q h_q^T
+    # with v = G^T C e_tt and b = sum_q a_q h_q, so the batched product
+    # G^T C G is formed once per element, not once per point.
+    grads = geo.grads
+    pts = quad.rule.points                                   # (Q, 3)
+    G = np.zeros((M, 4, 6))
+    G[:, 0, 0::2] = grads[:, :, 0]
+    G[:, 1, 1::2] = grads[:, :, 1]
+    G[:, 3, 0::2] = grads[:, :, 1]
+    G[:, 3, 1::2] = grads[:, :, 0]
+    CG = C_unit @ G
+    a = quad.w * E_q                                         # (M, Q)
+    v = CG[:, 2].copy()                                      # C is symmetric
+    b = (a / quad.r) @ pts                                   # u_r dofs of b
+    CG *= a.sum(axis=1)[:, None, None]
+    Ke = G.transpose(0, 2, 1) @ CG
+    vb = v[:, :, None] * b[:, None, :]                       # (M, 6, 3)
+    Ke[:, :, 0::2] += vb
+    Ke[:, 0::2, :] += vb.transpose(0, 2, 1)
+    # sum_q a_q h_q h_q^T on the u_r dofs, from the products p_qi p_qj
+    outer = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
+    Ke[:, 0::2, 0::2] += C_unit[:, 2, 2, None, None] * \
+        ((a / quad.r**2) @ outer).reshape(M, 3, 3)
+    # thermal-strain load sum_q w_q sig0_q B_q^T {1, 1, 1, 0}
+    s0 = quad.w * sig0
+    fe = s0.sum(axis=1)[:, None] * (G[:, 0] + G[:, 1])
+    fe[:, 0::2] += (s0 / quad.r) @ pts
+    if body_force is not None:
+        fr, fy = body_force(quad.r, quad.y)
+        fe[:, 0::2] += (quad.w * fr) @ quad.rule.points
+        fe[:, 1::2] += (quad.w * fy) @ quad.rule.points
+
+    # symmetric element blocks summed in one fixed order give a bitwise
+    # symmetric K
+    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    K = assemble_csr(geo.vector_pattern, Ke.ravel())
+    # element dofs (u_r, u_y) per vertex: 2 * node + component
+    dofs = 2 * geo.triangles[:, :, None] + np.arange(2)
+    f = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=ndof)
 
     # boundary tractions (edge interiors; contact constraints win at nodes)
     table = mesh.boundary_edge_table()
@@ -249,34 +228,29 @@ class StressField:
 def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
                    u: np.ndarray) -> StressField:
     """Element stresses from centroid strain and averaged temperature."""
-    geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
-    rule = triangle_rule(3)
-    tris = mesh.triangles
+    geo = mesh.assembly_workspace()
+    rule = geo.quadrature(3).rule
+    tris = geo.triangles
     M = len(tris)
-    T_el = T[tris]
     # quadrature-weighted average temperature (weights sum to 1/2)
-    T_bar = 2.0 * np.einsum("q,mq->m", rule.weights, T_el @ rule.points.T)
+    T_bar = 2.0 * ((T[tris] @ rule.points.T) @ rule.weights)
 
-    u_el = u[tris]  # (M, 3, 2)
-    centroid_r = geom.coords[:, :, 0].mean(axis=1)
+    u_el = u[tris]                                   # (M, 3, 2)
+    du = u_el.transpose(0, 2, 1) @ geo.grads         # (M, 2, 2): d u_c / d x_d
     strain = np.empty((M, 4))
-    strain[:, 0] = np.einsum("mi,mi->m", u_el[:, :, 0], geom.grads[:, :, 0])
-    strain[:, 1] = np.einsum("mi,mi->m", u_el[:, :, 1], geom.grads[:, :, 1])
-    strain[:, 2] = u_el[:, :, 0].mean(axis=1) / centroid_r
-    strain[:, 3] = np.einsum("mi,mi->m", u_el[:, :, 0], geom.grads[:, :, 1]) \
-        + np.einsum("mi,mi->m", u_el[:, :, 1], geom.grads[:, :, 0])
+    strain[:, 0] = du[:, 0, 0]
+    strain[:, 1] = du[:, 1, 1]
+    strain[:, 2] = u_el[:, :, 0].mean(axis=1) / geo.centroid_r
+    strain[:, 3] = du[:, 0, 1] + du[:, 1, 0]
 
     stress = np.empty((M, 4))
-    for sid in sorted(set(np.unique(mesh.tri_subdomain))):
-        mask = mesh.tri_subdomain == sid
+    for sid, idx in geo.subdomains.items():
         rec = materials[sid]
-        C_unit = elasticity_matrix(1.0, rec.nu)
-        E_b = np.asarray(rec.E(T_bar[mask]))
-        sig = np.einsum("ab,mb->ma", C_unit, strain[mask]) * E_b[:, None]
-        s0 = np.array([thermal_stress_term(e, rec.nu, rec.alpha, tb, materials.T0)
-                       for e, tb in zip(E_b, T_bar[mask])])
-        sig[:, :3] -= s0[:, None]
-        stress[mask] = sig
+        E_b = np.asarray(rec.E(T_bar[idx]))
+        sig = (strain[idx] @ elasticity_matrix(1.0, rec.nu).T) * E_b[:, None]
+        sig[:, :3] -= thermal_stress_term(E_b, rec.nu, rec.alpha, T_bar[idx],
+                                          materials.T0)[:, None]
+        stress[idx] = sig
     return StressField(stress=stress, strain=strain, element_temperature=T_bar)
 
 

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .fem_core import AssemblyWorkspace
+
 GEOM_TOL = 1e-9
 
 
@@ -120,6 +122,8 @@ class Mesh:
     # (copy of boundary_edges the table was built from, table)
     _edge_table: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _workspace: AssemblyWorkspace | None = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -145,6 +149,22 @@ class Mesh:
             cached = (list(self.boundary_edges), _build_edge_table(self))
             self._edge_table = cached
         return cached[1]
+
+    def assembly_workspace(self) -> AssemblyWorkspace:
+        """Geometry, quadrature, subdomain and sparsity-pattern data that
+        every assembly on this mesh shares.
+
+        Built on first use and kept until ``nodes``, ``triangles`` or
+        ``tri_subdomain`` change (replaced or edited in place), when it
+        is built afresh.
+        """
+        ws = self._workspace
+        if ws is None or not ws.matches(self.nodes, self.triangles,
+                                        self.tri_subdomain):
+            ws = AssemblyWorkspace(self.nodes, self.triangles,
+                                   self.tri_subdomain)
+            self._workspace = ws
+        return ws
 
 
 def _sorted_edge_keys(triangles: np.ndarray, num_nodes: int):
@@ -433,52 +453,59 @@ def hearth_mesh(target_h: float) -> Mesh:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (axitherm-mesh v1)."""
-    lines = ["axitherm-mesh v1", f"nodes {mesh.num_nodes}"]
-    for r, y in mesh.nodes:
-        lines.append(f"{float(r)!r} {float(y)!r}")
-    lines.append(f"triangles {len(mesh.triangles)}")
-    for (i, j, k), s in zip(mesh.triangles, mesh.tri_subdomain):
-        lines.append(f"{i} {j} {k} {s}")
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    for i, j, tag in mesh.boundary_edges:
-        name = tag.value if tag is not None else "untagged"
-        lines.append(f"{i} {j} {name}")
+    # one % operation per block, over Python scalars from tolist
+    nodes = np.asarray(mesh.nodes, float).tolist()
+    tris = [(*t, s) for t, s in zip(np.asarray(mesh.triangles).tolist(),
+                                    np.asarray(mesh.tri_subdomain).tolist())]
+    edges = [(i, j, tag.value if tag is not None else "untagged")
+             for i, j, tag in mesh.boundary_edges]
+    text = "".join([
+        f"axitherm-mesh v1\nnodes {len(nodes)}\n",
+        "%r %r\n" * len(nodes) % tuple(v for row in nodes for v in row),
+        f"triangles {len(tris)}\n",
+        "%s %s %s %s\n" * len(tris) % tuple(v for row in tris for v in row),
+        f"boundary_edges {len(edges)}\n",
+        "%s %s %s\n" * len(edges) % tuple(v for row in edges for v in row),
+    ])
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text)
 
 
 def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format written by :func:`save_mesh`."""
     with open(path) as f:
-        tokens = []
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line.split())
-    if tokens[0] != ["axitherm-mesh", "v1"]:
+        lines = [line for line in (raw.split("#", 1)[0].strip() for raw in f)
+                 if line]
+    if lines[0].split() != ["axitherm-mesh", "v1"]:
         raise ValueError("not an axitherm-mesh v1 file")
     pos = 1
 
-    def expect(keyword):
+    def section(keyword):
+        """The rows of the ``keyword`` section."""
         nonlocal pos
-        kw, count = tokens[pos]
+        kw, count = lines[pos].split()
         if kw != keyword:
             raise ValueError(f"expected '{keyword}', got '{kw}'")
-        pos += 1
-        return int(count)
+        rows = lines[pos + 1:pos + 1 + int(count)]
+        pos += 1 + int(count)
+        return rows
 
-    n = expect("nodes")
-    nodes = np.array([[float(a) for a in tokens[pos + i]] for i in range(n)])
-    pos += n
-    m = expect("triangles")
-    tri_rows = [[int(a) for a in tokens[pos + i]] for i in range(m)]
-    pos += m
-    tris = np.array([row[:3] for row in tri_rows], dtype=int)
-    sub = np.array([row[3] for row in tri_rows], dtype=int)
-    b = expect("boundary_edges")
+    def numbers(rows, columns, dtype):
+        """The rows converted as one (len(rows), columns) array."""
+        if not rows:
+            return np.empty((0, columns), dtype=dtype)
+        out = np.loadtxt(rows, dtype=dtype, ndmin=2)
+        if out.shape[1] != columns:
+            raise ValueError(f"expected {columns} values per row, got {out.shape[1]}")
+        return out
+
+    nodes = numbers(section("nodes"), 2, float)
+    tri_rows = numbers(section("triangles"), 4, int)
+    tris = tri_rows[:, :3].copy()
+    sub = tri_rows[:, 3].copy()
     bedges = []
-    for i in range(b):
-        a, c, name = tokens[pos + i]
+    for row in section("boundary_edges"):
+        a, c, name = row.split()
         tag = None if name == "untagged" else BoundaryTag(name)
         bedges.append((int(a), int(c), tag))
     mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,

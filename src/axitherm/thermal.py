@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem_core import (
-    ConvergenceError,
-    TriangleGeometry,
-    assemble_csr,
-    solve,
-    triangle_rule,
-)
+from .fem_core import SOLVERS, ConvergenceError, assemble_csr, solve
 from .materials import MaterialSet
 from .mesh import BoundaryTag, Mesh
 
@@ -82,6 +76,18 @@ class NewtonConfig:
     backtracking: bool = False
     solver: str = "lu"
 
+    def __post_init__(self):
+        # each message starts with the field name it rejects
+        if not np.isfinite(self.initial_guess):
+            raise ValueError("initial_guess must be finite")
+        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError("abs_tol must be positive and finite")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
+                             f"not '{self.solver}'")
+
 
 @dataclass
 class SolveReport:
@@ -102,58 +108,76 @@ class SolveReport:
 
 
 class _ThermalWorkspace:
-    """Geometry, quadrature and Robin edge data shared by residual and
-    Jacobian; valid for the mesh, materials and bc it was built with."""
+    """Material and Robin edge data shared by residual and Jacobian, on
+    top of the mesh's assembly workspace; valid for the mesh, materials
+    and bc it was built with."""
 
     def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
-        self.mesh = mesh
-        self.materials = materials
-        self.geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
-        self.rule = triangle_rule(3)
-        # quadrature point radii per element: (M, Q)
-        self.r_q = np.einsum("qi,mi->mq", self.rule.points,
-                             self.geom.coords[:, :, 0])
-        self.y_q = np.einsum("qi,mi->mq", self.rule.points,
-                             self.geom.coords[:, :, 1])
-        self.sub_masks = {
-            sid: mesh.tri_subdomain == sid for sid in materials.subdomain_ids()
-        }
-        missing = set(np.unique(mesh.tri_subdomain)) - set(materials.subdomain_ids())
+        self.mesh_ws = mesh.assembly_workspace()
+        missing = set(self.mesh_ws.subdomains) - set(materials.subdomain_ids())
         if missing:
             raise ValueError(f"no material record for subdomains {sorted(missing)}")
-        self.edges = _edge_arrays(mesh, bc)
+        self.materials = materials
+        self.robin = _RobinEdges.build(mesh, bc)
+        self.pattern = self.mesh_ws.scalar_pattern
+        if self.robin is not None:
+            ij = self.robin.ij
+            self.pattern = self.pattern.extended(ij[:, [0, 0, 1, 1]],
+                                                 ij[:, [0, 1, 0, 1]])
 
     def conductivity(self, T_q):
         k = np.empty_like(T_q)
-        for sid, mask in self.sub_masks.items():
-            k[mask] = self.materials[sid].k(T_q[mask])
+        for sid, idx in self.mesh_ws.subdomains.items():
+            k[idx] = self.materials[sid].k(T_q[idx])
         return k
 
     def conductivity_derivative(self, T_q):
         dk = np.empty_like(T_q)
-        for sid, mask in self.sub_masks.items():
-            dk[mask] = self.materials[sid].k.derivative(T_q[mask])
+        for sid, idx in self.mesh_ws.subdomains.items():
+            dk[idx] = self.materials[sid].k.derivative(T_q[idx])
         return dk
 
 
-def _edge_arrays(mesh, bc):
-    table = mesh.boundary_edge_table()
-    rows, conds = bc.robin_rows(table)
-    if len(rows) == 0:
-        return None
-    ij = np.column_stack([table.i[rows], table.j[rows]])
-    p = mesh.nodes[ij[:, 0]]
-    q = mesh.nodes[ij[:, 1]]
-    length = table.length[rows]
-    h = np.array([c.h for c in conds])
-    # rule points along each edge
-    t = ROBIN_EDGE_POINTS
-    r_g = p[:, 0, None] * (1 - t) + q[:, 0, None] * t
-    y_g = p[:, 1, None] * (1 - t) + q[:, 1, None] * t
-    TR_g = np.empty_like(r_g)
-    for row, c in enumerate(conds):
-        TR_g[row] = c.ambient(r_g[row], y_g[row])
-    return ij, length, h, r_g, y_g, TR_g
+@dataclass(frozen=True)
+class _RobinEdges:
+    """Convection edges with the edge rule mapped onto them.
+
+    ij (E, 2) end nodes; shape (G, 2) end-node weights of each rule
+    point; weight (E, G) rule weight * length * r * h; ambient (E, G)
+    T_R at the rule points; mass (E, 2, 2) the edge's Jacobian block.
+    """
+
+    ij: np.ndarray
+    shape: np.ndarray
+    weight: np.ndarray
+    ambient: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def build(cls, mesh, bc):
+        table = mesh.boundary_edge_table()
+        rows, conds = bc.robin_rows(table)
+        if len(rows) == 0:
+            return None
+        ij = np.column_stack([table.i[rows], table.j[rows]])
+        p = mesh.nodes[ij[:, 0]]
+        q = mesh.nodes[ij[:, 1]]
+        h = np.array([c.h for c in conds])
+        t = ROBIN_EDGE_POINTS
+        shape = np.column_stack([1 - t, t])
+        r_g = p[:, 0, None] * (1 - t) + q[:, 0, None] * t
+        y_g = p[:, 1, None] * (1 - t) + q[:, 1, None] * t
+        ambient = np.empty_like(r_g)
+        for row, c in enumerate(conds):
+            ambient[row] = c.ambient(r_g[row], y_g[row])
+        weight = ROBIN_EDGE_WEIGHTS * table.length[rows, None] * r_g * h[:, None]
+        mass = np.einsum("eg,ga,gb->eab", weight, shape, shape)
+        return cls(ij, shape, weight, ambient, mass)
+
+    def residual(self, T):
+        """(E, 2) contributions of h (T - T_R) to the end-node rows."""
+        T_g = T[self.ij] @ self.shape.T
+        return (self.weight * (T_g - self.ambient)) @ self.shape
 
 
 def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
@@ -163,34 +187,21 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
                               ) -> np.ndarray:
     """Residual vector of the weak form tested with every hat function."""
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
-    geom, rule = ws.geom, ws.rule
-    tris = mesh.triangles
-    T_el = T[tris]                                   # (M, 3)
-    gradT = np.einsum("mi,mid->md", T_el, geom.grads)  # (M, 2)
-    R = np.zeros(mesh.num_nodes)
-
-    for q in range(len(rule.weights)):
-        lam = rule.points[q]
-        w = rule.weights[q] * 2.0 * geom.area * ws.r_q[:, q]  # (M,)
-        T_q = T_el @ lam
-        k_q = ws.conductivity(T_q)
-        # k grad T . grad lambda_i
-        flux = np.einsum("md,mid->mi", gradT, geom.grads)      # (M, 3)
-        contrib = (w * k_q)[:, None] * flux
-        if source is not None:
-            f_q = source(ws.r_q[:, q], ws.y_q[:, q])
-            contrib -= (w * f_q)[:, None] * lam[None, :]
-        np.add.at(R, tris, contrib)
-
-    edge_data = ws.edges
-    if edge_data is not None:
-        ij, length, h, r_g, y_g, TR_g = edge_data
-        T_g = T[ij[:, 0], None] * (1 - ROBIN_EDGE_POINTS) \
-            + T[ij[:, 1], None] * ROBIN_EDGE_POINTS
-        for g, (t, wg) in enumerate(zip(ROBIN_EDGE_POINTS, ROBIN_EDGE_WEIGHTS)):
-            w = wg * length * r_g[:, g] * h * (T_g[:, g] - TR_g[:, g])
-            np.add.at(R, ij[:, 0], w * (1 - t))
-            np.add.at(R, ij[:, 1], w * t)
+    geo = ws.mesh_ws
+    quad = geo.quadrature(3)
+    T_el = T[geo.triangles]                                  # (M, 3)
+    # grad lambda_i . grad T per element: (M, 3)
+    flux = np.einsum("mij,mj->mi", geo.grad_products, T_el)
+    k_q = ws.conductivity(T_el @ quad.rule.points.T)         # (M, Q)
+    contrib = (quad.w * k_q).sum(axis=1)[:, None] * flux
+    if source is not None:
+        contrib -= (quad.w * source(quad.r, quad.y)) @ quad.rule.points
+    R = np.bincount(geo.triangles.ravel(), weights=contrib.ravel(),
+                    minlength=mesh.num_nodes)
+    if ws.robin is not None:
+        R += np.bincount(ws.robin.ij.ravel(),
+                         weights=ws.robin.residual(T).ravel(),
+                         minlength=mesh.num_nodes)
     return R
 
 
@@ -199,45 +210,20 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None):
     """Exact Jacobian: k-stiffness + dk/dT secondary term + Robin mass."""
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
-    geom, rule = ws.geom, ws.rule
-    tris = mesh.triangles
-    M = len(tris)
-    T_el = T[tris]
-    gradT = np.einsum("mi,mid->md", T_el, geom.grads)
-    gg = np.einsum("mid,mjd->mij", geom.grads, geom.grads)   # (M, 3, 3)
-    flux = np.einsum("md,mid->mi", gradT, geom.grads)        # (M, 3)
-
-    blocks = np.zeros((M, 3, 3))
-    for q in range(len(rule.weights)):
-        lam = rule.points[q]
-        w = rule.weights[q] * 2.0 * geom.area * ws.r_q[:, q]
-        T_q = T_el @ lam
-        k_q = ws.conductivity(T_q)
-        dk_q = ws.conductivity_derivative(T_q)
-        blocks += (w * k_q)[:, None, None] * gg
-        blocks += (w * dk_q)[:, None, None] * \
-            np.einsum("mi,j->mij", flux, lam)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    vals = blocks.reshape(M, 9).ravel()
-
-    edge_data = ws.edges
-    if edge_data is not None:
-        ij, length, h, r_g, y_g, _ = edge_data
-        erows, ecols, evals = [], [], []
-        for g, (t, wg) in enumerate(zip(ROBIN_EDGE_POINTS, ROBIN_EDGE_WEIGHTS)):
-            w = wg * length * r_g[:, g] * h
-            shp = np.array([1 - t, t])
-            for a in range(2):
-                for b_ in range(2):
-                    erows.append(ij[:, a])
-                    ecols.append(ij[:, b_])
-                    evals.append(w * shp[a] * shp[b_])
-        rows = np.concatenate([rows] + [x for x in erows])
-        cols = np.concatenate([cols] + [x for x in ecols])
-        vals = np.concatenate([vals] + [x for x in evals])
-
-    return assemble_csr(rows, cols, vals, mesh.num_nodes)
+    geo = ws.mesh_ws
+    quad = geo.quadrature(3)
+    gg = geo.grad_products
+    T_el = T[geo.triangles]
+    flux = np.einsum("mij,mj->mi", gg, T_el)                 # (M, 3)
+    T_q = T_el @ quad.rule.points.T
+    wk = (quad.w * ws.conductivity(T_q)).sum(axis=1)
+    wdk = (quad.w * ws.conductivity_derivative(T_q)) @ quad.rule.points
+    # k grad lambda_j . grad lambda_i + dk/dT lambda_j grad T . grad lambda_i
+    blocks = wk[:, None, None] * gg + flux[:, :, None] * wdk[:, None, :]
+    vals = blocks.ravel()
+    if ws.robin is not None:
+        vals = np.concatenate([vals, ws.robin.mass.ravel()])
+    return assemble_csr(ws.pattern, vals)
 
 
 def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,

@@ -16,7 +16,6 @@ import numpy as np
 import sympy as sp
 
 from . import materials as mat
-from .fem_core import TriangleGeometry, triangle_rule
 from .materials import (
     MaterialSet,
     PiecewiseQuadratic,
@@ -86,42 +85,33 @@ def annulus_analytic(r1, r2, k, h1, T_R1, h2, T_R2):
 def weighted_l2_error(mesh: Mesh, nodal, exact, gradient=None):
     """r-weighted L2 (and H1 seminorm) distance between a P1 field and a
     callable exact solution, via a degree-5 rule."""
-    geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
-    rule = triangle_rule(5)
-    tris = mesh.triangles
-    vals = np.asarray(nodal, float)
-    vec = vals.ndim == 2
-    v_el = vals[tris]
-    l2 = 0.0
+    geo = mesh.assembly_workspace()
+    quad = geo.quadrature(5)
+    M = len(geo.triangles)
+    # nodal values per element with a component axis: (M, 3, C)
+    v_el = np.asarray(nodal, float)[geo.triangles].reshape(M, 3, -1)
+    u_h = quad.rule.points @ v_el                            # (M, Q, C)
+    diff = u_h - np.asarray(exact(quad.r, quad.y), float).reshape(u_h.shape)
+    l2 = _weighted_sum(quad.w, diff)
     h1 = 0.0
-    grad_h = np.einsum("mi...,mid->m...d", v_el, geom.grads)
-    for q in range(len(rule.weights)):
-        lam = rule.points[q]
-        r_q = geom.coords[:, :, 0] @ lam
-        y_q = geom.coords[:, :, 1] @ lam
-        w = rule.weights[q] * 2.0 * geom.area * r_q
-        u_h = np.einsum("i,mi...->m...", lam, v_el)
-        diff = u_h - np.asarray(exact(r_q, y_q), float).reshape(u_h.shape)
-        l2 += float(np.sum(w * (diff * diff).reshape(len(w), -1).sum(axis=1)))
-        if gradient is not None:
-            g_ex = np.asarray(gradient(r_q, y_q), float).reshape(grad_h.shape)
-            gd = grad_h - g_ex
-            h1 += float(np.sum(w * (gd * gd).reshape(len(w), -1).sum(axis=1)))
-    return math.sqrt(l2), math.sqrt(h1) if gradient is not None else 0.0
+    if gradient is not None:
+        grad_h = v_el.transpose(0, 2, 1) @ geo.grads         # (M, C, 2)
+        g_ex = np.asarray(gradient(quad.r, quad.y), float)
+        h1 = _weighted_sum(quad.w, grad_h[:, None]
+                           - g_ex.reshape((M, -1) + grad_h.shape[1:]))
+    return math.sqrt(l2), math.sqrt(h1)
 
 
 def weighted_l2_norm(mesh: Mesh, exact):
-    geom = TriangleGeometry.from_mesh(mesh.nodes, mesh.triangles)
-    rule = triangle_rule(5)
-    total = 0.0
-    for q in range(len(rule.weights)):
-        lam = rule.points[q]
-        r_q = geom.coords[:, :, 0] @ lam
-        y_q = geom.coords[:, :, 1] @ lam
-        w = rule.weights[q] * 2.0 * geom.area * r_q
-        v = np.asarray(exact(r_q, y_q), float)
-        total += float(np.sum(w * (v * v).reshape(len(w), -1).sum(axis=1)))
-    return math.sqrt(total)
+    quad = mesh.assembly_workspace().quadrature(5)
+    return math.sqrt(_weighted_sum(quad.w, np.asarray(exact(quad.r, quad.y), float)))
+
+
+def _weighted_sum(w, values):
+    """sum over elements and points of w (M, Q) times |values|^2, with
+    any trailing component axes of ``values`` (M, Q, ...) summed."""
+    sq = (values * values).reshape(w.shape + (-1,)).sum(axis=2)
+    return float(np.sum(w * sq))
 
 
 def _unit_square_mesh(h, r0=0.0, r1=1.0, y0=0.0, y1=1.0):
@@ -323,6 +313,45 @@ def annulus_study(r1=1.0, r2=2.0, k=10.0, h1=100.0, T_R1=1000.0,
         rec.add(mesh.h, l2, 0.0)
         rel_errors.append(l2 / weighted_l2_norm(mesh, lambda r, y: exact(r)))
     return rec, rel_errors
+
+
+@dataclass
+class MaterialFitCheck:
+    """How one fitted property row meets its tabulated samples."""
+
+    subdomain: int
+    prop: str
+    sample_error: float   # largest relative error at the samples
+    knot_at_midpoint: bool
+    positive: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.sample_error <= 1e-10 and self.knot_at_midpoint \
+            and self.positive
+
+
+def material_fit_checks() -> list[MaterialFitCheck]:
+    """Check every fitted conductivity and modulus row against its
+    tabulated samples: each sample reproduced to 1e-10 relative, the
+    middle knot at the midpoint of the two middle samples, and the fit
+    positive on its knot range."""
+    out = []
+    for prop, fit, temps, samples, scale in (
+        ("k", mat.hearth_conductivity, mat.CONDUCTIVITY_SAMPLE_TEMPS,
+         mat.CONDUCTIVITY_SAMPLES, 1.0),
+        ("E", mat.hearth_modulus, mat.MODULUS_SAMPLE_TEMPS,
+         mat.MODULUS_SAMPLES_GPA, 1e9),
+    ):
+        for sid, values in samples.items():
+            model = fit(sid)
+            v = np.asarray(values) * scale
+            err = np.abs(model(np.asarray(temps)) - v) / np.abs(v)
+            out.append(MaterialFitCheck(
+                subdomain=sid, prop=prop, sample_error=float(err.max()),
+                knot_at_midpoint=model.Tb == (temps[1] + temps[2]) / 2,
+                positive=model.is_positive()))
+    return out
 
 
 # Reference spline coefficients as printed (two to three significant

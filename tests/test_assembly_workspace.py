@@ -1,0 +1,138 @@
+"""The per-mesh assembly workspace and its cached CSR patterns.
+
+Every matrix built through a cached pattern is compared with a fresh
+COO -> CSR conversion (scipy) of the same element values, so a drift in
+the pattern, the scatter maps or the zeros kept shows here, in tier-1.
+"""
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import axitherm.mesh as mesh_module
+from axitherm import mechanical, thermal
+from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
+from axitherm.fem_core import AssemblyWorkspace
+from axitherm.mechanical import recover_stress, solve_mechanical
+from axitherm.mesh import hearth_mesh
+from axitherm.thermal import assemble_thermal_jacobian, newton_solve
+from axitherm.verification import weighted_l2_error
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return hearth_mesh(0.2)
+
+
+def _captured(monkeypatch, module):
+    """Record the (pattern, values) of every assemble_csr call made from
+    ``module`` and the matrix it returned."""
+    calls = []
+    original = module.assemble_csr
+
+    def recording(pattern, vals):
+        A = original(pattern, vals)
+        calls.append((np.array(vals), A))
+        return A
+
+    monkeypatch.setattr(module, "assemble_csr", recording)
+    return calls
+
+
+def _fresh_csr(rows, cols, vals, n):
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
+def _assert_same_matrix(A, ref):
+    assert A.has_sorted_indices
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    scale = np.abs(ref.data).max()
+    assert np.abs(A.data - ref.data).max() <= 1e-14 * scale
+
+
+def test_jacobian_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
+                                          rng):
+    calls = _captured(monkeypatch, thermal)
+    T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
+    J = assemble_thermal_jacobian(mesh, hearth_materials, hearth_thermal_bc(), T)
+    (vals, A), = calls
+    assert A is J
+    # element blocks (M, 3, 3) row-major, then one 2x2 block per Robin edge
+    tris = mesh.triangles
+    rows = [np.repeat(tris, 3, axis=1).ravel()]
+    cols = [np.tile(tris, (1, 3)).ravel()]
+    ij = thermal._RobinEdges.build(mesh, hearth_thermal_bc()).ij
+    rows.append(ij[:, [0, 0, 1, 1]].ravel())
+    cols.append(ij[:, [0, 1, 0, 1]].ravel())
+    ref = _fresh_csr(np.concatenate(rows), np.concatenate(cols), vals,
+                     mesh.num_nodes)
+    _assert_same_matrix(J, ref)
+
+
+def test_stiffness_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
+                                           rng):
+    calls = _captured(monkeypatch, mechanical)
+    T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
+    mechanical.assemble_mechanical_system(mesh, hearth_materials,
+                                          hearth_mechanical_bc(), T)
+    (vals, K), = calls
+    # element blocks (M, 6, 6) over the dofs (2n, 2n + 1) of each vertex
+    dofs = np.empty((len(mesh.triangles), 6), dtype=int)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    ref = _fresh_csr(np.repeat(dofs, 6, axis=1).ravel(),
+                     np.tile(dofs, (1, 6)).ravel(), vals, 2 * mesh.num_nodes)
+    _assert_same_matrix(K, ref)
+    # before constraints, K is bitwise symmetric and keeps its pattern
+    assert (K != K.T).nnz == 0
+
+
+def test_built_once_per_mesh(monkeypatch, hearth_materials):
+    builds = []
+
+    class Counting(AssemblyWorkspace):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mesh_module, "AssemblyWorkspace", Counting)
+    mesh = hearth_mesh(0.4)
+    T, _ = newton_solve(mesh, hearth_materials, hearth_thermal_bc())
+    u, _ = solve_mechanical(mesh, hearth_materials, hearth_mechanical_bc(), T)
+    recover_stress(mesh, hearth_materials, T, u)
+    weighted_l2_error(mesh, T, lambda r, y: 0.0 * r)
+    assert len(builds) == 1
+    assert mesh.assembly_workspace() is mesh.assembly_workspace()
+
+
+def test_arrays_are_read_only(mesh, hearth_materials):
+    ws = mesh.assembly_workspace()
+    quads = [ws.quadrature(3), ws.quadrature(5)]
+    arrays = [ws.nodes, ws.triangles, ws.tri_subdomain, ws.area, ws.grads,
+              ws.centroid_r, ws.grad_products]
+    arrays += [a for q in quads for a in (q.r, q.y, q.w)]
+    arrays += list(ws.subdomains.values())
+    for p in (ws.scalar_pattern, ws.vector_pattern):
+        arrays += [p.indptr, p.indices, p.scatter]
+        assert p.scatter.dtype == np.int32
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
+def test_rebuilt_when_mesh_arrays_change():
+    mesh = hearth_mesh(0.5)
+    ws = mesh.assembly_workspace()
+    mesh.nodes = mesh.nodes.copy()
+    assert mesh.assembly_workspace() is ws   # equal arrays: kept
+    mesh.nodes[:, 0] *= 2.0
+    moved = mesh.assembly_workspace()
+    assert moved is not ws
+    assert np.allclose(moved.area, 2.0 * ws.area)
+    mesh.tri_subdomain = np.where(mesh.tri_subdomain == 1, 7,
+                                  mesh.tri_subdomain)
+    assert 7 in mesh.assembly_workspace().subdomains

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from axitherm import materials
 from axitherm.cli import RunConfig, main, run_scenario
 from axitherm.io import parse_vtk
+from axitherm.materials import CONDUCTIVITY_KNOTS
 
 
 class TestRunConfig:
@@ -152,6 +154,34 @@ class TestMain:
         # printed table disagrees with the fit for several rows, so the
         # command reports failure
         assert rc == 1
+
+    def test_verify_materials_subcommand(self, capsys):
+        rc = main(["verify", "--suite", "materials"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "material fits: 8/8" in out
+        assert "20/56 agree (information only)" in out
+
+    @pytest.mark.parametrize("knots, scale", [
+        ((293.0, 700.0, 1800.0), 1.0),    # middle knot off the midpoint
+        (CONDUCTIVITY_KNOTS, 1.001),      # fit misses a sample
+    ])
+    def test_verify_materials_fails_on_broken_fit(self, monkeypatch, capsys,
+                                                  knots, scale):
+        fit = materials.hearth_conductivity
+
+        def broken(sid):
+            if sid != 2:
+                return fit(sid)
+            values = list(materials.CONDUCTIVITY_SAMPLES[2])
+            values[1] *= scale
+            return materials.fit_piecewise_quadratic(
+                list(zip(materials.CONDUCTIVITY_SAMPLE_TEMPS, values)), knots)
+
+        monkeypatch.setattr(materials, "hearth_conductivity", broken)
+        rc = main(["verify", "--suite", "materials"])
+        assert rc == 1
+        assert "FAIL: k2" in capsys.readouterr().out
 
     def test_verify_annulus_subcommand(self, capsys):
         rc = main(["verify", "--suite", "annulus"])

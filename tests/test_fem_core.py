@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axitherm.fem_core import (
+    AssemblyWorkspace,
     ConvergenceError,
+    CsrPattern,
     DofMap,
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
@@ -14,8 +16,6 @@ from axitherm.fem_core import (
     TriangleGeometry,
     apply_constraints,
     assemble_csr,
-    integrate_weighted,
-    shape_functions,
     solve,
     solve_cg,
     solve_lu,
@@ -23,6 +23,12 @@ from axitherm.fem_core import (
 )
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _one_triangle_quadrature(tri, degree=3):
+    ws = AssemblyWorkspace(np.asarray(tri, float), np.array([[0, 1, 2]]),
+                           np.array([1]))
+    return ws.quadrature(degree)
 
 # Exact integrals of r^i y^j * r over the reference triangle, from
 # closed-form evaluation of the iterated integral.
@@ -40,12 +46,11 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("degree", [3, 5])
     def test_exact_for_declared_degree(self, degree):
-        rule = triangle_rule(degree)
+        quad = _one_triangle_quadrature(REF_TRIANGLE, degree)
         for (i, j), exact in REF_MOMENTS.items():
             if i + j + 1 > degree:
                 continue
-            val = integrate_weighted(REF_TRIANGLE,
-                                     lambda r, y: r**i * y**j, rule)
+            val = np.sum(quad.w * quad.r**i * quad.y**j)
             assert val == pytest.approx(exact, rel=1e-13), (i, j)
 
     def test_unknown_degree_rejected(self):
@@ -54,34 +59,19 @@ class TestQuadrature:
 
     def test_mapped_triangle(self):
         tri = np.array([[1.0, 2.0], [3.0, 2.0], [1.0, 5.0]])
-        val = integrate_weighted(tri, lambda r, y: 1.0)
+        quad = _one_triangle_quadrature(tri)
         # int r over the triangle: area 3, centroid r = 5/3
-        assert val == pytest.approx(3.0 * 5.0 / 3.0)
+        assert quad.w.sum() == pytest.approx(3.0 * 5.0 / 3.0)
 
     def test_negative_orientation_rejected(self):
-        tri = REF_TRIANGLE[::-1]
         with pytest.raises(ValueError):
-            integrate_weighted(tri, lambda r, y: 1.0)
+            _one_triangle_quadrature(REF_TRIANGLE[::-1])
 
     def test_edge_gauss_integrates_cubics(self):
         # 2-point Gauss on [0, 1] is exact through degree 3
         for p in range(4):
             val = np.sum(EDGE_GAUSS_WEIGHTS * EDGE_GAUSS_POINTS**p)
             assert val == pytest.approx(1.0 / (p + 1), rel=1e-14)
-
-
-class TestShapeFunctions:
-    def test_partition_of_unity(self):
-        vals, _ = shape_functions([0.2, 0.5, 0.3])
-        assert vals.sum() == pytest.approx(1.0)
-
-    def test_gradients_sum_to_zero(self):
-        _, grads = shape_functions([1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(grads.sum(axis=0), 0.0)
-
-    def test_invalid_barycentric_rejected(self):
-        with pytest.raises(ValueError):
-            shape_functions([0.5, 0.5, 0.5])
 
 
 class TestTriangleGeometry:
@@ -168,6 +158,14 @@ class TestSolvers:
         with pytest.raises(SingularSystemError):
             solve_lu(A, np.array([1.0, 1.0]))
 
+    def test_lu_detects_near_singular(self):
+        # the 12 x 12 Hilbert matrix factors, but the solve misses the
+        # 1e-10 relative residual
+        n = 12
+        A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
+        with pytest.raises(SingularSystemError, match="near-singular"):
+            solve_lu(A, np.ones(n))
+
     def test_cg_matches_lu(self):
         A = self._spd(30, seed=5)
         b = np.sin(np.arange(30.0))
@@ -207,7 +205,8 @@ class TestSolvers:
 
 class TestAssembleCsr:
     def test_duplicates_summed(self):
-        A = assemble_csr([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], 2)
+        A = assemble_csr(CsrPattern.from_coo([0, 0, 1], [0, 0, 1], 2),
+                         [1.0, 2.0, 5.0])
         assert A[0, 0] == 3.0
         assert A[1, 1] == 5.0
         assert A.has_sorted_indices

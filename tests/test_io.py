@@ -14,7 +14,7 @@ from axitherm.io import (
     parse_vtk,
     vtk_text,
 )
-from axitherm.mesh import Mesh
+from axitherm.mesh import Mesh, hearth_mesh, save_mesh
 from axitherm.thermal import SolveReport
 
 DATA = Path(__file__).parent / "data"
@@ -114,3 +114,85 @@ class TestAtomicWrite:
         atomic_write_text(tmp_path / "f.txt", "x")
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def _reference_vtk(mesh, temperature, displacement, stress):
+    """Writer formatting one numpy scalar at a time: the reference for
+    the bulk formatting in vtk_text."""
+    n, m = mesh.num_nodes, len(mesh.triangles)
+    lines = ["# vtk DataFile Version 3.0", "axitherm fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+    lines += [f"{_fmt(r)} {_fmt(y)} 0" for r, y in mesh.nodes]
+    lines.append(f"CELLS {m} {4 * m}")
+    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
+    lines.append(f"CELL_TYPES {m}")
+    lines += ["5"] * m
+    lines += [f"POINT_DATA {n}", "SCALARS temperature double 1",
+              "LOOKUP_TABLE default"]
+    lines += [_fmt(v) for v in temperature]
+    lines.append("VECTORS displacement double")
+    lines += [f"{_fmt(a)} {_fmt(b)} 0" for a, b in displacement]
+    lines += [f"CELL_DATA {m}", "SCALARS subdomain int 1",
+              "LOOKUP_TABLE default"]
+    lines += [str(int(s)) for s in mesh.tri_subdomain]
+    for col, name in enumerate(["stress_rr", "stress_yy", "stress_tt",
+                                "stress_ry"]):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [_fmt(v) for v in stress[:, col]]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(mesh, temperature, u):
+    lines = ["node_id,r,y,T,u_r,u_y"]
+    for n in range(mesh.num_nodes):
+        r, y = mesh.nodes[n]
+        lines.append(f"{n},{_fmt(r)},{_fmt(y)},{_fmt(temperature[n])},"
+                     f"{_fmt(u[n, 0])},{_fmt(u[n, 1])}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_mesh_text(mesh):
+    lines = ["axitherm-mesh v1", f"nodes {mesh.num_nodes}"]
+    lines += [f"{float(r)!r} {float(y)!r}" for r, y in mesh.nodes]
+    lines.append(f"triangles {len(mesh.triangles)}")
+    lines += [f"{i} {j} {k} {s}"
+              for (i, j, k), s in zip(mesh.triangles, mesh.tri_subdomain)]
+    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
+    lines += [f"{i} {j} {t.value if t is not None else 'untagged'}"
+              for i, j, t in mesh.boundary_edges]
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkFormatting:
+    """Each writer gives the same bytes as formatting value by value."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        mesh = hearth_mesh(0.2)
+        rng = np.random.default_rng(7)
+
+        def values(*shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+            v.flat[:6] = [0.0, -0.0, 1e-310, -1e300, 1423.0, 0.1]
+            return v
+
+        return (mesh, values(mesh.num_nodes), values(mesh.num_nodes, 2),
+                values(len(mesh.triangles), 4))
+
+    def test_vtk(self, fields):
+        assert vtk_text(*fields) == _reference_vtk(*fields)
+
+    def test_csv(self, tmp_path, fields):
+        mesh, T, u, _ = fields
+        export_csv(mesh, tmp_path / "fields.csv", T, u)
+        assert (tmp_path / "fields.csv").read_text() == \
+            _reference_csv(mesh, T, u)
+
+    def test_mesh(self, tmp_path, fields):
+        mesh = fields[0]
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_text() == _reference_mesh_text(mesh)

@@ -12,7 +12,6 @@ from axitherm.mechanical import (
     Traction,
     assemble_mechanical_system,
     boundary_stress_components,
-    element_strain,
     hydrostatic_bc,
     hydrostatic_traction,
     recover_stress,
@@ -20,6 +19,7 @@ from axitherm.mechanical import (
 )
 from axitherm.mesh import (
     BoundaryTag,
+    Mesh,
     SubdomainPolygon,
     generate_mesh,
     tag_boundaries,
@@ -47,24 +47,25 @@ BASE_BC = MechanicalBC({
 
 
 class TestElementStrain:
+    """Centroid strain that recover_stress gives a single element."""
+
+    TRI = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+
+    def _strain(self, u):
+        mesh = Mesh(nodes=self.TRI, triangles=np.array([[0, 1, 2]]),
+                    tri_subdomain=np.array([1]))
+        T = np.full(3, 300.0)
+        return recover_stress(mesh, _materials(), T, u).strain[0]
+
     def test_linear_displacement(self):
-        tri = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         # u_r = 0.01 r, u_y = -0.02 y: e_rr = 0.01, e_yy = -0.02,
         # e_tt = u_r / r = 0.01, g_ry = 0
-        u = np.column_stack([0.01 * tri[:, 0], -0.02 * tri[:, 1]])
-        eps = element_strain(tri, u, (1.25, 0.25))
-        assert eps == pytest.approx([0.01, -0.02, 0.01, 0.0])
+        u = np.column_stack([0.01 * self.TRI[:, 0], -0.02 * self.TRI[:, 1]])
+        assert self._strain(u) == pytest.approx([0.01, -0.02, 0.01, 0.0])
 
     def test_shear_strain(self):
-        tri = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
-        u = np.column_stack([0.005 * tri[:, 1], np.zeros(3)])
-        eps = element_strain(tri, u, (1.25, 0.25))
-        assert eps[3] == pytest.approx(0.005)
-
-    def test_rejects_axis_point(self):
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="r > 0"):
-            element_strain(tri, np.zeros((3, 2)), (0.0, 0.5))
+        u = np.column_stack([0.005 * self.TRI[:, 1], np.zeros(3)])
+        assert self._strain(u)[3] == pytest.approx(0.005)
 
 
 class TestHydrostaticLoad:

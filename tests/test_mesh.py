@@ -200,6 +200,16 @@ class TestMeshIO:
         assert back.boundary_edges == unit_square_mesh.boundary_edges
         assert back.h == pytest.approx(unit_square_mesh.h)
 
+    def test_round_trip_exact_hearth(self, tmp_path):
+        mesh = hearth_mesh(0.1)
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        back = load_mesh(tmp_path / "mesh.txt")
+        assert [repr(v) for v in back.nodes.ravel().tolist()] == \
+            [repr(v) for v in mesh.nodes.ravel().tolist()]
+        assert np.array_equal(back.triangles, mesh.triangles)
+        assert np.array_equal(back.tri_subdomain, mesh.tri_subdomain)
+        assert back.boundary_edges == mesh.boundary_edges
+
     def test_comments_ignored(self, tmp_path, unit_square_mesh):
         path = tmp_path / "mesh.txt"
         save_mesh(unit_square_mesh, path)

@@ -141,9 +141,24 @@ class TestNewtonSolve:
         # a NaN residual norm used to compare as converged (nan > tol is
         # False) and return a NaN field after 0 iterations
         mesh = _strip_mesh()
+        nan_ambient = {tag: Robin(100.0, float("nan")) for tag in ALL_ROBIN}
         with pytest.raises(ConvergenceError, match="not finite"):
-            newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
-                         NewtonConfig(initial_guess=float("nan")))
+            newton_solve(mesh, _const_materials(), ThermalBC(nan_ambient),
+                         NewtonConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial_guess", float("nan")),
+        ("initial_guess", float("inf")),
+        ("abs_tol", 0.0),
+        ("abs_tol", -1e-4),
+        ("abs_tol", float("nan")),
+        ("abs_tol", float("inf")),
+        ("max_iter", 0),
+        ("solver", "gmres"),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            NewtonConfig(**{field: value})
 
     def test_cg_agrees_with_lu(self):
         mesh = _strip_mesh(h=0.2)
