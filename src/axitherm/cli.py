@@ -16,7 +16,6 @@ import numpy as np
 
 from . import io as axio
 from . import verification as ver
-from .fem_core import SOLVERS
 from .isoline import extract_isoline, isoline_csv
 from .materials import build_hearth_materials
 from .mechanical import (
@@ -44,7 +43,6 @@ class RunConfig:
     newton_tol: float = 1e-4
     newton_max_iter: int = 25
     initial_guess: float = 300.0
-    solver: str = "lu"
     output_dir: str = "out"
     isoline_levels: list = field(default_factory=list)
 
@@ -66,8 +64,7 @@ class RunConfig:
         try:
             return NewtonConfig(abs_tol=self.newton_tol,
                                 max_iter=self.newton_max_iter,
-                                initial_guess=self.initial_guess,
-                                solver=self.solver)
+                                initial_guess=self.initial_guess)
         except ValueError as exc:
             # NewtonConfig's messages start with the field name
             name, _, rest = str(exc).partition(" ")
@@ -167,8 +164,6 @@ def _config_from_args(args) -> RunConfig:
         config.newton_tol = args.newton_tol
     if getattr(args, "newton_max_iter", None) is not None:
         config.newton_max_iter = args.newton_max_iter
-    if getattr(args, "solver", None) is not None:
-        config.solver = args.solver
     if getattr(args, "isoline", None):
         config.isoline_levels = list(args.isoline)
     return config
@@ -231,12 +226,20 @@ def _cmd_fit_materials(args) -> int:
 
 
 def _cmd_isoline(args) -> int:
+    for level in args.isoline:
+        if not np.isfinite(level):
+            raise ValueError(f"isoline level must be finite, not {level}")
     mesh = load_mesh(args.mesh_file)
     # node_id and T columns of fields.csv
     table = np.loadtxt(args.csv, delimiter=",", skiprows=1, usecols=(0, 3),
                        ndmin=2)
-    T = np.zeros(mesh.num_nodes)
-    T[table[:, 0].astype(int)] = table[:, 1]
+    n = mesh.num_nodes
+    if not np.array_equal(table[:, 0], np.arange(n)):
+        raise ValueError(
+            f"{args.csv} does not belong to {args.mesh_file}: its node_id "
+            f"column must be 0..{n - 1}, and it has {len(table)} rows "
+            f"for {n} nodes")
+    T = table[:, 1]
     for level in args.isoline:
         iso = extract_isoline(mesh, T, level)
         path = os.path.join(args.out, f"isoline_{level:g}K.csv")
@@ -276,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--newton-max-iter", type=int, default=None)
-    p_solve.add_argument("--solver", choices=SOLVERS, default=None)
     p_solve.add_argument("--isoline", type=float, action="append", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -2,8 +2,7 @@
 
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
 workspace with its cached sparsity patterns, symmetric constraint
-elimination and the linear solvers (sparse LU by default, conjugate
-gradients as the alternative).
+elimination and the sparse LU solver.
 """
 from __future__ import annotations
 
@@ -63,31 +62,6 @@ def triangle_rule(degree: int = 3) -> QuadratureRule:
 # 2-point Gauss rule on [0, 1] for boundary (line) integrals
 EDGE_GAUSS_POINTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_GAUSS_WEIGHTS = np.array([0.5, 0.5])
-
-
-@dataclass
-class TriangleGeometry:
-    """Per-element geometry precomputed for vectorized assembly."""
-
-    coords: np.ndarray  # (M, 3, 2)
-    area: np.ndarray    # (M,)
-    grads: np.ndarray   # (M, 3, 2) physical gradients of the hat functions
-
-    @classmethod
-    def from_mesh(cls, nodes, triangles) -> "TriangleGeometry":
-        p = nodes[triangles]
-        v1 = p[:, 1] - p[:, 0]
-        v2 = p[:, 2] - p[:, 0]
-        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-        if np.any(det <= 0):
-            raise ValueError("mesh contains non-positively-oriented triangles")
-        area = 0.5 * det
-        grads = np.empty((len(p), 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
-            grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
-        return cls(coords=p, area=area, grads=grads)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -216,11 +190,22 @@ class AssemblyWorkspace:
         self.nodes = _frozen(nodes, float)
         self.triangles = _frozen(triangles, np.int64)
         self.tri_subdomain = _frozen(tri_subdomain)
-        geom = TriangleGeometry.from_mesh(self.nodes, self.triangles)
-        self.area = _readonly(geom.area)
-        self.grads = _readonly(geom.grads)
-        self.centroid_r = _readonly(geom.coords[:, :, 0].mean(axis=1))
-        self._coords = geom.coords
+        p = self.nodes[self.triangles]                      # (M, 3, 2)
+        v1 = p[:, 1] - p[:, 0]
+        v2 = p[:, 2] - p[:, 0]
+        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+        if np.any(det <= 0):
+            raise ValueError("mesh contains non-positively-oriented triangles")
+        # gradient of hat function i: the edge (j, k) opposite i, rotated
+        grads = np.empty((len(p), 3, 2))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
+            grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
+        self.area = _readonly(0.5 * det)
+        self.grads = _readonly(grads)
+        self.centroid_r = _readonly(p[:, :, 0].mean(axis=1))
+        self._coords = p
         self._quadrature = {}
 
     def matches(self, nodes, triangles, tri_subdomain) -> bool:
@@ -347,54 +332,6 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
             raise SingularSystemError(
                 f"LU residual {rel:.3e} exceeds 1e-10; matrix near-singular")
     return x
-
-
-def solve_cg(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None) -> np.ndarray:
-    """Conjugate gradients with diagonal scaling for SPD systems."""
-    A = A.tocsr()
-    n = A.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SingularSystemError("CG requires a positive diagonal")
-    minv = 1.0 / diag
-
-    x = np.zeros(n)
-    r = b - A @ x
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return x
-    z = minv * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, max_iter + 1):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        res = np.linalg.norm(r) / bnorm
-        if res <= tol:
-            return x
-        z = minv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceError(
-        f"CG did not converge in {max_iter} iterations "
-        f"(relative residual {np.linalg.norm(r) / bnorm:.3e})")
-
-
-SOLVERS = ("lu", "cg")
-
-
-def solve(A, b, method: str = "lu", **kwargs) -> np.ndarray:
-    if method == "lu":
-        return solve_lu(A, b)
-    if method == "cg":
-        return solve_cg(A, b, **kwargs)
-    raise ValueError(f"unknown solver '{method}'")
 
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:

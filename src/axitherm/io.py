@@ -164,12 +164,16 @@ def parse_vtk(text: str) -> dict:
 
 
 def export_csv(mesh: Mesh, path, temperature, displacement=None) -> None:
-    """Per-node table: node_id,r,y,T,u_r,u_y."""
+    """Per-node table: node_id,r,y,T,u_r,u_y.
+
+    T is written with 17 significant digits, which round-trips every
+    double, so ``axitherm isoline`` rereads the solver's field exactly.
+    """
     u = np.asarray(displacement, float) if displacement is not None \
         else np.zeros((mesh.num_nodes, 2))
     T = np.asarray(temperature, float)[:mesh.num_nodes]
     text = "node_id,r,y,T,u_r,u_y\n" + _format_rows(
-        "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n", np.arange(mesh.num_nodes),
+        "%d,%.12g,%.12g,%.17g,%.12g,%.12g\n", np.arange(mesh.num_nodes),
         mesh.nodes[:, 0], mesh.nodes[:, 1], T, u[:, 0], u[:, 1])
     atomic_write_text(path, text)
 

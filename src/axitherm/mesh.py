@@ -129,15 +129,6 @@ class Mesh:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        v1 = p[:, 1] - p[:, 0]
-        v2 = p[:, 2] - p[:, 0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-
-    def edges_with_tag(self, tag: BoundaryTag) -> list:
-        return [(i, j) for (i, j, t) in self.boundary_edges if t is tag]
-
     def boundary_edge_table(self) -> BoundaryEdgeTable:
         """Owners, normals and lengths of ``boundary_edges`` as arrays.
 

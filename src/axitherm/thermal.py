@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem_core import SOLVERS, ConvergenceError, assemble_csr, solve
+from .fem_core import ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
 from .mesh import BoundaryTag, Mesh
 
@@ -74,7 +74,6 @@ class NewtonConfig:
     initial_guess: float = 300.0
     relative: bool = False
     backtracking: bool = False
-    solver: str = "lu"
 
     def __post_init__(self):
         # each message starts with the field name it rejects
@@ -84,9 +83,6 @@ class NewtonConfig:
             raise ValueError("abs_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
-                             f"not '{self.solver}'")
 
 
 @dataclass
@@ -254,7 +250,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
                 f"{config.max_iter} iterations (residual {norm:.3e}); "
                 "consider enabling backtracking")
         J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
-        delta = solve(J, -R, method=config.solver)
+        delta = solve_lu(J, -R)
         report.linear_solves += 1
 
         step = 1.0

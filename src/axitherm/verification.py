@@ -49,13 +49,6 @@ class ConvergenceRecord:
         slope, _ = np.polyfit(hs, es, 1)
         return float(slope)
 
-    def to_csv(self) -> str:
-        lines = ["h,L2,H1_seminorm"]
-        for h, l2, h1 in self.levels:
-            lines.append(f"{h!r},{l2!r},{h1!r}")
-        lines.append(f"# observed L2 order: {self.observed_order():.4f}")
-        return "\n".join(lines) + "\n"
-
 
 def annulus_analytic(r1, r2, k, h1, T_R1, h2, T_R2):
     """Closed-form radial conduction through an annulus with Robin walls.

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,15 +15,14 @@ class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
         assert config.scenario == "hearth"
-        assert config.solver == "lu"
         config.validate()
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"target_h": 0.5, "solver": "cg"}))
+        path.write_text(json.dumps({"target_h": 0.5, "newton_max_iter": 7}))
         config = RunConfig.from_file(path)
         assert config.target_h == 0.5
-        assert config.solver == "cg"
+        assert config.newton_max_iter == 7
         assert config.scenario == "hearth"
 
     def test_unknown_keys_rejected(self, tmp_path):
@@ -31,11 +31,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_file(path)
 
+    def test_solver_key_rejected(self, tmp_path):
+        # sparse LU is the only linear solver; the key is gone
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"target_h": 0.5, "solver": "lu"}))
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys: \['solver'\]"):
+            RunConfig.from_file(path)
+
     def test_validate_rejects_bad_values(self, tmp_path):
         with pytest.raises(ValueError, match="target_h"):
             RunConfig(target_h=-1.0).validate()
-        with pytest.raises(ValueError, match="solver"):
-            RunConfig(solver="gmres").validate()
         with pytest.raises(ValueError, match="mesh file"):
             RunConfig(mesh_file=str(tmp_path / "missing.txt")).validate()
         with pytest.raises(ValueError, match="finite"):
@@ -146,6 +152,27 @@ class TestMain:
         text = (iso_out / "isoline_1423K.csv").read_text()
         assert text.startswith("polyline,r,y\n")
         assert len(text.strip().split("\n")) > 2
+
+    @pytest.mark.parametrize("edit, level, match", [
+        (lambda rows: rows[:-1], "1423", r"has \d+ rows for \d+ nodes"),
+        (lambda rows: rows + [rows[-1]], "1423", r"has \d+ rows for \d+ nodes"),
+        (lambda rows: rows, "nan", "level must be finite, not nan"),
+    ], ids=["too-few-rows", "too-many-rows", "nan-level"])
+    def test_isoline_rejects_foreign_input(self, coarse_run, tmp_path, capsys,
+                                           edit, level, match):
+        out, summary = coarse_run
+        header, *rows = (out / "fields.csv").read_text().splitlines()
+        csv = tmp_path / "fields.csv"
+        csv.write_text("\n".join([header] + edit(rows)) + "\n")
+        rc = main(["isoline", "--mesh-file", str(out / "mesh.txt"),
+                   "--csv", str(csv), "--isoline", level,
+                   "--out", str(tmp_path / "iso")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(match, err), err
+        if "rows" in match:
+            assert f"for {summary['nodes']} nodes" in err
+        assert not (tmp_path / "iso").exists()
 
     def test_fit_materials_subcommand(self, capsys):
         rc = main(["fit-materials"])

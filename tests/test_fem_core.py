@@ -2,22 +2,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from axitherm.fem_core import (
     AssemblyWorkspace,
-    ConvergenceError,
     CsrPattern,
     DofMap,
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
-    TriangleGeometry,
     apply_constraints,
     assemble_csr,
-    solve,
-    solve_cg,
     solve_lu,
     triangle_rule,
 )
@@ -25,10 +19,13 @@ from axitherm.fem_core import (
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def _one_triangle_workspace(tri):
+    return AssemblyWorkspace(np.asarray(tri, float), np.array([[0, 1, 2]]),
+                             np.array([1]))
+
+
 def _one_triangle_quadrature(tri, degree=3):
-    ws = AssemblyWorkspace(np.asarray(tri, float), np.array([[0, 1, 2]]),
-                           np.array([1]))
-    return ws.quadrature(degree)
+    return _one_triangle_workspace(tri).quadrature(degree)
 
 # Exact integrals of r^i y^j * r over the reference triangle, from
 # closed-form evaluation of the iterated integral.
@@ -75,23 +72,24 @@ class TestQuadrature:
 
 
 class TestTriangleGeometry:
+    """Element areas and P1 gradients of the assembly workspace."""
+
     def test_reference_gradients(self):
-        geom = TriangleGeometry.from_mesh(REF_TRIANGLE, np.array([[0, 1, 2]]))
-        assert geom.area[0] == pytest.approx(0.5)
+        ws = _one_triangle_workspace(REF_TRIANGLE)
+        assert ws.area[0] == pytest.approx(0.5)
         expect = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(geom.grads[0], expect)
+        assert np.allclose(ws.grads[0], expect)
 
     def test_linear_field_reproduced(self):
         tri = np.array([[1.0, 1.0], [4.0, 2.0], [2.0, 5.0]])
-        geom = TriangleGeometry.from_mesh(tri, np.array([[0, 1, 2]]))
+        ws = _one_triangle_workspace(tri)
         nodal = 3.0 * tri[:, 0] - 2.0 * tri[:, 1] + 1.0
-        grad = np.einsum("i,id->d", nodal, geom.grads[0])
+        grad = np.einsum("i,id->d", nodal, ws.grads[0])
         assert np.allclose(grad, [3.0, -2.0])
 
     def test_rejects_flipped(self):
-        with pytest.raises(ValueError):
-            TriangleGeometry.from_mesh(REF_TRIANGLE[::-1].copy(),
-                                       np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match="non-positively-oriented"):
+            _one_triangle_workspace(REF_TRIANGLE[::-1])
 
 
 class TestDofMapAndConstraints:
@@ -165,42 +163,6 @@ class TestSolvers:
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         with pytest.raises(SingularSystemError, match="near-singular"):
             solve_lu(A, np.ones(n))
-
-    def test_cg_matches_lu(self):
-        A = self._spd(30, seed=5)
-        b = np.sin(np.arange(30.0))
-        assert np.allclose(solve_cg(A, b, tol=1e-12), solve_lu(A, b),
-                           atol=1e-8)
-
-    def test_cg_zero_rhs(self):
-        A = self._spd(5)
-        assert np.allclose(solve_cg(A, np.zeros(5)), 0.0)
-
-    def test_cg_iteration_cap(self):
-        A = self._spd(30, seed=7)
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            solve_cg(A, np.ones(30), tol=1e-16, max_iter=2)
-
-    def test_cg_rejects_nonpositive_diagonal(self):
-        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(SingularSystemError):
-            solve_cg(A, np.ones(2))
-
-    def test_solver_dispatch(self):
-        A = self._spd(6)
-        b = np.ones(6)
-        assert np.allclose(solve(A, b, "lu"), solve(A, b, "cg"))
-        with pytest.raises(ValueError):
-            solve(A, b, "gmres")
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_cg_property(self, seed):
-        A = self._spd(12, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        b = rng.standard_normal(12)
-        x = solve_cg(A, b, tol=1e-12)
-        assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 class TestAssembleCsr:

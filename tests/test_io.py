@@ -81,6 +81,14 @@ class TestCsvAndReports:
         assert lines[1] == "0,0,0,10,1,2"
         assert len(lines) == 4
 
+    def test_csv_temperature_round_trips(self, tmp_path):
+        # T is written losslessly; r, y and u keep 12 significant digits
+        path = tmp_path / "fields.csv"
+        T = np.array([1423.0 + 1e-9, 1 / 3, -2.0 ** -1074])
+        export_csv(_single_triangle(), path, T)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
+        assert np.array_equal(back, T)
+
     def test_csv_defaults_zero_displacement(self, tmp_path):
         path = tmp_path / "fields.csv"
         export_csv(_single_triangle(), path, np.array([1.0, 2.0, 3.0]))
@@ -150,7 +158,7 @@ def _reference_csv(mesh, temperature, u):
     lines = ["node_id,r,y,T,u_r,u_y"]
     for n in range(mesh.num_nodes):
         r, y = mesh.nodes[n]
-        lines.append(f"{n},{_fmt(r)},{_fmt(y)},{_fmt(temperature[n])},"
+        lines.append(f"{n},{_fmt(r)},{_fmt(y)},{temperature[n]:.17g},"
                      f"{_fmt(u[n, 0])},{_fmt(u[n, 1])}")
     return "\n".join(lines) + "\n"
 

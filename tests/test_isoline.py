@@ -1,9 +1,17 @@
 """Isoline extraction tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from axitherm.isoline import IsoLine, extract_isoline, isoline_csv
-from axitherm.mesh import SubdomainPolygon, generate_mesh, tag_boundaries
+from axitherm.cli import RunConfig, main, run_scenario
+from axitherm.isoline import IsoLine, _segment_keys, extract_isoline, isoline_csv
+from axitherm.mesh import (
+    Mesh,
+    SubdomainPolygon,
+    generate_mesh,
+    tag_boundaries,
+)
 
 
 def _square(h=0.25):
@@ -76,11 +84,127 @@ class TestExtractIsoline:
         assert len(iso.polylines) == 1
 
     def test_level_exactly_at_nodes(self):
-        mesh = _square(0.25)
+        mesh = _square(0.2)
         T = mesh.nodes[:, 1]
         iso = extract_isoline(mesh, T, 0.25)  # hits a full row of nodes
         pts = np.concatenate([np.asarray(p) for p in iso.polylines])
         assert np.allclose(pts[:, 1], 0.25, atol=1e-12)
+
+    def test_row_of_nodes_on_level_is_one_line(self):
+        # every edge of the row lies in two triangles and is emitted once;
+        # the grid of _square(0.2) has a row of nodes at y = 0.25
+        mesh = _square(0.2)
+        iso = extract_isoline(mesh, mesh.nodes[:, 1], 0.25)
+        assert len(iso.polylines) == 1
+        pts = np.asarray(iso.polylines[0])
+        assert np.all(pts[:, 1] == 0.25)
+        steps = np.diff(pts[:, 0])
+        assert np.all(steps > 0) or np.all(steps < 0)
+        assert len(set(map(tuple, pts.tolist()))) == len(pts)
+        row = mesh.nodes[mesh.nodes[:, 1] == 0.25]
+        assert sorted(pts[:, 0]) == sorted(row[:, 0])
+
+    def test_flat_triangle_gives_its_edges(self):
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    np.array([[0, 1, 2]]), np.array([1]))
+        iso = extract_isoline(mesh, np.array([2.0, 2.0, 2.0]), 2.0)
+        assert iso.polylines == [[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+                                  (0.0, 0.0)]]
+
+    def test_edge_on_level_is_emitted_once(self):
+        # the diagonal (0, 2) of the unit square lies on the level and in
+        # both triangles
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                    np.array([[0, 1, 2], [0, 2, 3]]), np.array([1, 1]))
+        iso = extract_isoline(mesh, np.array([0.0, -1.0, 0.0, 1.0]), 0.0)
+        assert iso.polylines == [[(0.0, 0.0), (1.0, 1.0)]]
+
+    @pytest.mark.parametrize("level", [-1.0, 0.0, 0.5, 2.0])
+    def test_segment_keys_match_triangle_loop(self, level):
+        # integer field: nodes, edges and whole triangles on the level
+        mesh = _square(0.125)
+        n = mesh.num_nodes
+        d = np.random.default_rng(4).integers(-2, 3, n) - level
+        expect, on_level = [], set()
+        for tri in mesh.triangles.tolist():
+            keys = []
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                i, j = tri[a], tri[b]
+                if d[i] == 0:
+                    keys.append(i)
+                if d[i] * d[j] < 0:
+                    keys.append(n + min(i, j) * n + max(i, j))
+            if len(keys) == 2:
+                segs = [keys]
+            elif len(keys) == 3:
+                segs = [keys[:2], keys[1:], [keys[2], keys[0]]]
+            else:
+                segs = []
+            for seg in segs:
+                pair = frozenset(seg)
+                if max(seg) < n:
+                    if pair in on_level:
+                        continue
+                    on_level.add(pair)
+                expect.append(seg)
+        got = _segment_keys(mesh.triangles, d, n).tolist()
+        assert got == expect
+        assert bool(on_level) == (level != 0.5)
+
+    @given(data=st.data(), cells=st.integers(2, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_vertices_on_straddling_edges(self, data, cells):
+        # integer fields at half-integer levels: no node lies on the level
+        mesh = _square(1.0 / cells)
+        n = mesh.num_nodes
+        T = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                        max_size=n)), float)
+        level = data.draw(st.integers(-3, 2)) + 0.5
+        iso = extract_isoline(mesh, T, level)
+        # every edge with the number of triangles holding it
+        tris = mesh.triangles
+        pairs = np.sort(np.concatenate(
+            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+        edges, uses = np.unique(pairs, axis=0, return_counts=True)
+        crossing = {}
+        for (a, b), k in zip(edges.tolist(), uses.tolist()):
+            if (T[a] - level) * (T[b] - level) < 0:
+                t = (level - T[a]) / (T[b] - T[a])
+                crossing[(a, b)] = (mesh.nodes[a] + t * (mesh.nodes[b]
+                                                         - mesh.nodes[a]), k)
+        seen = 0
+        for poly in iso.polylines:
+            keys = []
+            for q in poly:
+                near = [e for e, (p, _) in crossing.items()
+                        if np.linalg.norm(p - q) <= 1e-12]
+                assert len(near) == 1, q
+                keys.append(near[0])
+            closed = keys[0] == keys[-1]
+            ends_on_boundary = (crossing[keys[0]][1] == 1
+                                and crossing[keys[-1]][1] == 1)
+            assert closed or ends_on_boundary
+            seen += len(set(keys))
+        # each crossed edge appears in exactly one polyline, once
+        assert seen == len(crossing)
+
+
+class TestHearthReread:
+    def test_reread_gives_the_same_single_contour(self, tmp_path):
+        # the 1431.1 K contour at h = 0.12 once came back as two
+        # polylines from the reread and one from the run
+        run = tmp_path / "run"
+        run_scenario(RunConfig(target_h=0.12, output_dir=str(run),
+                               isoline_levels=[1431.1]))
+        reread = tmp_path / "reread"
+        assert main(["isoline", "--mesh-file", str(run / "mesh.txt"),
+                     "--csv", str(run / "fields.csv"), "--isoline", "1431.1",
+                     "--out", str(reread)]) == 0
+        name = "isoline_1431.1K.csv"
+        text = (run / name).read_text()
+        assert (reread / name).read_text() == text
+        ids = {line.split(",")[0] for line in text.splitlines()[1:]}
+        assert ids == {"0"}
 
 
 class TestIsolineCsv:
@@ -92,3 +216,12 @@ class TestIsolineCsv:
         assert lines[0] == "polyline,r,y"
         assert lines[1] == "0,0.0,1.0"
         assert len(lines) == 3
+
+    def test_plain_floats(self):
+        mesh = _square(0.25)
+        text = isoline_csv(extract_isoline(mesh, mesh.nodes[:, 0] ** 2, 0.3))
+        assert "np." not in text
+        for line in text.splitlines()[1:]:
+            pid, r, y = line.split(",")
+            assert int(pid) == 0
+            float(r), float(y)

@@ -41,12 +41,6 @@ class TestConvergenceRecord:
         with pytest.raises(ValueError):
             rec.add(0.2, 0.5, 0.0)
 
-    def test_csv_contains_order(self):
-        rec = ConvergenceRecord()
-        for h in (0.4, 0.2, 0.1):
-            rec.add(h, h**2, 0.0)
-        assert "observed L2 order" in rec.to_csv()
-
 
 class TestAnnulusAnalytic:
     def test_frozen_constants(self):
