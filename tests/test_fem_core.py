@@ -115,7 +115,7 @@ class TestDofMapAndConstraints:
         Ac, bc = apply_constraints(A, b, dofs)
         dense = Ac.toarray()
         assert np.allclose(dense, dense.T)
-        x = solve_lu(Ac, bc)
+        x, _ = solve_lu(Ac, bc)
         assert x[0] == 2.5
         assert x[3] == -1.0
         # unconstrained equations hold with the prescribed values in place
@@ -142,7 +142,16 @@ class TestSolvers:
         A = self._spd(20)
         x_ref = np.arange(20, dtype=float)
         b = A @ x_ref
-        assert np.allclose(solve_lu(A, b), x_ref)
+        assert np.allclose(solve_lu(A, b)[0], x_ref)
+
+    def test_ordered_lu_solves_in_original_numbering(self):
+        A = sp.csr_matrix(self._spd(20).toarray() + np.triu(np.ones((20, 20))))
+        order = np.random.default_rng(1).permutation(20)
+        x_ref = np.arange(20, dtype=float)
+        x, factor = solve_lu(A, A @ x_ref, order)
+        assert np.allclose(x, x_ref)
+        b2 = np.ones(20)
+        assert np.allclose(A @ factor.solve(b2), b2)
 
     def test_lu_detects_empty_row(self):
         A = sp.csr_matrix((5, 5))
@@ -163,6 +172,22 @@ class TestSolvers:
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         with pytest.raises(SingularSystemError, match="near-singular"):
             solve_lu(A, np.ones(n))
+
+    def test_ordered_lu_keeps_every_check(self):
+        def reversed_order(n):
+            return np.arange(n)[::-1].copy()
+
+        A = sp.lil_matrix((5, 5))
+        A[range(4), range(4)] = 1.0
+        with pytest.raises(SingularSystemError, match="row"):
+            solve_lu(A.tocsr(), np.ones(5), reversed_order(5))
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularSystemError):
+            solve_lu(A, np.array([1.0, 1.0]), reversed_order(2))
+        n = 12
+        A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
+        with pytest.raises(SingularSystemError, match="near-singular"):
+            solve_lu(A, np.ones(n), reversed_order(n))
 
 
 class TestAssembleCsr:

@@ -97,6 +97,17 @@ class TestSolveMechanical:
         field = recover_stress(mesh, mats, T, u)
         assert np.abs(field.stress).max() <= 1e-9 * 2e9 * 1e-5 * 500.0
 
+    def test_report_gives_relative_residual(self):
+        mesh = _cylinder_mesh(h=0.25)
+        mats = _materials()
+        T = 300.0 + 500.0 * mesh.nodes[:, 0]
+        u, report = solve_mechanical(mesh, mats, BASE_BC, T)
+        K, f, _ = assemble_mechanical_system(mesh, mats, BASE_BC, T)
+        rel = np.linalg.norm(K @ u.ravel() - f) / np.linalg.norm(f)
+        assert report.residuals == [pytest.approx(rel, rel=1e-6, abs=1e-18)]
+        assert report.residuals[0] <= 1e-10
+        assert report.factorizations == 1
+
     def test_uniform_pressure_on_outer_wall(self):
         # plane-strain-like radial compression: with u_y fixed top and
         # bottom and pressure p on the outer wall, sigma_rr = sigma_tt = -p

@@ -1,7 +1,10 @@
 """Nonlinear heat conduction solver tests."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from axitherm import thermal
+from axitherm.cli import hearth_thermal_bc
 from axitherm.fem_core import ConvergenceError
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.mesh import (
@@ -9,6 +12,7 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
+    hearth_mesh,
     tag_boundaries,
 )
 from axitherm.thermal import (
@@ -211,5 +215,91 @@ class TestNewtonSolve:
                                  NewtonConfig())
         d = report.as_dict()
         assert set(d) == {"iterations", "residuals", "converged",
-                          "linear_solves", "wall_time"}
+                          "linear_solves", "factorizations", "gmres_steps",
+                          "backtrack_exhausted", "wall_time"}
         assert d["converged"] is True
+
+    def test_backtracking_exhaustion_is_reported(self, monkeypatch):
+        # k rises from 1 to 1201 W/(m K) between 300 and 1500 K: from a
+        # 300 K start against a 1500 K wall, neither the full nor the
+        # half Newton step lowers the residual
+        mesh = _strip_mesh(h=0.2, r0=1.0, r1=2.0, y1=0.4)
+        k_model = PiecewiseQuadratic(300.0, 1000.0, 2000.0,
+                                     (0.0, 1.0, -299.0, 0.0, 1.0, -299.0))
+        mats = uniform_materials(k_model, PiecewiseQuadratic.constant(1e9),
+                                 nu=0.3, alpha=1e-5)
+        bc = ThermalBC({
+            BoundaryTag.INNER: Robin(5000.0, 1500.0),
+            BoundaryTag.OUTER: Robin(50.0, 300.0),
+            BoundaryTag.AXIS: ADIABATIC,
+            BoundaryTag.TOP: ADIABATIC,
+            BoundaryTag.BOTTOM: Robin(50.0, 300.0),
+        })
+        cfg = NewtonConfig(abs_tol=1e-8, backtracking=True, max_iter=40)
+        _, report = newton_solve(mesh, mats, bc, cfg)
+        assert not report.backtrack_exhausted
+        monkeypatch.setattr(thermal, "MAX_HALVINGS", 1)
+        _, report = newton_solve(mesh, mats, bc, cfg)
+        assert report.backtrack_exhausted
+        assert report.as_dict()["backtrack_exhausted"] is True
+        assert report.converged
+
+
+def _all_lu_newton(mesh, materials, bc, abs_tol=1e-4):
+    """Reference: full Newton with a fresh sparse LU every step."""
+    T = np.full(mesh.num_nodes, 300.0)
+    R = assemble_thermal_residual(mesh, materials, bc, T)
+    iterations = 0
+    while np.linalg.norm(R) > abs_tol:
+        J = assemble_thermal_jacobian(mesh, materials, bc, T)
+        T = T + spla.spsolve(J.tocsc(), -R)
+        R = assemble_thermal_residual(mesh, materials, bc, T)
+        iterations += 1
+    return T, iterations
+
+
+class TestInexactNewton:
+    """One LU per Newton solve; later steps by GMRES on that factor."""
+
+    @pytest.fixture(scope="class")
+    def hearth(self, hearth_materials):
+        mesh = hearth_mesh(0.1)
+        bc = hearth_thermal_bc()
+        T_ref, iterations = _all_lu_newton(mesh, hearth_materials, bc)
+        assert iterations == 5
+        return mesh, hearth_materials, bc, T_ref
+
+    def test_forcing_term(self):
+        eta = thermal._forcing_term
+        # Eisenstat-Walker choice 2: 0.9 (|R_k| / |R_k-1|)^2
+        assert eta(1.0, 10.0, 0.0, 0.0) == pytest.approx(0.009)
+        assert eta(10.0, 1.0, 0.0, 0.0) == 0.9
+        # safeguard 0.9 eta_prev^2, applied only above 0.1
+        assert eta(1.0, 10.0, 0.5, 0.0) == pytest.approx(0.225)
+        assert eta(1.0, 10.0, 0.3, 0.0) == pytest.approx(0.009)
+        # the floor from the Newton tolerance wins over both
+        assert eta(1.0, 10.0, 0.5, 0.3) == 0.3
+
+    @staticmethod
+    def _assert_matches(T, T_ref):
+        assert np.abs(T - T_ref).max() <= 1e-9 * np.abs(T_ref).max()
+
+    def test_one_factorization_per_solve(self, hearth):
+        mesh, mats, bc, T_ref = hearth
+        T, report = newton_solve(mesh, mats, bc, NewtonConfig())
+        assert report.iterations == 5
+        assert report.factorizations == 1
+        assert report.gmres_steps > 0
+        assert report.linear_solves == 5
+        assert report.residuals[-1] <= 1e-4
+        self._assert_matches(T, T_ref)
+
+    def test_missed_gmres_step_refactors(self, hearth, monkeypatch):
+        mesh, mats, bc, T_ref = hearth
+        monkeypatch.setattr(thermal, "gmres",
+                            lambda A, b, **kwargs: (np.zeros_like(b), 0))
+        T, report = newton_solve(mesh, mats, bc, NewtonConfig())
+        assert report.iterations == 5
+        assert report.factorizations == 5
+        assert report.gmres_steps == 0
+        self._assert_matches(T, T_ref)
