@@ -339,40 +339,37 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, dofs: DofMap):
     return A, b
 
 
+# Largest relative residual |Ax - b| / |b| a solve may leave.
+LU_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class LuFactor:
-    """SuperLU factor of ``A[order][:, order]`` (of A itself when
-    ``order`` is None) that solves in A's own numbering."""
+    """SuperLU factor of ``A[order][:, order]`` that solves in A's own
+    numbering."""
 
     superlu: spla.SuperLU
-    order: np.ndarray | None = None
+    order: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.order is None:
-            return self.superlu.solve(b)
         x = np.empty_like(b)
         x[self.order] = self.superlu.solve(b[self.order])
         return x
 
 
-def solve_lu(A: sp.spmatrix, b: np.ndarray, order=None):
-    """Sparse LU solve with a residual check (<= 1e-10 relative).
+def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
+    """Sparse LU solve with a residual check (<= LU_RTOL relative).
 
     Returns (x, factor); the :class:`LuFactor` solves further systems
     with the same matrix. ``order`` is a fill-reducing numbering of the
     unknowns, such as :attr:`AssemblyWorkspace.node_order`; A is
-    factored in that numbering with no further column ordering. Without
-    it, columns are ordered by minimum degree on the pattern of A^T + A
-    (Davis et al., ACM TOMS 30, 2004).
+    factored in that numbering with no further column ordering.
     """
     A = A.tocsr()
     _reject_empty_rows(A.indptr)
-    if order is None:
-        P, spec = A.tocsc(), "MMD_AT_PLUS_A"
-    else:
-        P, spec = A[order].tocsc()[:, order], "NATURAL"
     try:
-        factor = LuFactor(spla.splu(P, permc_spec=spec), order)
+        factor = LuFactor(
+            spla.splu(A[order].tocsc()[:, order], permc_spec="NATURAL"), order)
         x = factor.solve(b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
@@ -381,9 +378,10 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray, order=None):
     bnorm = np.linalg.norm(b)
     if bnorm > 0:
         rel = np.linalg.norm(A @ x - b) / bnorm
-        if rel > 1e-10:
+        if rel > LU_RTOL:
             raise SingularSystemError(
-                f"LU residual {rel:.3e} exceeds 1e-10; matrix near-singular")
+                f"LU residual {rel:.3e} exceeds {LU_RTOL:g}; "
+                "matrix near-singular")
     return x, factor
 
 

@@ -4,8 +4,8 @@ Weak form: sum_i int k(T) grad T . grad psi r + int_R h T psi r ds
          = int_R h T_R psi r ds (+ an optional volumetric source used
 only for manufactured-solution verification). Solved by inexact Newton:
 the first step of a solve factors the Jacobian, later steps are taken by
-GMRES preconditioned with that factor to an Eisenstat-Walker forcing
-term; optional residual-halving backtracking for stubborn cases.
+GMRES preconditioned with that factor to a tight forcing term; optional
+residual-halving backtracking for stubborn cases.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .fem_core import ConvergenceError, assemble_csr, solve_lu
+from .fem_core import LU_RTOL, ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
 from .mesh import BoundaryTag, Mesh
 
@@ -27,9 +27,6 @@ from .mesh import BoundaryTag, Mesh
 ROBIN_EDGE_POINTS = np.array([0.0, 1.0])
 ROBIN_EDGE_WEIGHTS = np.array([0.5, 0.5])
 
-# Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996), choice 2: forcing
-# term gamma (|R_k| / |R_k-1|)^alpha, at most ETA_MAX.
-EW_GAMMA, EW_ALPHA, ETA_MAX = 0.9, 2.0, 0.9
 # Krylov steps (one restart cycle) before an inexact Newton step gives
 # up and the current Jacobian is factored instead.
 GMRES_STEPS = 30
@@ -261,17 +258,6 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     return assemble_csr(ws.pattern, vals)
 
 
-def _forcing_term(norm, norm_prev, eta_prev, floor):
-    """Eisenstat-Walker choice 2 with their safeguard against a sudden
-    drop, capped at ETA_MAX. ``floor`` keeps the linear solve from
-    going below what the Newton stopping test can see."""
-    eta = EW_GAMMA * (norm / norm_prev) ** EW_ALPHA
-    safeguard = EW_GAMMA * eta_prev ** EW_ALPHA
-    if safeguard > 0.1:
-        eta = max(eta, safeguard)
-    return max(min(eta, ETA_MAX), floor)
-
-
 def _krylov_step(J, R, factor, eta, report):
     """Newton step delta with |J delta + R| <= eta |R|, or None.
 
@@ -301,12 +287,15 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
                  config: NewtonConfig | None = None, source=None):
     """Solve the nonlinear thermal problem; returns (T, SolveReport).
 
-    Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996)
-    with one LU per solve: the first step factors J, and later steps
-    are taken by GMRES preconditioned with that factor, a lagged
-    Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004), to the forcing
-    term. A step GMRES cannot take within GMRES_STEPS factors the
-    current J instead, and that factor serves the steps after it.
+    Inexact Newton with one LU per solve: the first step factors J, and
+    later steps are taken by GMRES preconditioned with that factor, a
+    lagged Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004). A
+    step must leave |J delta + R| <= eta |R| with the forcing term eta
+    = LU_RTOL, the bound an exact LU step is checked against, so the
+    iterates follow exact Newton's; near convergence eta is loosened to
+    leave half the stopping tolerance. A step GMRES cannot take within
+    GMRES_STEPS factors the current J instead, and that factor serves
+    the steps after it.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
@@ -318,7 +307,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     norm = np.linalg.norm(R)
     ref = norm if (config.relative and norm > 0) else 1.0
     report.residuals.append(norm)
-    factor, eta = None, 0.0
+    factor = None
 
     # negated so that a NaN norm enters the loop and is rejected there
     while not norm / ref <= config.abs_tol:
@@ -336,13 +325,11 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
         J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
         delta = None
         if factor is not None:
-            eta = _forcing_term(norm, report.residuals[-2], eta,
-                                0.5 * config.abs_tol * ref / norm)
+            eta = max(LU_RTOL, 0.5 * config.abs_tol * ref / norm)
             delta = _krylov_step(J, R, factor, eta, report)
         if delta is None:
             delta, factor = solve_lu(J, -R, ws.mesh_ws.node_order)
             report.factorizations += 1
-            eta = 0.0  # an exact step: nothing for the safeguard to keep
         report.linear_solves += 1
 
         step = 1.0

@@ -220,21 +220,8 @@ class TestNewtonSolve:
         assert d["converged"] is True
 
     def test_backtracking_exhaustion_is_reported(self, monkeypatch):
-        # k rises from 1 to 1201 W/(m K) between 300 and 1500 K: from a
-        # 300 K start against a 1500 K wall, neither the full nor the
-        # half Newton step lowers the residual
-        mesh = _strip_mesh(h=0.2, r0=1.0, r1=2.0, y1=0.4)
-        k_model = PiecewiseQuadratic(300.0, 1000.0, 2000.0,
-                                     (0.0, 1.0, -299.0, 0.0, 1.0, -299.0))
-        mats = uniform_materials(k_model, PiecewiseQuadratic.constant(1e9),
-                                 nu=0.3, alpha=1e-5)
-        bc = ThermalBC({
-            BoundaryTag.INNER: Robin(5000.0, 1500.0),
-            BoundaryTag.OUTER: Robin(50.0, 300.0),
-            BoundaryTag.AXIS: ADIABATIC,
-            BoundaryTag.TOP: ADIABATIC,
-            BoundaryTag.BOTTOM: Robin(50.0, 300.0),
-        })
+        # neither the full nor the half Newton step lowers the residual
+        mesh, mats, bc = _stiff_strip()
         cfg = NewtonConfig(abs_tol=1e-8, backtracking=True, max_iter=40)
         _, report = newton_solve(mesh, mats, bc, cfg)
         assert not report.backtrack_exhausted
@@ -243,6 +230,24 @@ class TestNewtonSolve:
         assert report.backtrack_exhausted
         assert report.as_dict()["backtrack_exhausted"] is True
         assert report.converged
+
+
+def _stiff_strip():
+    """k rises from 1 to 1201 W/(m K) between 300 and 1500 K, so a 300 K
+    start against a 1500 K wall is far from the solution."""
+    mesh = _strip_mesh(h=0.2, r0=1.0, r1=2.0, y1=0.4)
+    k_model = PiecewiseQuadratic(300.0, 1000.0, 2000.0,
+                                 (0.0, 1.0, -299.0, 0.0, 1.0, -299.0))
+    mats = uniform_materials(k_model, PiecewiseQuadratic.constant(1e9),
+                             nu=0.3, alpha=1e-5)
+    bc = ThermalBC({
+        BoundaryTag.INNER: Robin(5000.0, 1500.0),
+        BoundaryTag.OUTER: Robin(50.0, 300.0),
+        BoundaryTag.AXIS: ADIABATIC,
+        BoundaryTag.TOP: ADIABATIC,
+        BoundaryTag.BOTTOM: Robin(50.0, 300.0),
+    })
+    return mesh, mats, bc
 
 
 def _all_lu_newton(mesh, materials, bc, abs_tol=1e-4):
@@ -269,17 +274,6 @@ class TestInexactNewton:
         assert iterations == 5
         return mesh, hearth_materials, bc, T_ref
 
-    def test_forcing_term(self):
-        eta = thermal._forcing_term
-        # Eisenstat-Walker choice 2: 0.9 (|R_k| / |R_k-1|)^2
-        assert eta(1.0, 10.0, 0.0, 0.0) == pytest.approx(0.009)
-        assert eta(10.0, 1.0, 0.0, 0.0) == 0.9
-        # safeguard 0.9 eta_prev^2, applied only above 0.1
-        assert eta(1.0, 10.0, 0.5, 0.0) == pytest.approx(0.225)
-        assert eta(1.0, 10.0, 0.3, 0.0) == pytest.approx(0.009)
-        # the floor from the Newton tolerance wins over both
-        assert eta(1.0, 10.0, 0.5, 0.3) == 0.3
-
     @staticmethod
     def _assert_matches(T, T_ref):
         assert np.abs(T - T_ref).max() <= 1e-9 * np.abs(T_ref).max()
@@ -303,3 +297,15 @@ class TestInexactNewton:
         assert report.factorizations == 5
         assert report.gmres_steps == 0
         self._assert_matches(T, T_ref)
+
+    def test_stiff_start_takes_exact_newton_iterations(self):
+        # inexact steps that stopped early on the far-off start would
+        # leave Newton more iterations than exact steps need
+        mesh, mats, bc = _stiff_strip()
+        T_ref, iterations = _all_lu_newton(mesh, mats, bc, abs_tol=1e-8)
+        assert iterations == 7
+        for backtracking, expected in ((False, 7), (True, 8)):
+            cfg = NewtonConfig(abs_tol=1e-8, backtracking=backtracking)
+            T, report = newton_solve(mesh, mats, bc, cfg)
+            assert report.iterations == expected
+            self._assert_matches(T, T_ref)
