@@ -33,6 +33,25 @@ from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 HEARTH_Y_MAX = 7.4
 # RunConfig key of each NewtonConfig field whose name differs
 _NEWTON_KEYS = {"abs_tol": "newton_tol", "max_iter": "newton_max_iter"}
+# RunConfig key each command-line flag sets
+_FLAG_KEYS = {"case": "scenario", "mesh_file": "mesh_file", "h": "target_h",
+              "out": "output_dir", "newton_tol": "newton_tol",
+              "newton_max_iter": "newton_max_iter"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON values a config file may give a RunConfig field, by its type.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "list": ("a list of numbers",
+             lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
 
 
 @dataclass
@@ -50,9 +69,15 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path) as f:
             data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            what, valid = _JSON_TYPES[cls.__dataclass_fields__[key].type]
+            if not valid(value):
+                raise ValueError(f"{key} must be {what}, not {value!r}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -71,8 +96,9 @@ class RunConfig:
             raise ValueError(f"{_NEWTON_KEYS.get(name, name)} {rest}") from None
 
     def validate(self):
-        if self.target_h <= 0:
-            raise ValueError("target_h must be positive")
+        if not (np.isfinite(self.target_h) and self.target_h > 0):
+            raise ValueError(
+                f"target_h must be finite and positive, not {self.target_h}")
         if self.mesh_file is not None and not os.path.exists(self.mesh_file):
             raise ValueError(f"mesh file not found: {self.mesh_file}")
         self.newton_config()
@@ -152,18 +178,9 @@ def run_scenario(config: RunConfig) -> dict:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "case", None) is not None:
-        config.scenario = args.case
-    if getattr(args, "mesh_file", None) is not None:
-        config.mesh_file = args.mesh_file
-    if getattr(args, "h", None) is not None:
-        config.target_h = args.h
-    if getattr(args, "out", None) is not None:
-        config.output_dir = args.out
-    if getattr(args, "newton_tol", None) is not None:
-        config.newton_tol = args.newton_tol
-    if getattr(args, "newton_max_iter", None) is not None:
-        config.newton_max_iter = args.newton_max_iter
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            setattr(config, key, getattr(args, flag))
     if getattr(args, "isoline", None):
         config.isoline_levels = list(args.isoline)
     return config
@@ -251,8 +268,6 @@ def _cmd_isoline(args) -> int:
 
 def _cmd_mesh(args) -> int:
     config = _config_from_args(args)
-    if config.target_h <= 0:
-        raise ValueError("target_h must be positive")
     mesh = _load_scenario_mesh(config)
     os.makedirs(config.output_dir, exist_ok=True)
     save_mesh(mesh, os.path.join(config.output_dir, "mesh.txt"))

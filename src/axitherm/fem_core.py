@@ -1,13 +1,13 @@
 """Shared finite element machinery.
 
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
-workspace with its cached sparsity patterns, symmetric constraint
-elimination, the per-mesh fill-reducing node ordering and the sparse
+workspace with its cached sparsity patterns, symmetric elimination of
+fixed dofs, the per-mesh fill-reducing node ordering and the sparse
 LU solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -125,23 +125,14 @@ class CsrPattern:
         return cls(n, _index32(indptr), _index32(unique % n),
                    _index32(scatter))
 
-    def extended(self, rows, cols) -> "CsrPattern":
-        """The same structure with the entries (rows, cols), which must
-        already lie in it, appended to the scatter map."""
-        row_of = np.repeat(np.arange(self.n, dtype=np.int64),
-                           np.diff(self.indptr))
-        keys = row_of * self.n + self.indices
-        rows = np.asarray(rows, np.int64).ravel()
-        cols = np.asarray(cols, np.int64).ravel()
-        pos = np.searchsorted(keys, rows * self.n + cols)
-        found = pos < len(keys)
-        found[found] = keys[pos[found]] == rows[found] * self.n + cols[found]
-        if not np.all(found):
-            e = int(np.flatnonzero(~found)[0])
-            raise ValueError(
-                f"entry ({rows[e]}, {cols[e]}) lies outside the pattern")
-        return CsrPattern(self.n, self.indptr, self.indices,
-                          _index32(np.concatenate([self.scatter, pos])))
+    def diagonal(self) -> np.ndarray:
+        """Position in ``data`` of each diagonal entry (i, i); -1 for a
+        row without one."""
+        row_of = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        on_diagonal = row_of == self.indices
+        pos = np.full(self.n, -1)
+        pos[row_of[on_diagonal]] = np.flatnonzero(on_diagonal)
+        return pos
 
 
 def _two_component_pattern(scalar: CsrPattern, triangles) -> CsrPattern:
@@ -283,46 +274,20 @@ class AssemblyWorkspace:
         return _two_component_pattern(self.scalar_pattern, self.triangles)
 
 
-@dataclass
-class DofMap:
-    """Node-major dof numbering with a constrained set.
+def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
+    """Symmetric elimination of the dofs in ``fixed`` (dof -> value).
 
-    dof = node * components + component. Constrained dofs carry
-    prescribed values and are eliminated symmetrically.
-    """
-
-    num_nodes: int
-    components: int = 1
-    constraints: dict = field(default_factory=dict)  # dof -> value
-
-    @property
-    def size(self) -> int:
-        return self.num_nodes * self.components
-
-    def dof(self, node: int, component: int = 0) -> int:
-        return node * self.components + component
-
-    def constrain(self, node: int, component: int = 0, value: float = 0.0):
-        d = self.dof(node, component)
-        if not 0 <= d < self.size:
-            raise IndexError(f"dof {d} out of range 0..{self.size - 1}")
-        self.constraints[d] = value
-
-
-def apply_constraints(A: sp.csr_matrix, b: np.ndarray, dofs: DofMap):
-    """Symmetric elimination of constrained dofs.
-
-    Rows and columns of constrained dofs are zeroed, the diagonal set to
+    Rows and columns of fixed dofs are zeroed, the diagonal set to
     one and the right-hand side adjusted so the solution takes the
     prescribed values exactly. Symmetric input stays symmetric.
     """
-    if not dofs.constraints:
+    if not fixed:
         return A.tocsr(), b.copy()
     n = A.shape[0]
-    idx = np.fromiter(dofs.constraints.keys(), dtype=int)
+    idx = np.fromiter(fixed.keys(), dtype=int)
     if np.any(idx < 0) or np.any(idx >= n):
         raise IndexError("constraint on nonexistent dof")
-    vals = np.fromiter((dofs.constraints[i] for i in idx), dtype=float)
+    vals = np.fromiter(fixed.values(), dtype=float)
 
     x_c = np.zeros(n)
     x_c[idx] = vals

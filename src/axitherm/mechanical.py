@@ -15,7 +15,6 @@ import numpy as np
 from .fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
-    DofMap,
     SingularSystemError,
     apply_constraints,
     assemble_csr,
@@ -66,41 +65,30 @@ def hydrostatic_bc(y_max: float) -> Traction:
     return Traction(g)
 
 
-def _exterior_conditions(table, bc: MechanicalBC):
-    """(row, condition) for every tagged exterior edge, in table order."""
-    for e, tag in enumerate(table.tags):
-        if tag is BoundaryTag.INTERFACE or tag is None:
-            continue
-        yield e, bc.lookup(tag)
-
-
-def _contact_constraints(mesh: Mesh, bc: MechanicalBC, dofs: DofMap):
+def _contact_constraints(mesh: Mesh, conds) -> dict:
     """u . n = 0 on contact edges: u_y on horizontal edges, u_r on
-    vertical ones (and always u_r on the axis)."""
+    vertical ones (and always u_r on the axis), as {dof: 0.0} with
+    dof = 2 * node + component."""
     table = mesh.boundary_edge_table()
-    any_uy = False
-    for e, cond in _exterior_conditions(table, bc):
-        axis = table.tags[e] is BoundaryTag.AXIS
-        if not (cond == FRICTIONLESS_CONTACT or axis):
-            continue
-        i, j = int(table.i[e]), int(table.j[e])
-        dr, dy = mesh.nodes[j] - mesh.nodes[i]
-        comp = 0 if axis or abs(dy) > abs(dr) else 1
-        dofs.constrain(i, comp, 0.0)
-        dofs.constrain(j, comp, 0.0)
-        if comp == 1:
-            any_uy = True
-    return any_uy
+    axis = np.array([t is BoundaryTag.AXIS for t in table.tags], dtype=bool)
+    contact = np.array([c == FRICTIONLESS_CONTACT for c in conds], dtype=bool)
+    rows = np.flatnonzero(contact | axis)
+    d = mesh.nodes[table.j[rows]] - mesh.nodes[table.i[rows]]
+    comp = np.where(axis[rows] | (np.abs(d[:, 1]) > np.abs(d[:, 0])), 0, 1)
+    dofs = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
+    return dict.fromkeys(dofs.ravel().tolist(), 0.0)
 
 
 def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                                bc: MechanicalBC, T: np.ndarray,
                                body_force=None, extra_constraints=None):
-    """Assemble and constrain the thermoelastic system (K, f, dofs).
+    """Assemble and constrain the thermoelastic system; returns
+    (K, f, fixed) with ``fixed`` the eliminated dofs (2 * node +
+    component) and their values.
 
     ``body_force`` is a verification-only hook mapping (r, y) to a
     (2,)-vector density; ``extra_constraints`` maps (node, component) to
-    prescribed displacement values.
+    prescribed displacement values, which override the contact ones.
     """
     T = np.asarray(T, float)
     geo = mesh.assembly_workspace()
@@ -172,7 +160,8 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
 
     # boundary tractions (edge interiors; contact constraints win at nodes)
     table = mesh.boundary_edge_table()
-    for e, cond in _exterior_conditions(table, bc):
+    conds = table.conditions(bc.lookup)
+    for e, cond in enumerate(conds):
         if not isinstance(cond, Traction):
             continue
         i, j = table.i[e], table.j[e]
@@ -186,19 +175,15 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
             f[2 * i:2 * i + 2] += w * (1 - t) * g
             f[2 * j:2 * j + 2] += w * t * g
 
-    dofs = DofMap(num_nodes=mesh.num_nodes, components=2)
-    any_uy = _contact_constraints(mesh, bc, dofs)
-    if extra_constraints:
-        for (node, comp), value in extra_constraints.items():
-            dofs.constrain(node, comp, value)
-            if comp == 1:
-                any_uy = True
-    if not any_uy:
+    fixed = _contact_constraints(mesh, conds)
+    for (node, comp), value in (extra_constraints or {}).items():
+        fixed[2 * node + comp] = value
+    if not any(d % 2 == 1 for d in fixed):
         raise SingularSystemError(
             "axial rigid translation unconstrained: no u_y dof is fixed")
 
-    K, f = apply_constraints(K, f, dofs)
-    return K, f, dofs
+    K, f = apply_constraints(K, f, fixed)
+    return K, f, fixed
 
 
 def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,

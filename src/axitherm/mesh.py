@@ -102,6 +102,13 @@ class BoundaryEdgeTable:
         """Row indices of the edges carrying ``tag``, in table order."""
         return np.flatnonzero([t is tag for t in self.tags])
 
+    def conditions(self, lookup) -> list:
+        """``lookup(tag)`` for every row in table order: the boundary
+        condition of each exterior edge, None on interface and untagged
+        rows."""
+        return [None if tag is None or tag is BoundaryTag.INTERFACE
+                else lookup(tag) for tag in self.tags]
+
 
 @dataclass
 class Mesh:
@@ -270,8 +277,8 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     Cells whose centroid falls in no polygon are dropped, so hollow
     regions (such as the hearth cavity) stay unmeshed.
     """
-    if target_h <= 0:
-        raise ValueError("target_h must be positive")
+    if not (np.isfinite(target_h) and target_h > 0):
+        raise ValueError(f"target_h must be finite and positive, not {target_h}")
     feature, fid = _min_feature(polygons)
     if target_h > feature + GEOM_TOL:
         raise ValueError(
@@ -332,16 +339,16 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     tris = tris[order]
     tri_sub = tri_sub[order]
 
-    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub)
-    p = nodes[tris]
-    edge_len = np.stack([
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-    ])
-    mesh.h = float(edge_len.max())
+    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
+                h=_longest_edge(nodes, tris))
     _collect_boundary_edges(mesh)
     return mesh
+
+
+def _longest_edge(nodes, triangles) -> float:
+    """Largest triangle edge length (the diameter of a triangle)."""
+    p = nodes[triangles]
+    return float(np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max())
 
 
 def _collect_boundary_edges(mesh: Mesh) -> None:
@@ -414,17 +421,13 @@ def tag_boundaries(
             t = BoundaryTag.OUTER
         elif abs(p[1] - y_max) < GEOM_TOL and abs(q[1] - y_max) < GEOM_TOL:
             t = BoundaryTag.TOP
-        elif inner_segments is not None:
-            if any(_on_segment(p, q, s) for s in inner_segments):
-                t = BoundaryTag.INNER
-            elif top_band_min_y is not None and min(p[1], q[1]) >= top_band_min_y - GEOM_TOL:
-                t = BoundaryTag.TOP
-            else:
-                raise ValueError(
-                    f"untaggable exterior edge ({p[0]:g},{p[1]:g})-({q[0]:g},{q[1]:g})"
-                )
-        elif max(p[0], q[0]) < r_max - GEOM_TOL:
+        elif (any(_on_segment(p, q, s) for s in inner_segments)
+              if inner_segments is not None
+              else max(p[0], q[0]) < r_max - GEOM_TOL):
             t = BoundaryTag.INNER
+        elif (inner_segments is not None and top_band_min_y is not None
+              and min(p[1], q[1]) >= top_band_min_y - GEOM_TOL):
+            t = BoundaryTag.TOP
         else:
             raise ValueError(
                 f"untaggable exterior edge ({p[0]:g},{p[1]:g})-({q[0]:g},{q[1]:g})"
@@ -463,10 +466,14 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`."""
+    """Read the plain-text mesh format written by :func:`save_mesh`; a
+    file that is empty, truncated or malformed, or that names a node id
+    outside 0..N-1, raises ValueError."""
     with open(path) as f:
         lines = [line for line in (raw.split("#", 1)[0].strip() for raw in f)
                  if line]
+    if not lines:
+        raise ValueError("empty mesh file")
     if lines[0].split() != ["axitherm-mesh", "v1"]:
         raise ValueError("not an axitherm-mesh v1 file")
     pos = 1
@@ -474,11 +481,15 @@ def load_mesh(path) -> Mesh:
     def section(keyword):
         """The rows of the ``keyword`` section."""
         nonlocal pos
-        kw, count = lines[pos].split()
-        if kw != keyword:
-            raise ValueError(f"expected '{keyword}', got '{kw}'")
-        rows = lines[pos + 1:pos + 1 + int(count)]
-        pos += 1 + int(count)
+        head = lines[pos].split() if pos < len(lines) else ["end of file"]
+        if len(head) != 2 or head[0] != keyword or not head[1].isdigit():
+            raise ValueError(f"expected '{keyword} <count>', got '{' '.join(head)}'")
+        count = int(head[1])
+        rows = lines[pos + 1:pos + 1 + count]
+        if len(rows) < count:
+            raise ValueError(f"truncated mesh file: section '{keyword}' has "
+                             f"{len(rows)} of {count} rows")
+        pos += 1 + count
         return rows
 
     def numbers(rows, columns, dtype):
@@ -499,12 +510,13 @@ def load_mesh(path) -> Mesh:
         a, c, name = row.split()
         tag = None if name == "untagged" else BoundaryTag(name)
         bedges.append((int(a), int(c), tag))
-    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
-                boundary_edges=bedges)
-    p = nodes[tris]
-    mesh.h = float(max(
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1).max(),
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1).max(),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1).max(),
-    ))
-    return mesh
+    n = len(nodes)
+    if len(tris) == 0:
+        raise ValueError("mesh file has no triangles")
+    ends = np.array([e[:2] for e in bedges], dtype=np.int64).reshape(-1, 2)
+    for what, ids in (("triangle", tris), ("boundary edge", ends)):
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
+    return Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
+                boundary_edges=bedges, h=_longest_edge(nodes, tris))

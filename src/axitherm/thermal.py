@@ -17,15 +17,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fem_core import LU_RTOL, ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
-from .mesh import BoundaryTag, Mesh
-
-# Vertex (trapezoid) rule for the Robin edge terms. The resulting edge
-# mass matrix is diagonal, which keeps the assembled system an M-matrix
-# on meshes of right triangles and so preserves the discrete maximum
-# principle; a consistent Gauss rule produces positive off-diagonals
-# that let corner nodes overshoot the hottest ambient temperature.
-ROBIN_EDGE_POINTS = np.array([0.0, 1.0])
-ROBIN_EDGE_WEIGHTS = np.array([0.5, 0.5])
+from .mesh import Mesh
 
 # Krylov steps (one restart cycle) before an inexact Newton step gives
 # up and the current Jacobian is factored instead.
@@ -60,20 +52,10 @@ class ThermalBC:
 
     conditions: dict  # BoundaryTag -> Robin | ADIABATIC
 
-    def robin_rows(self, table):
-        """(rows, conditions) of every convection edge of a
-        :class:`~axitherm.mesh.BoundaryEdgeTable`, in table order."""
-        rows, conds = [], []
-        for e, tag in enumerate(table.tags):
-            if tag is BoundaryTag.INTERFACE or tag is None:
-                continue
-            if tag not in self.conditions:
-                raise ValueError(f"no thermal boundary condition for tag {tag}")
-            cond = self.conditions[tag]
-            if cond is not ADIABATIC:
-                rows.append(e)
-                conds.append(cond)
-        return np.asarray(rows, dtype=int), conds
+    def lookup(self, tag):
+        if tag not in self.conditions:
+            raise ValueError(f"no thermal boundary condition for tag {tag}")
+        return self.conditions[tag]
 
 
 @dataclass
@@ -151,65 +133,56 @@ class _ThermalWorkspace:
             raise ValueError(f"no material record for subdomains {sorted(missing)}")
         self.materials = materials
         self.robin = _RobinEdges.build(mesh, bc)
-        self.pattern = self.mesh_ws.scalar_pattern
         if self.robin is not None:
-            ij = self.robin.ij
-            self.pattern = self.pattern.extended(ij[:, [0, 0, 1, 1]],
-                                                 ij[:, [0, 1, 0, 1]])
+            self.robin_diagonal = \
+                self.mesh_ws.scalar_pattern.diagonal()[self.robin.ij]
 
-    def conductivity(self, T_q):
+    def conductivity(self, T_q, derivative=False):
+        """k, or dk/dT, at the temperatures T_q (M, Q)."""
         k = np.empty_like(T_q)
         for sid, idx in self.mesh_ws.subdomains.items():
-            k[idx] = self.materials[sid].k(T_q[idx])
+            model = self.materials[sid].k
+            k[idx] = (model.derivative if derivative else model)(T_q[idx])
         return k
-
-    def conductivity_derivative(self, T_q):
-        dk = np.empty_like(T_q)
-        for sid, idx in self.mesh_ws.subdomains.items():
-            dk[idx] = self.materials[sid].k.derivative(T_q[idx])
-        return dk
 
 
 @dataclass(frozen=True)
 class _RobinEdges:
-    """Convection edges with the edge rule mapped onto them.
+    """Convection edges under the vertex (trapezoid) rule.
 
-    ij (E, 2) end nodes; shape (G, 2) end-node weights of each rule
-    point; weight (E, G) rule weight * length * r * h; ambient (E, G)
-    T_R at the rule points; mass (E, 2, 2) the edge's Jacobian block.
+    ij (E, 2) end nodes; weight (E, 2) 0.5 * length * r * h at each end
+    node; ambient (E, 2) T_R at each end node. The rule's edge mass
+    matrix is diagonal (lumped), which keeps the assembled system an
+    M-matrix on meshes of right triangles and so preserves the discrete
+    maximum principle (Ciarlet & Raviart, CMAME 2, 1973); a consistent
+    Gauss rule produces positive off-diagonals that let corner nodes
+    overshoot the hottest ambient temperature.
     """
 
     ij: np.ndarray
-    shape: np.ndarray
     weight: np.ndarray
     ambient: np.ndarray
-    mass: np.ndarray
 
     @classmethod
     def build(cls, mesh, bc):
         table = mesh.boundary_edge_table()
-        rows, conds = bc.robin_rows(table)
-        if len(rows) == 0:
+        conds = table.conditions(bc.lookup)
+        rows = [e for e, c in enumerate(conds)
+                if c is not None and c is not ADIABATIC]
+        if not rows:
             return None
         ij = np.column_stack([table.i[rows], table.j[rows]])
-        p = mesh.nodes[ij[:, 0]]
-        q = mesh.nodes[ij[:, 1]]
-        h = np.array([c.h for c in conds])
-        t = ROBIN_EDGE_POINTS
-        shape = np.column_stack([1 - t, t])
-        r_g = p[:, 0, None] * (1 - t) + q[:, 0, None] * t
-        y_g = p[:, 1, None] * (1 - t) + q[:, 1, None] * t
-        ambient = np.empty_like(r_g)
-        for row, c in enumerate(conds):
-            ambient[row] = c.ambient(r_g[row], y_g[row])
-        weight = ROBIN_EDGE_WEIGHTS * table.length[rows, None] * r_g * h[:, None]
-        mass = np.einsum("eg,ga,gb->eab", weight, shape, shape)
-        return cls(ij, shape, weight, ambient, mass)
+        r, y = mesh.nodes[ij, 0], mesh.nodes[ij, 1]
+        h = np.array([conds[e].h for e in rows])
+        weight = 0.5 * table.length[rows, None] * r * h[:, None]
+        ambient = np.empty_like(r)
+        for k, e in enumerate(rows):
+            ambient[k] = conds[e].ambient(r[k], y[k])
+        return cls(ij, weight, ambient)
 
     def residual(self, T):
         """(E, 2) contributions of h (T - T_R) to the end-node rows."""
-        T_g = T[self.ij] @ self.shape.T
-        return (self.weight * (T_g - self.ambient)) @ self.shape
+        return self.weight * (T[self.ij] - self.ambient)
 
 
 def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
@@ -240,7 +213,8 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
 def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
                               bc: ThermalBC, T: np.ndarray,
                               workspace: _ThermalWorkspace | None = None):
-    """Exact Jacobian: k-stiffness + dk/dT secondary term + Robin mass."""
+    """Exact Jacobian: k-stiffness + dk/dT secondary term + the lumped
+    Robin mass on the diagonal."""
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geo = ws.mesh_ws
     quad = geo.quadrature(3)
@@ -249,13 +223,14 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     flux = np.einsum("mij,mj->mi", gg, T_el)                 # (M, 3)
     T_q = T_el @ quad.rule.points.T
     wk = (quad.w * ws.conductivity(T_q)).sum(axis=1)
-    wdk = (quad.w * ws.conductivity_derivative(T_q)) @ quad.rule.points
+    wdk = (quad.w * ws.conductivity(T_q, derivative=True)) @ quad.rule.points
     # k grad lambda_j . grad lambda_i + dk/dT lambda_j grad T . grad lambda_i
     blocks = wk[:, None, None] * gg + flux[:, :, None] * wdk[:, None, :]
-    vals = blocks.ravel()
+    J = assemble_csr(geo.scalar_pattern, blocks.ravel())
     if ws.robin is not None:
-        vals = np.concatenate([vals, ws.robin.mass.ravel()])
-    return assemble_csr(ws.pattern, vals)
+        # unbuffered, in edge order: a node on two Robin edges gets both
+        np.add.at(J.data, ws.robin_diagonal, ws.robin.weight)
+    return J
 
 
 def _krylov_step(J, R, factor, eta, report):

@@ -253,15 +253,12 @@ class MechanicalManufacturedCase:
 
     def dirichlet_constraints(self, mesh: Mesh) -> dict:
         """Exact displacement pinned on every exterior boundary node."""
-        out = {}
-        for (i, j, tag) in mesh.boundary_edges:
-            if tag is BoundaryTag.INTERFACE or tag is None:
-                continue
-            for n in (i, j):
-                r, y = mesh.nodes[n]
-                out[(n, 0)] = float(self._ur(r, y))
-                out[(n, 1)] = float(self._uy(r, y))
-        return out
+        table = mesh.boundary_edge_table()
+        exterior = [c is not None for c in table.conditions(lambda tag: tag)]
+        nodes = np.unique(np.column_stack([table.i, table.j])[exterior])
+        u = self.exact(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
+        return {(n, comp): value for n, row in zip(nodes.tolist(), u.tolist())
+                for comp, value in enumerate(row)}
 
 
 def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> ConvergenceRecord:

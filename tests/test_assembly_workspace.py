@@ -61,14 +61,13 @@ def test_jacobian_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
     J = assemble_thermal_jacobian(mesh, hearth_materials, hearth_thermal_bc(), T)
     (vals, A), = calls
     assert A is J
-    # element blocks (M, 3, 3) row-major, then one 2x2 block per Robin edge
+    # element blocks (M, 3, 3) row-major, then the lumped Robin mass of
+    # each edge on the diagonal entries of its two end nodes
     tris = mesh.triangles
-    rows = [np.repeat(tris, 3, axis=1).ravel()]
-    cols = [np.tile(tris, (1, 3)).ravel()]
-    ij = thermal._RobinEdges.build(mesh, hearth_thermal_bc()).ij
-    rows.append(ij[:, [0, 0, 1, 1]].ravel())
-    cols.append(ij[:, [0, 1, 0, 1]].ravel())
-    ref = _fresh_csr(np.concatenate(rows), np.concatenate(cols), vals,
+    robin = thermal._RobinEdges.build(mesh, hearth_thermal_bc())
+    rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), robin.ij.ravel()])
+    cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), robin.ij.ravel()])
+    ref = _fresh_csr(rows, cols, np.concatenate([vals, robin.weight.ravel()]),
                      mesh.num_nodes)
     _assert_same_matrix(J, ref)
 

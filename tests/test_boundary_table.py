@@ -100,6 +100,20 @@ def test_replacing_boundary_edges_rebuilds_table(unit_square_mesh):
     assert len(mesh.boundary_edge_table().i) == len(mesh.boundary_edges)
 
 
+def test_conditions_skip_interface_and_untagged_rows():
+    mesh = hearth_mesh(0.4)
+    mesh.boundary_edges[0] = mesh.boundary_edges[0][:2] + (None,)
+    table = mesh.boundary_edge_table()
+    conds = table.conditions(lambda tag: tag.value)
+    assert len(conds) == len(table.tags)
+    for tag, cond in zip(table.tags, conds):
+        exterior = tag is not None and tag is not BoundaryTag.INTERFACE
+        assert cond == (tag.value if exterior else None)
+    assert conds[0] is None
+    assert any(c is None for c, t in zip(conds, table.tags)
+               if t is BoundaryTag.INTERFACE)
+
+
 def test_edge_on_no_triangle_raises(unit_square_mesh):
     # (0, 0) and (1, 1) are opposite corners, not an edge
     mesh = Mesh(nodes=unit_square_mesh.nodes,

@@ -47,6 +47,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="finite"):
             RunConfig(isoline_levels=[float("nan")]).validate()
 
+    def test_validate_rejects_non_finite_target_h(self):
+        with pytest.raises(ValueError, match="target_h must be finite"):
+            RunConfig(target_h=float("nan")).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_h", "0.1"),
+        ("isoline_levels", 1423),
+        ("isoline_levels", ["1423"]),
+        ("newton_max_iter", 2.5),
+        ("mesh_file", 3),
+    ])
+    def test_from_file_rejects_wrong_types(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            RunConfig.from_file(path)
+
     @pytest.mark.parametrize("field, value, match", [
         ("initial_guess", float("nan"), "initial_guess"),
         ("initial_guess", float("inf"), "initial_guess"),
@@ -219,6 +236,18 @@ class TestMain:
         rc = main(["mesh", "--h", "-0.5", "--out", "unused"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_h_exits_2(self, tmp_path, capsys):
+        rc = main(["solve", "--h", "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "target_h must be finite" in capsys.readouterr().err
+
+    def test_mistyped_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": "0.1"}))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "target_h must be a number" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json")])

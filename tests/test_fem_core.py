@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from axitherm.fem_core import (
     AssemblyWorkspace,
     CsrPattern,
-    DofMap,
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
@@ -93,15 +92,12 @@ class TestTriangleGeometry:
 
 
 class TestDofMapAndConstraints:
-    def test_node_major_numbering(self):
-        dofs = DofMap(num_nodes=4, components=2)
-        assert dofs.dof(2, 1) == 5
-        assert dofs.size == 8
+    """apply_constraints with a {dof: value} map of fixed dofs."""
 
     def test_out_of_range_constraint(self):
-        dofs = DofMap(num_nodes=2, components=2)
-        with pytest.raises(IndexError):
-            dofs.constrain(5, 0)
+        A = sp.eye(4, format="csr")
+        with pytest.raises(IndexError, match="nonexistent dof"):
+            apply_constraints(A, np.ones(4), {5: 0.0})
 
     def test_elimination_exact_and_symmetric(self):
         rng = np.random.default_rng(3)
@@ -109,10 +105,7 @@ class TestDofMapAndConstraints:
         B = rng.standard_normal((n, n))
         A = sp.csr_matrix(B @ B.T + n * np.eye(n))
         b = rng.standard_normal(n)
-        dofs = DofMap(num_nodes=n, components=1)
-        dofs.constrain(0, 0, 2.5)
-        dofs.constrain(3, 0, -1.0)
-        Ac, bc = apply_constraints(A, b, dofs)
+        Ac, bc = apply_constraints(A, b, {0: 2.5, 3: -1.0})
         dense = Ac.toarray()
         assert np.allclose(dense, dense.T)
         x, _ = solve_lu(Ac, bc, np.arange(n))
@@ -126,7 +119,7 @@ class TestDofMapAndConstraints:
     def test_no_constraints_is_identity(self):
         A = sp.eye(3, format="csr")
         b = np.ones(3)
-        Ac, bc = apply_constraints(A, b, DofMap(num_nodes=3))
+        Ac, bc = apply_constraints(A, b, {})
         assert np.allclose(Ac.toarray(), np.eye(3))
         assert np.allclose(bc, b)
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from axitherm.cli import hearth_mechanical_bc
 from axitherm.fem_core import SingularSystemError
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.mechanical import (
@@ -22,6 +23,7 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
+    hearth_mesh,
     tag_boundaries,
 )
 
@@ -149,6 +151,42 @@ class TestSolveMechanical:
         bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
         T = np.full(mesh.num_nodes, 400.0)
         with pytest.raises(SingularSystemError, match="rigid"):
+            assemble_mechanical_system(mesh, _materials(), bc, T)
+
+    def test_contact_dofs_match_per_edge_rule(self, hearth_materials):
+        mesh = hearth_mesh(0.2)
+        bc = hearth_mechanical_bc()
+        expected = set()
+        # the rule edge by edge: u_r on the axis and on vertical contact
+        # edges, u_y on horizontal ones
+        for i, j, tag in mesh.boundary_edges:
+            if tag is None or tag is BoundaryTag.INTERFACE:
+                continue
+            axis = tag is BoundaryTag.AXIS
+            if not (axis or bc.lookup(tag) == FRICTIONLESS_CONTACT):
+                continue
+            dr, dy = mesh.nodes[j] - mesh.nodes[i]
+            comp = 0 if axis or abs(dy) > abs(dr) else 1
+            expected |= {2 * i + comp, 2 * j + comp}
+        T = np.full(mesh.num_nodes, 300.0)
+        _, _, fixed = assemble_mechanical_system(mesh, hearth_materials, bc, T)
+        assert set(fixed) == expected
+        assert set(fixed.values()) == {0.0}
+
+    def test_extra_constraints_override_contact(self):
+        mesh = _cylinder_mesh(h=0.5)
+        T = np.full(mesh.num_nodes, 300.0)
+        bottom = int(np.flatnonzero(mesh.nodes[:, 1] == 0.0)[-1])
+        _, f, fixed = assemble_mechanical_system(
+            mesh, _materials(), BASE_BC, T, extra_constraints={(bottom, 1): 0.25})
+        assert fixed[2 * bottom + 1] == 0.25
+        assert f[2 * bottom + 1] == 0.25
+
+    def test_missing_tag_raises(self):
+        mesh = _cylinder_mesh(h=0.5)
+        bc = MechanicalBC({BoundaryTag.AXIS: FRICTIONLESS_CONTACT})
+        T = np.full(mesh.num_nodes, 300.0)
+        with pytest.raises(ValueError, match="no mechanical boundary condition"):
             assemble_mechanical_system(mesh, _materials(), bc, T)
 
     def test_one_way_coupling_leaves_temperature_untouched(self):

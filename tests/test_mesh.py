@@ -94,6 +94,12 @@ class TestGenerateMesh:
         with pytest.raises(ValueError, match="smallest polygon extent"):
             generate_mesh([small], 0.5)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+    def test_rejects_target_h_not_finite_and_positive(self, h):
+        square = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
+        with pytest.raises(ValueError, match="target_h must be finite and positive"):
+            generate_mesh([square], h)
+
     def test_rejects_overlapping_polygons(self):
         a = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
         b = SubdomainPolygon(2, ((0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)))
@@ -228,6 +234,39 @@ class TestMeshIO:
         path.write_text(text)
         back = load_mesh(path)
         assert back.num_nodes == unit_square_mesh.num_nodes
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("# nothing but a comment\n")
+        with pytest.raises(ValueError, match="empty mesh file"):
+            load_mesh(path)
+
+    def test_truncated_file_rejected(self, tmp_path, unit_square_mesh):
+        path = tmp_path / "mesh.txt"
+        save_mesh(unit_square_mesh, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:unit_square_mesh.num_nodes]) + "\n")
+        with pytest.raises(ValueError, match="truncated mesh file"):
+            load_mesh(path)
+        # cut after the node section: the triangle header is missing
+        path.write_text("\n".join(lines[:unit_square_mesh.num_nodes + 2]) + "\n")
+        with pytest.raises(ValueError, match="expected 'triangles <count>'"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("section, row", [
+        ("triangles", "0 1 {n} 1"),
+        ("boundary_edges", "-1 0 axis"),
+    ])
+    def test_node_id_out_of_range_rejected(self, tmp_path, unit_square_mesh,
+                                           section, row):
+        path = tmp_path / "mesh.txt"
+        save_mesh(unit_square_mesh, path)
+        lines = path.read_text().splitlines()
+        head = next(k for k, line in enumerate(lines) if line.startswith(section))
+        lines[head + 1] = row.format(n=unit_square_mesh.num_nodes)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"node id -?\d+ outside 0\.\."):
+            load_mesh(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"
