@@ -1,9 +1,9 @@
 """Shared finite element machinery.
 
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
-workspace with its cached sparsity patterns, symmetric elimination of
-fixed dofs, the per-mesh fill-reducing node ordering and the sparse
-LU solver.
+workspace with its cached scalar sparsity pattern, on which scalar and
+two-dof-per-node matrices are assembled, symmetric elimination of fixed
+dofs, the per-mesh fill-reducing node ordering and the sparse LU solver.
 """
 from __future__ import annotations
 
@@ -135,32 +135,6 @@ class CsrPattern:
         return pos
 
 
-def _two_component_pattern(scalar: CsrPattern, triangles) -> CsrPattern:
-    """Pattern of the node-major two-dof-per-node matrix (dof 2 * node +
-    component) and the scatter of its (M, 6, 6) element blocks, derived
-    without a sort from the scalar pattern of the (M, 3, 3) blocks."""
-    n, nnz = scalar.n, scalar.nnz
-    start = scalar.indptr[:-1].astype(np.int64)
-    length = np.diff(scalar.indptr).astype(np.int64)
-    indptr = np.empty(2 * n + 1, dtype=np.int64)
-    indptr[0:-1:2] = 4 * start
-    indptr[1::2] = 4 * start + 2 * length
-    indptr[-1] = 4 * nnz
-    # scalar entry p = (i, j) becomes the entries (2i + c, 2j + d), which
-    # sit at 2 start[i] + 2 p + 2 c length[i] + d: at[p, c, d]
-    row_of = np.repeat(np.arange(n), length)
-    at = (2 * start[row_of] + 2 * np.arange(nnz))[:, None, None] \
-        + 2 * np.arange(2)[:, None] * length[row_of][:, None, None] \
-        + np.arange(2)
-    at = _index32(at)
-    indices = np.empty(4 * nnz, dtype=np.int32)
-    indices[at] = 2 * scalar.indices[:, None, None] + np.arange(2)
-    # element entry (a, b) of the scalar block -> (2a + c, 2b + d)
-    scatter = at[scalar.scatter].reshape(len(triangles), 3, 3, 2, 2)
-    return CsrPattern(2 * n, _index32(indptr), _readonly(indices),
-                      _readonly(scatter.transpose(0, 1, 3, 2, 4).ravel()))
-
-
 @dataclass(frozen=True)
 class ElementQuadrature:
     """A triangle rule mapped onto every element: point radii ``r`` and
@@ -180,8 +154,9 @@ class AssemblyWorkspace:
     Holds read-only copies of the mesh arrays it was built from, the
     element areas and P1 gradients, the centroid radii, quadrature
     points mapped onto the elements, per-subdomain triangle indices,
-    and the CSR patterns of the scalar (thermal) and two-component
-    (mechanical) matrices with their element scatter maps. Parts other
+    and the CSR pattern of the scalar matrices with its element scatter
+    map. The mechanical matrix, two dofs per node, is assembled on that
+    same pattern as 2x2 blocks (see :func:`assemble_csr`). Parts other
     than the geometry are computed on first use.
     """
 
@@ -267,19 +242,14 @@ class AssemblyWorkspace:
                          fill_factor=1)
         return _readonly(np.argsort(ilu.perm_c))
 
-    @cached_property
-    def vector_pattern(self) -> CsrPattern:
-        """2N x 2N pattern; scatter of the (M, 6, 6) element blocks over
-        the dofs (2 * node, 2 * node + 1) of each vertex."""
-        return _two_component_pattern(self.scalar_pattern, self.triangles)
-
 
 def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     """Symmetric elimination of the dofs in ``fixed`` (dof -> value).
 
     Rows and columns of fixed dofs are zeroed, the diagonal set to
     one and the right-hand side adjusted so the solution takes the
-    prescribed values exactly. Symmetric input stays symmetric.
+    prescribed values exactly. Symmetric input stays symmetric. The
+    result is a new sorted CSR matrix that stores no zeros.
     """
     if not fixed:
         return A.tocsr(), b.copy()
@@ -292,15 +262,15 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     x_c = np.zeros(n)
     x_c[idx] = vals
     b = b - A @ x_c
-
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False
-    keep = sp.diags(mask.astype(float), format="csr")
-    A = keep @ A @ keep
-    A = A + sp.diags((~mask).astype(float), format="csr")
     b[idx] = vals
-    A = A.tocsr()
-    A.sort_indices()
+
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    is_fixed = np.zeros(n, dtype=bool)
+    is_fixed[idx] = True
+    A.data[np.repeat(is_fixed, np.diff(A.indptr)) | is_fixed[A.indices]] = 0.0
+    A[idx, idx] = 1.0
+    A.eliminate_zeros()
     return A, b
 
 
@@ -352,10 +322,19 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:
     """Finalized CSR matrix of ``pattern`` whose entries are the sums of
-    the COO values ``vals``, given in the order of ``pattern.scatter``."""
-    data = np.bincount(pattern.scatter, weights=vals, minlength=pattern.nnz)
-    A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
-                      shape=(pattern.n, pattern.n))
+    the COO values ``vals``, given in the order of ``pattern.scatter``.
+    Values of shape (E, 2, 2) are 2x2 blocks: the result is then the
+    node-major matrix over the dofs (2 * node, 2 * node + 1) with every
+    entry of every block stored, zeros included."""
+    vals = np.asarray(vals)
+    k = 1 if vals.ndim == 1 else 2
+    vals = vals.reshape(-1, k, k)
+    data = np.empty((pattern.nnz, k, k))
+    for c, d in np.ndindex(k, k):
+        data[:, c, d] = np.bincount(pattern.scatter, weights=vals[:, c, d],
+                                    minlength=pattern.nnz)
+    A = sp.bsr_matrix((data, pattern.indices, pattern.indptr),
+                      shape=(k * pattern.n, k * pattern.n)).tocsr()
     A.has_sorted_indices = True
     A.has_canonical_format = True
     return A

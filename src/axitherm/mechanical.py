@@ -79,6 +79,60 @@ def _contact_constraints(mesh: Mesh, conds) -> dict:
     return dict.fromkeys(dofs.ravel().tolist(), 0.0)
 
 
+def _stiffness_blocks(geo, quad, a, d, l, s):
+    """Element stiffnesses sum_q a_q B_q^T C B_q, a = w E, as (9 M, 2, 2)
+    blocks in the order of the scalar pattern's scatter: block (i, j)
+    couples (u_r, u_y) of vertex i with those of vertex j.
+
+    C is the unit-modulus elasticity matrix with per-element entries d,
+    l and s. With the P1 gradients g_r, g_y, A = sum_q a_q,
+    b = sum_q a_q N_q / r_q and H = sum_q a_q N_q N_q^T / r_q^2:
+      K_rr = A (d g_r g_r^T + s g_y g_y^T) + l (b g_r^T + g_r b^T) + d H
+      K_ry = A (l g_r g_y^T + s g_y g_r^T) + l b g_y^T,  K_yr = K_ry^T
+      K_yy = A (d g_y g_y^T + s g_r g_r^T)
+    Each paired term is summed before it is added, so K_rr and K_yy are
+    bitwise symmetric, and so is K, summed in one fixed element order.
+    """
+    M = len(a)
+    gr, gy = geo.grads[:, :, 0], geo.grads[:, :, 1]
+    A = a.sum(axis=1)[:, None, None]
+    d, l, s = d[:, None, None], l[:, None, None], s[:, None, None]
+    b = (a / quad.r) @ quad.rule.points
+
+    def outer(u, v):
+        return u[:, :, None] * v[:, None, :]
+
+    # component-major storage, so that each component assemble_csr
+    # scatters is contiguous; every temporary is dropped once it is
+    # summed in, which keeps the transient memory near that of the blocks
+    blocks = np.empty((2, 2, M, 3, 3))
+    rr, ry, yr, yy = blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1]
+    grr, gyy = outer(gr, gr), outer(gy, gy)
+    np.multiply(d, grr, out=rr)
+    rr += s * gyy
+    rr *= A
+    np.multiply(d, gyy, out=yy)
+    yy += s * grr
+    yy *= A
+    del grr, gyy
+    bg = outer(b, gr)
+    rr += l * (bg + bg.transpose(0, 2, 1))
+    del bg
+    H = np.zeros((M, 3, 3))
+    for q, p in enumerate(quad.rule.points):
+        H += (a[:, q] / quad.r[:, q]**2)[:, None, None] * np.outer(p, p)
+    H *= d
+    rr += H
+    del H
+    grgy = outer(gr, gy)
+    np.multiply(l, grgy, out=ry)
+    ry += s * grgy.transpose(0, 2, 1)
+    ry *= A
+    ry += l * outer(b, gy)
+    yr[...] = ry.transpose(0, 2, 1)
+    return blocks.reshape(2, 2, 9 * M).transpose(2, 0, 1)
+
+
 def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                                bc: MechanicalBC, T: np.ndarray,
                                body_force=None, extra_constraints=None):
@@ -99,61 +153,33 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     if missing:
         raise ValueError(f"no material record for subdomains {sorted(missing)}")
 
-    # per-element material data at the quadrature points
+    # per-element material data at the quadrature points; the unit-modulus
+    # elasticity matrix is C = [d l l 0; l d l 0; l l d 0; 0 0 0 s]
     T_q = T[geo.triangles] @ quad.rule.points.T              # (M, Q)
     E_q = np.empty_like(T_q)
-    C_unit = np.empty((M, 4, 4))
-    alpha = np.empty(M)
-    nu = np.empty(M)
+    d, l, s, alpha, nu = np.empty((5, M))
     for sid, idx in geo.subdomains.items():
         rec = materials[sid]
         E_q[idx] = rec.E(T_q[idx])
-        C_unit[idx] = elasticity_matrix(1.0, rec.nu)
+        C = elasticity_matrix(1.0, rec.nu)
+        d[idx], l[idx], s[idx] = C[0, 0], C[0, 1], C[3, 3]
         alpha[idx] = rec.alpha
         nu[idx] = rec.nu
     # thermal stress E alpha dT / (1 - 2 nu) on the normal components
     sig0 = E_q * alpha[:, None] * (T_q - materials.T0) / (1 - 2 * nu)[:, None]
 
-    # The strain-displacement matrix at point q is B_q = G + e_tt h_q^T:
-    # G (M, 4, 6) holds the rr, yy and ry rows, constant on an element,
-    # and h_q the hoop row lambda_i / r_q on the u_r dofs. With
-    # a_q = w_q E_q, the element stiffness sum_q a_q B_q^T C B_q is
-    #   (sum_q a_q) G^T C G + v b^T + b v^T + C_tt,tt sum_q a_q h_q h_q^T
-    # with v = G^T C e_tt and b = sum_q a_q h_q, so the batched product
-    # G^T C G is formed once per element, not once per point.
-    grads = geo.grads
-    pts = quad.rule.points                                   # (Q, 3)
-    G = np.zeros((M, 4, 6))
-    G[:, 0, 0::2] = grads[:, :, 0]
-    G[:, 1, 1::2] = grads[:, :, 1]
-    G[:, 3, 0::2] = grads[:, :, 1]
-    G[:, 3, 1::2] = grads[:, :, 0]
-    CG = C_unit @ G
-    a = quad.w * E_q                                         # (M, Q)
-    v = CG[:, 2].copy()                                      # C is symmetric
-    b = (a / quad.r) @ pts                                   # u_r dofs of b
-    CG *= a.sum(axis=1)[:, None, None]
-    Ke = G.transpose(0, 2, 1) @ CG
-    vb = v[:, :, None] * b[:, None, :]                       # (M, 6, 3)
-    Ke[:, :, 0::2] += vb
-    Ke[:, 0::2, :] += vb.transpose(0, 2, 1)
-    # sum_q a_q h_q h_q^T on the u_r dofs, from the products p_qi p_qj
-    outer = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), 9)
-    Ke[:, 0::2, 0::2] += C_unit[:, 2, 2, None, None] * \
-        ((a / quad.r**2) @ outer).reshape(M, 3, 3)
-    # thermal-strain load sum_q w_q sig0_q B_q^T {1, 1, 1, 0}
+    K = assemble_csr(geo.scalar_pattern,
+                     _stiffness_blocks(geo, quad, quad.w * E_q, d, l, s))
+    # thermal-strain load sum_q w_q sig0_q B_q^T {1, 1, 1, 0}, per vertex
+    # and component (u_r, u_y)
+    pts = quad.rule.points
     s0 = quad.w * sig0
-    fe = s0.sum(axis=1)[:, None] * (G[:, 0] + G[:, 1])
-    fe[:, 0::2] += (s0 / quad.r) @ pts
+    fe = s0.sum(axis=1)[:, None, None] * geo.grads
+    fe[:, :, 0] += (s0 / quad.r) @ pts
     if body_force is not None:
         fr, fy = body_force(quad.r, quad.y)
-        fe[:, 0::2] += (quad.w * fr) @ quad.rule.points
-        fe[:, 1::2] += (quad.w * fy) @ quad.rule.points
-
-    # symmetric element blocks summed in one fixed order give a bitwise
-    # symmetric K
-    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
-    K = assemble_csr(geo.vector_pattern, Ke.ravel())
+        fe[:, :, 0] += (quad.w * fr) @ pts
+        fe[:, :, 1] += (quad.w * fy) @ pts
     # element dofs (u_r, u_y) per vertex: 2 * node + component
     dofs = 2 * geo.triangles[:, :, None] + np.arange(2)
     f = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=ndof)
@@ -244,23 +270,3 @@ def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
                                           materials.T0)[:, None]
         stress[idx] = sig
     return StressField(stress=stress, strain=strain, element_temperature=T_bar)
-
-
-def boundary_stress_components(mesh: Mesh, field: StressField, tag: BoundaryTag):
-    """Normal and tangential traction on each edge carrying ``tag``.
-
-    Returns a list of (edge, sigma_n, tangential traction vector) using
-    the adjacent element's recovered stress.
-    """
-    table = mesh.boundary_edge_table()
-    rows = table.rows_with_tag(tag)
-    n = table.normal[rows]
-    s = field.stress[table.owner[rows]]
-    traction = np.column_stack([
-        s[:, 0] * n[:, 0] + s[:, 3] * n[:, 1],
-        s[:, 3] * n[:, 0] + s[:, 1] * n[:, 1],
-    ])
-    sigma_n = traction[:, 0] * n[:, 0] + traction[:, 1] * n[:, 1]
-    tangential = traction - sigma_n[:, None] * n
-    return [((int(table.i[e]), int(table.j[e])), float(sn), tan)
-            for e, sn, tan in zip(rows, sigma_n, tangential)]

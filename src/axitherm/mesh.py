@@ -506,10 +506,16 @@ def load_mesh(path) -> Mesh:
     tris = tri_rows[:, :3].copy()
     sub = tri_rows[:, 3].copy()
     bedges = []
-    for row in section("boundary_edges"):
-        a, c, name = row.split()
-        tag = None if name == "untagged" else BoundaryTag(name)
-        bedges.append((int(a), int(c), tag))
+    for k, row in enumerate(section("boundary_edges"), 1):
+        try:
+            a, c, name = row.split()
+            tag = None if name == "untagged" else BoundaryTag(name)
+            bedges.append((int(a), int(c), tag))
+        except ValueError:
+            names = ", ".join([t.value for t in BoundaryTag] + ["untagged"])
+            raise ValueError(
+                f"boundary_edges row {k}: expected 'i j tag' with integer "
+                f"node ids and tag one of {names}, got '{row}'") from None
     n = len(nodes)
     if len(tris) == 0:
         raise ValueError("mesh file has no triangles")

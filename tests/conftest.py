@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.mesh import SubdomainPolygon, generate_mesh, tag_boundaries
@@ -35,3 +36,27 @@ def hearth_materials():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def eliminate_by_products():
+    """Reference elimination of fixed dofs (dof -> value) by sparse
+    products with 0/1 diagonal matrices, keep @ A @ keep + diag(fixed),
+    the rule apply_constraints must reproduce. Returns (A, b) like it."""
+    def eliminate(A, b, fixed):
+        n = A.shape[0]
+        idx = np.fromiter(fixed.keys(), dtype=int)
+        vals = np.fromiter(fixed.values(), dtype=float)
+        x_c = np.zeros(n)
+        x_c[idx] = vals
+        b = b - A @ x_c
+        b[idx] = vals
+        mask = np.ones(n, dtype=bool)
+        mask[idx] = False
+        keep = sp.diags(mask.astype(float), format="csr")
+        A = keep @ A @ keep + sp.diags((~mask).astype(float), format="csr")
+        A = A.tocsr()
+        A.sort_indices()
+        return A, b
+
+    return eliminate

@@ -79,12 +79,16 @@ def test_stiffness_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
     mechanical.assemble_mechanical_system(mesh, hearth_materials,
                                           hearth_mechanical_bc(), T)
     (vals, K), = calls
-    # element blocks (M, 6, 6) over the dofs (2n, 2n + 1) of each vertex
-    dofs = np.empty((len(mesh.triangles), 6), dtype=int)
-    dofs[:, 0::2] = 2 * mesh.triangles
-    dofs[:, 1::2] = 2 * mesh.triangles + 1
-    ref = _fresh_csr(np.repeat(dofs, 6, axis=1).ravel(),
-                     np.tile(dofs, (1, 6)).ravel(), vals, 2 * mesh.num_nodes)
+    # a 2x2 block per vertex pair (i, j) of each element, in the order of
+    # the scalar pattern's scatter, over the dofs (2n, 2n + 1)
+    tris = mesh.triangles
+    assert vals.shape == (9 * len(tris), 2, 2)
+    node_rows = np.repeat(tris, 3, axis=1).ravel()[:, None, None]
+    node_cols = np.tile(tris, (1, 3)).ravel()[:, None, None]
+    rows, cols = np.broadcast_arrays(2 * node_rows + np.arange(2)[:, None],
+                                     2 * node_cols + np.arange(2))
+    ref = _fresh_csr(rows.ravel(), cols.ravel(), vals.ravel(),
+                     2 * mesh.num_nodes)
     _assert_same_matrix(K, ref)
     # before constraints, K is bitwise symmetric and keeps its pattern
     assert (K != K.T).nnz == 0
@@ -115,9 +119,9 @@ def test_arrays_are_read_only(mesh, hearth_materials):
               ws.centroid_r, ws.grad_products]
     arrays += [a for q in quads for a in (q.r, q.y, q.w)]
     arrays += list(ws.subdomains.values())
-    for p in (ws.scalar_pattern, ws.vector_pattern):
-        arrays += [p.indptr, p.indices, p.scatter]
-        assert p.scatter.dtype == np.int32
+    p = ws.scalar_pattern
+    arrays += [p.indptr, p.indices, p.scatter]
+    assert p.scatter.dtype == np.int32
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -116,6 +116,44 @@ class TestDofMapAndConstraints:
         full = A.toarray()
         assert np.allclose(full[np.ix_(free, range(n))] @ x, b[free])
 
+    # a missing diagonal entry is inserted, which scipy warns about
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+    @pytest.mark.parametrize("drop_diagonal", [False, True])
+    def test_matches_elimination_by_products(self, eliminate_by_products,
+                                             drop_diagonal):
+        rng = np.random.default_rng(11)
+        n = 40
+        R = sp.random(n, n, density=0.1, random_state=rng)
+        S = (R + R.T + n * sp.eye(n)).tocoo()
+        rows, cols, data = S.row, S.col, S.data.copy()
+        # explicit zeros on a symmetric set of off-diagonal entries: the
+        # matrix stays symmetric positive definite
+        zero = np.zeros((n, n), dtype=bool)
+        pick = (rows < cols) & (rng.random(len(rows)) < 0.3)
+        zero[rows[pick], cols[pick]] = True
+        data[(zero | zero.T)[rows, cols]] = 0.0
+        dofs = rng.choice(n, size=8, replace=False)
+        if drop_diagonal:
+            # a fixed dof whose row stores no diagonal entry
+            kept = (rows != dofs[0]) | (cols != dofs[0])
+            rows, cols, data = rows[kept], cols[kept], data[kept]
+        A = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        A.sort_indices()
+        assert (A.data == 0).any()
+        b = rng.standard_normal(n)
+        fixed = dict(zip(dofs.tolist(), rng.standard_normal(8).tolist()))
+        before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
+
+        Ac, bc = apply_constraints(A, b, fixed)
+        ref, ref_b = eliminate_by_products(A, b, fixed)
+        assert np.array_equal(Ac.indptr, ref.indptr)
+        assert np.array_equal(Ac.indices, ref.indices)
+        assert np.array_equal(Ac.data, ref.data)
+        assert np.array_equal(bc, ref_b)
+        assert Ac.has_sorted_indices
+        for a, copy in zip((A.indptr, A.indices, A.data, b), before):
+            assert np.array_equal(a, copy)
+
     def test_no_constraints_is_identity(self):
         A = sp.eye(3, format="csr")
         b = np.ones(3)

@@ -1,10 +1,17 @@
 """Thermoelastic solver and stress recovery tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from axitherm.cli import hearth_mechanical_bc
-from axitherm.fem_core import SingularSystemError
-from axitherm.materials import PiecewiseQuadratic, uniform_materials
+from axitherm.fem_core import SingularSystemError, triangle_rule
+from axitherm.materials import (
+    PiecewiseQuadratic,
+    elasticity_matrix,
+    uniform_materials,
+)
 from axitherm.mechanical import (
     FRICTIONLESS_CONTACT,
     HYDROSTATIC_SLOPE,
@@ -12,7 +19,6 @@ from axitherm.mechanical import (
     TRACTION_FREE,
     Traction,
     assemble_mechanical_system,
-    boundary_stress_components,
     hydrostatic_bc,
     hydrostatic_traction,
     recover_stress,
@@ -37,6 +43,26 @@ def _materials(E=2e9, nu=0.3, alpha=1e-5):
     return uniform_materials(PiecewiseQuadratic.constant(10.0),
                              PiecewiseQuadratic.constant(E),
                              nu=nu, alpha=alpha, T0=300.0)
+
+
+def boundary_stress_components(mesh, field, tag):
+    """Normal and tangential traction on each edge carrying ``tag``.
+
+    Returns a list of (edge, sigma_n, tangential traction vector) using
+    the adjacent element's recovered stress.
+    """
+    table = mesh.boundary_edge_table()
+    rows = table.rows_with_tag(tag)
+    n = table.normal[rows]
+    s = field.stress[table.owner[rows]]
+    traction = np.column_stack([
+        s[:, 0] * n[:, 0] + s[:, 3] * n[:, 1],
+        s[:, 3] * n[:, 0] + s[:, 1] * n[:, 1],
+    ])
+    sigma_n = traction[:, 0] * n[:, 0] + traction[:, 1] * n[:, 1]
+    tangential = traction - sigma_n[:, None] * n
+    return [((int(table.i[e]), int(table.j[e])), float(sn), tan)
+            for e, sn, tan in zip(rows, sigma_n, tangential)]
 
 
 BASE_BC = MechanicalBC({
@@ -136,6 +162,60 @@ class TestSolveMechanical:
         K, _, _ = assemble_mechanical_system(mesh, _materials(), BASE_BC, T)
         d = K - K.T
         assert abs(d).max() == 0.0
+
+    def test_stiffness_matches_dense_element_oracle(
+            self, hearth_materials, eliminate_by_products, rng):
+        mesh = hearth_mesh(0.2)
+        T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
+        K, _, fixed = assemble_mechanical_system(
+            mesh, hearth_materials, hearth_mechanical_bc(), T)
+        # sum_q w_q E_q B_q^T C B_q per element, with B_q the full 4 x 6
+        # strain-displacement matrix over (u_r, u_y) of each vertex
+        tris = mesh.triangles
+        p = mesh.nodes[tris]                                  # (M, 3, 2)
+        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) \
+            @ np.linalg.inv(jac)                              # (M, 3, 2)
+        rule = triangle_rule(3)
+        r_q = p[:, :, 0] @ rule.points.T                      # (M, Q)
+        w_q = rule.weights * np.linalg.det(jac)[:, None] * r_q
+        T_q = T[tris] @ rule.points.T
+        E_q = np.empty_like(T_q)
+        C = np.empty((len(tris), 4, 4))
+        for sid in np.unique(mesh.tri_subdomain):
+            on = mesh.tri_subdomain == sid
+            E_q[on] = hearth_materials[sid].E(T_q[on])
+            C[on] = elasticity_matrix(1.0, hearth_materials[sid].nu)
+        B = np.zeros(T_q.shape + (4, 6))
+        B[:, :, 0, 0::2] = grads[:, None, :, 0]
+        B[:, :, 1, 1::2] = grads[:, None, :, 1]
+        B[:, :, 2, 0::2] = rule.points / r_q[:, :, None]
+        B[:, :, 3, 0::2] = grads[:, None, :, 1]
+        B[:, :, 3, 1::2] = grads[:, None, :, 0]
+        Ke = np.einsum("mq,mqki,mkl,mqlj->mij", w_q * E_q, B, C, B)
+        dofs = (2 * tris[:, :, None] + np.arange(2)).reshape(-1, 6)
+        n = 2 * mesh.num_nodes
+        raw = sp.coo_matrix((Ke.ravel(), (np.repeat(dofs, 6, axis=1).ravel(),
+                                          np.tile(dofs, (1, 6)).ravel())),
+                            shape=(n, n)).tocsr()
+        ref, _ = eliminate_by_products(raw, np.zeros(n), fixed)
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_assembly_transient_memory_per_triangle(self):
+        # tracemalloc high-water mark of one assembly on a warm workspace,
+        # the returned K and f included: about 720 bytes per triangle,
+        # with room left for allocator and library differences
+        mesh = _cylinder_mesh(h=1 / 32, y1=1.0)
+        mats = _materials()
+        T = 300.0 + 200.0 * mesh.nodes[:, 0]
+        assemble_mechanical_system(mesh, mats, BASE_BC, T)
+        tracemalloc.start()
+        try:
+            assemble_mechanical_system(mesh, mats, BASE_BC, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(mesh.triangles) <= 1000
 
     def test_contact_constraints_exact_zero(self):
         mesh = _cylinder_mesh(h=0.25)

@@ -268,6 +268,23 @@ class TestMeshIO:
         with pytest.raises(ValueError, match=r"node id -?\d+ outside 0\.\."):
             load_mesh(path)
 
+    @pytest.mark.parametrize("row", ["0 1", "0 1 sideways", "0 one axis"])
+    def test_malformed_boundary_edge_row_rejected(self, tmp_path,
+                                                  unit_square_mesh, row):
+        path = tmp_path / "mesh.txt"
+        save_mesh(unit_square_mesh, path)
+        lines = path.read_text().splitlines()
+        head = next(k for k, line in enumerate(lines)
+                    if line.startswith("boundary_edges"))
+        lines[head + 2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_mesh(path)
+        assert str(err.value) == (
+            "boundary_edges row 2: expected 'i j tag' with integer node ids "
+            "and tag one of bottom, outer, top, inner, axis, interface, "
+            f"untagged, got '{row}'")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text("not-a-mesh\n")

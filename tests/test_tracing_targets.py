@@ -5,7 +5,7 @@ hearth run still calls them.
 ``TARGETS`` by name; a refactor that renames or moves one of them, or
 stops calling it, would only show up when a traced benchmark run fails.
 These tests import the benchmark files by path, resolve each target and
-trace one coarse hearth run.
+trace one coarse hearth run and coarse runs of the MMS studies.
 """
 import importlib
 import importlib.util
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from axitherm import cli
+from axitherm import verification as ver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -48,4 +49,20 @@ def test_every_hearth_span_fires(monkeypatch, tmp_path):
                                        output_dir=str(tmp_path)))
     fired = {name for name, (_, calls) in tracer.spans.items() if calls}
     missing = workloads.HEARTH_SPANS - fired
+    assert not missing, f"spans that no longer fire: {sorted(missing)}"
+
+
+def test_every_mms_span_fires(monkeypatch):
+    tracing = _load(monkeypatch, "tracing", TRACING)
+    workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
+    case = workloads.mms_case(0)
+    levels = (1 / 4, 1 / 8, 1 / 16)
+    tracer = tracing.Tracer()
+    with tracing.tracing(tracer):
+        # the studies the workload runs, at coarse levels
+        ver.mms_thermal_study(case.thermal, levels)
+        ver.mms_mechanical_study(case.mechanical, levels)
+        ver.annulus_study(subdivisions=(4, 8, 16))
+    fired = {name for name, (_, calls) in tracer.spans.items() if calls}
+    missing = workloads.MMS_SPANS - fired
     assert not missing, f"spans that no longer fire: {sorted(missing)}"
