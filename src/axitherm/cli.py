@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as axio
-from . import verification as ver
 from .isoline import extract_isoline, isoline_csv
 from .materials import build_hearth_materials
 from .mechanical import (
@@ -195,6 +194,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # verification imports sympy, which no other subcommand needs
+    from . import verification as ver
     ok = True
     if args.suite in ("all", "materials"):
         checks = ver.material_fit_checks()
@@ -237,6 +238,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit_materials(args) -> int:
+    from . import verification as ver
     report = ver.spline_coefficient_report()
     print(ver.format_coefficient_report(report), end="")
     return 0 if all(c.ok for c in report) else 1

@@ -292,6 +292,20 @@ class LuFactor:
         return x
 
 
+def _permuted_csc(A: sp.csr_matrix, order) -> sp.csc_matrix:
+    """``A[order][:, order]`` in CSC form, entry for entry, built with
+    one copy of A: its column ids renumbered, one CSR -> CSC pass, then
+    the row ids renumbered and sorted within each column."""
+    rank = np.empty(A.shape[0], dtype=A.indices.dtype)
+    rank[order] = np.arange(A.shape[0], dtype=rank.dtype)
+    C = sp.csr_matrix((A.data, rank[A.indices], A.indptr),
+                      shape=A.shape).tocsc()
+    C.indices = rank[C.indices]
+    C.has_sorted_indices = False
+    C.sort_indices()
+    return C
+
+
 def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
     """Sparse LU solve with a residual check (<= LU_RTOL relative).
 
@@ -304,7 +318,7 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
     _reject_empty_rows(A.indptr)
     try:
         factor = LuFactor(
-            spla.splu(A[order].tocsc()[:, order], permc_spec="NATURAL"), order)
+            spla.splu(_permuted_csc(A, order), permc_spec="NATURAL"), order)
         x = factor.solve(b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc

@@ -9,6 +9,7 @@ result is deterministic and conforming by construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -97,10 +98,6 @@ class BoundaryEdgeTable:
     owner: np.ndarray
     normal: np.ndarray
     length: np.ndarray
-
-    def rows_with_tag(self, tag) -> np.ndarray:
-        """Row indices of the edges carrying ``tag``, in table order."""
-        return np.flatnonzero([t is tag for t in self.tags])
 
     def conditions(self, lookup) -> list:
         """``lookup(tag)`` for every row in table order: the boundary
@@ -445,24 +442,82 @@ def hearth_mesh(target_h: float) -> Mesh:
                           HEARTH_TOP_BAND_MIN_Y)
 
 
+# one %-conversion of a format line: flags, width and precision, then
+# the conversion letter
+_CONVERSION = re.compile(r"%[^%a-zA-Z]*[a-zA-Z]")
+
+
+def _distinct_texts(spec: str, column: np.ndarray):
+    """``spec`` applied once per distinct value of ``column``, as the
+    column of texts, or None when more than a quarter of its values are
+    distinct. Values are keyed on their bit pattern, so -0.0, 0.0 and
+    each NaN keep their own text."""
+    if column.dtype.kind not in "iuf":
+        return None
+    keys = column.view(f"u{column.itemsize}")
+    s = np.sort(keys)
+    distinct = s[np.r_[True, s[1:] != s[:-1]]]
+    if 4 * len(distinct) > len(keys):
+        return None
+    texts = list(map(spec.__mod__, distinct.view(column.dtype).tolist()))
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, keys)]
+
+
+def format_table(fmt: str, *columns) -> str:
+    """``fmt`` (one line, one %-conversion per column) applied to each
+    row of ``columns``: the same text as formatting each value on its
+    own.
+
+    The columns fill one 2-D table that a single ``%`` formats, so no
+    row is built as a Python container. A column in which at most a
+    quarter of the values are distinct is formatted once per distinct
+    value and enters the table as text.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if n == 0:
+        return ""
+    pieces = _CONVERSION.split(fmt)
+    table = np.empty((n, len(columns)), dtype=object)
+    line = pieces[0]
+    for k, (spec, column) in enumerate(zip(_CONVERSION.findall(fmt), columns)):
+        texts = _distinct_texts(spec, column)
+        if texts is not None:
+            column, spec = texts, "%s"
+        table[:, k] = column
+        line += spec + pieces[k + 1]
+    return line * n % tuple(table.ravel().tolist())
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (axitherm-mesh v1)."""
-    # one % operation per block, over Python scalars from tolist
-    nodes = np.asarray(mesh.nodes, float).tolist()
-    tris = [(*t, s) for t, s in zip(np.asarray(mesh.triangles).tolist(),
-                                    np.asarray(mesh.tri_subdomain).tolist())]
-    edges = [(i, j, tag.value if tag is not None else "untagged")
-             for i, j, tag in mesh.boundary_edges]
+    nodes = np.asarray(mesh.nodes, float)
+    tris = np.asarray(mesh.triangles)
+    edges = mesh.boundary_edges
+    i, j, tags = zip(*edges) if edges else ((), (), ())
     text = "".join([
         f"axitherm-mesh v1\nnodes {len(nodes)}\n",
-        "%r %r\n" * len(nodes) % tuple(v for row in nodes for v in row),
+        format_table("%r %r\n", nodes[:, 0], nodes[:, 1]),
         f"triangles {len(tris)}\n",
-        "%s %s %s %s\n" * len(tris) % tuple(v for row in tris for v in row),
+        format_table("%s %s %s %s\n", tris[:, 0], tris[:, 1], tris[:, 2],
+                     mesh.tri_subdomain),
         f"boundary_edges {len(edges)}\n",
-        "%s %s %s\n" * len(edges) % tuple(v for row in edges for v in row),
+        format_table("%s %s %s\n", i, j,
+                     [t.value if t is not None else "untagged" for t in tags]),
     ])
     with open(path, "w") as f:
         f.write(text)
+
+
+_COMMENT = re.compile(r"#[^\n]*")
+# boundary-edge tag by its text in the mesh file
+_TAG_NAMES = {t.value: t for t in BoundaryTag} | {"untagged": None}
+# one boundary-edge row, matched on its own or as a line of the
+# section: two integers as int() reads them, then a tag name
+_INT = r"[+-]?\d(?:_?\d)*"
+_EDGE_ROW = re.compile(
+    rf"^({_INT})[^\S\n]+({_INT})[^\S\n]+({'|'.join(_TAG_NAMES)})$",
+    re.MULTILINE)
 
 
 def load_mesh(path) -> Mesh:
@@ -470,8 +525,9 @@ def load_mesh(path) -> Mesh:
     file that is empty, truncated or malformed, or that names a node id
     outside 0..N-1, raises ValueError."""
     with open(path) as f:
-        lines = [line for line in (raw.split("#", 1)[0].strip() for raw in f)
-                 if line]
+        text = f.read()
+    lines = list(filter(None, map(str.strip,
+                                  _COMMENT.sub("", text).split("\n"))))
     if not lines:
         raise ValueError("empty mesh file")
     if lines[0].split() != ["axitherm-mesh", "v1"]:
@@ -505,17 +561,15 @@ def load_mesh(path) -> Mesh:
     tri_rows = numbers(section("triangles"), 4, int)
     tris = tri_rows[:, :3].copy()
     sub = tri_rows[:, 3].copy()
-    bedges = []
-    for k, row in enumerate(section("boundary_edges"), 1):
-        try:
-            a, c, name = row.split()
-            tag = None if name == "untagged" else BoundaryTag(name)
-            bedges.append((int(a), int(c), tag))
-        except ValueError:
-            names = ", ".join([t.value for t in BoundaryTag] + ["untagged"])
-            raise ValueError(
-                f"boundary_edges row {k}: expected 'i j tag' with integer "
-                f"node ids and tag one of {names}, got '{row}'") from None
+    rows = section("boundary_edges")
+    fields = _EDGE_ROW.findall("\n".join(rows))
+    if len(fields) < len(rows):
+        k = next(k for k, row in enumerate(rows, 1)
+                 if not _EDGE_ROW.fullmatch(row))
+        raise ValueError(
+            f"boundary_edges row {k}: expected 'i j tag' with integer node "
+            f"ids and tag one of {', '.join(_TAG_NAMES)}, got '{rows[k - 1]}'")
+    bedges = [(int(a), int(c), _TAG_NAMES[name]) for a, c, name in fields]
     n = len(nodes)
     if len(tris) == 0:
         raise ValueError("mesh file has no triangles")

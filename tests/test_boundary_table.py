@@ -66,7 +66,7 @@ def test_loaded_mesh(tmp_path, coarse_hearth_mesh):
 
 def test_interface_owner_is_lowest_numbered_triangle(coarse_hearth_mesh):
     table = coarse_hearth_mesh.boundary_edge_table()
-    rows = table.rows_with_tag(BoundaryTag.INTERFACE)
+    rows = np.flatnonzero([t is BoundaryTag.INTERFACE for t in table.tags])
     assert len(rows) > 0
     tris = coarse_hearth_mesh.triangles
     for e in rows:

@@ -1,13 +1,17 @@
 """Command-line interface tests."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axitherm
 from axitherm import materials
 from axitherm.cli import RunConfig, main, run_scenario
-from axitherm.io import parse_vtk
 from axitherm.materials import CONDUCTIVITY_KNOTS
 
 
@@ -108,7 +112,7 @@ class TestRunScenario:
                      "isoline_1423K.csv", "config.json"):
             assert (out / name).exists(), name
 
-    def test_vtk_fields_parse(self, coarse_run):
+    def test_vtk_fields_parse(self, coarse_run, parse_vtk):
         out, summary = coarse_run
         parsed = parse_vtk((out / "solution.vtk").read_text())
         n = summary["nodes"]
@@ -129,6 +133,19 @@ class TestRunScenario:
         config = RunConfig(scenario="ladle", output_dir=str(tmp_path))
         with pytest.raises(ValueError, match="unknown scenario"):
             run_scenario(config)
+
+
+def test_cli_import_leaves_out_sympy():
+    # only `verify` and `fit-materials` need verification, and with it
+    # sympy; every other subcommand starts without them
+    src = str(Path(axitherm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, axitherm.cli; "
+         "print(sorted({'sympy', 'axitherm.verification'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestMain:

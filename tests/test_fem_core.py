@@ -9,6 +9,7 @@ from axitherm.fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
+    _permuted_csc,
     apply_constraints,
     assemble_csr,
     solve_lu,
@@ -183,6 +184,21 @@ class TestSolvers:
         assert np.allclose(x, x_ref)
         b2 = np.ones(20)
         assert np.allclose(A @ factor.solve(b2), b2)
+
+    def test_permuted_csc_matches_row_then_column_slicing(self):
+        # nonsymmetric, with explicit zeros: every stored entry, in
+        # sorted order within each column, as A[order][:, order]
+        rng = np.random.default_rng(3)
+        A = sp.random(60, 60, density=0.1, random_state=4, format="csr")
+        A = (A + sp.eye(60, format="csr")).tocsr()
+        A.data[::7] = 0.0
+        order = rng.permutation(60)
+        ref = A[order].tocsc()[:, order]
+        got = _permuted_csc(A, order)
+        assert got.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
 
     def test_lu_detects_empty_row(self):
         A = sp.csr_matrix((5, 5))

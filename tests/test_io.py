@@ -1,20 +1,22 @@
 """Export format tests: VTK, CSV, reports, atomic writes."""
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axitherm.io import (
     atomic_write_text,
     export_csv,
     export_report,
     export_vtk,
-    parse_vtk,
     vtk_text,
 )
-from axitherm.mesh import Mesh, hearth_mesh, save_mesh
+from axitherm.mesh import BoundaryTag, Mesh, hearth_mesh, save_mesh
 from axitherm.thermal import SolveReport
 
 DATA = Path(__file__).parent / "data"
@@ -40,7 +42,7 @@ class TestVtk:
         golden = (DATA / "single_triangle_golden.vtk").read_text()
         assert text == golden
 
-    def test_round_trip_through_parser(self):
+    def test_round_trip_through_parser(self, parse_vtk):
         mesh = _single_triangle()
         text = vtk_text(mesh, **GOLDEN_FIELDS)
         parsed = parse_vtk(text)
@@ -54,13 +56,13 @@ class TestVtk:
         assert np.allclose(parsed["cell_data"]["stress_ry"], [0.0])
         assert parsed["cell_data"]["subdomain"].tolist() == [1]
 
-    def test_export_writes_file(self, tmp_path):
+    def test_export_writes_file(self, tmp_path, parse_vtk):
         path = tmp_path / "out.vtk"
         export_vtk(_single_triangle(), path, **GOLDEN_FIELDS)
         assert path.exists()
         assert parse_vtk(path.read_text())["cell_types"] == [5]
 
-    def test_parser_rejects_non_vtk(self):
+    def test_parser_rejects_non_vtk(self, parse_vtk):
         with pytest.raises(ValueError, match="not a VTK"):
             parse_vtk("hello world this is not vtk at all ok")
 
@@ -204,3 +206,56 @@ class TestBulkFormatting:
         mesh = fields[0]
         save_mesh(mesh, tmp_path / "mesh.txt")
         assert (tmp_path / "mesh.txt").read_text() == _reference_mesh_text(mesh)
+
+
+# values whose text a formatter keyed on value rather than on bit
+# pattern would merge or mangle
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
+                            2.0 ** -1074, -1423.5, math.nan, -math.nan,
+                            math.inf, -math.inf])
+_FLOATS = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _mesh_and_fields(draw):
+    """A mesh of more than 256 nodes with T, u and stress. Each float
+    column either repeats a few drawn values (formatted once per
+    distinct value) or is drawn value by value (formatted one by one)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(257, 400))
+    m = draw(st.integers(1, 120))
+
+    def column(size):
+        pool = np.array(draw(st.lists(_FLOATS, min_size=1, max_size=6)))
+        if draw(st.booleans()):
+            return pool[rng.integers(0, len(pool), size)]
+        v = -rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        v[rng.integers(0, size, len(pool))] = pool
+        return v
+
+    node_ids = (rng.choice([0, 255, 256, 257, n - 1], (m, 3))
+                if draw(st.booleans()) else rng.integers(0, n, (m, 3)))
+    tags = [*BoundaryTag, None]
+    edges = [(int(i), int(j), tags[k]) for i, j, k in zip(
+        rng.integers(0, n, 40), rng.integers(0, n, 40),
+        rng.integers(0, len(tags), 40))]
+    mesh = Mesh(nodes=np.column_stack([column(n), column(n)]),
+                triangles=node_ids,
+                tri_subdomain=rng.integers(1, 7, m),
+                boundary_edges=edges[:draw(st.integers(0, 40))], h=1.0)
+    return (mesh, column(n), np.column_stack([column(n), column(n)]),
+            np.column_stack([column(m) for _ in range(4)]))
+
+
+@given(fields=_mesh_and_fields())
+@settings(max_examples=40, deadline=None)
+def test_writers_match_per_value_reference(tmp_path_factory, fields):
+    """mesh.txt, solution.vtk and fields.csv, byte for byte, against
+    formatting one value at a time."""
+    mesh, T, u, stress = fields
+    out = tmp_path_factory.mktemp("writers")
+    assert vtk_text(mesh, T, u, stress) == _reference_vtk(mesh, T, u, stress)
+    export_csv(mesh, out / "fields.csv", T, u)
+    assert (out / "fields.csv").read_text() == _reference_csv(mesh, T, u)
+    save_mesh(mesh, out / "mesh.txt")
+    assert (out / "mesh.txt").read_text() == _reference_mesh_text(mesh)

@@ -52,7 +52,7 @@ def boundary_stress_components(mesh, field, tag):
     the adjacent element's recovered stress.
     """
     table = mesh.boundary_edge_table()
-    rows = table.rows_with_tag(tag)
+    rows = np.flatnonzero([t is tag for t in table.tags])
     n = table.normal[rows]
     s = field.stress[table.owner[rows]]
     traction = np.column_stack([
