@@ -5,6 +5,10 @@ whose lines contain every distinct r- and y-coordinate of the polygons,
 so every subdomain interface is resolved exactly, then splits each cell
 into two triangles along the lower-left to upper-right diagonal. The
 result is deterministic and conforming by construction.
+
+The module also reads and writes the plain-text mesh format, and holds
+:func:`format_table`, the text formatter that :mod:`axitherm.io` uses
+for its files too (``io`` imports ``mesh``, not the other way round).
 """
 from __future__ import annotations
 

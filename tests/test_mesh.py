@@ -261,8 +261,8 @@ class TestMeshIO:
 
     def test_save_memory_per_node(self, tmp_path):
         # tracemalloc high-water mark of save_mesh on hearth_mesh(0.1)
-        # (4780 nodes): 428 bytes per node with column tables, 609 when
-        # every row was built as its own list or tuple
+        # (4780 nodes): 428 bytes per node; building each row as a
+        # Python list or tuple takes 609
         mesh = hearth_mesh(0.1)
         save_mesh(mesh, tmp_path / "mesh.txt")
         tracemalloc.start()
