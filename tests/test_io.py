@@ -208,8 +208,8 @@ class TestBulkFormatting:
         assert (tmp_path / "mesh.txt").read_text() == _reference_mesh_text(mesh)
 
 
-# values whose text a formatter keyed on value rather than on bit
-# pattern would merge or mangle
+# edge cases of %-formatting, and of keying distinct values on their
+# bit pattern (-0.0 against 0.0, NaN of either sign)
 _SPECIAL = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
                             2.0 ** -1074, -1423.5, math.nan, -math.nan,
                             math.inf, -math.inf])
