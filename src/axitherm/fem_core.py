@@ -3,7 +3,12 @@
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
 workspace with its cached scalar sparsity pattern, on which scalar and
 two-dof-per-node matrices are assembled, symmetric elimination of fixed
-dofs, the per-mesh fill-reducing node ordering and the sparse LU solver.
+dofs, the per-mesh fill-reducing node ordering and the sparse LU
+solvers: :func:`solve_lu`, whose double-precision factor can be reused
+(Newton's Jacobian preconditions GMRES with it), and
+:func:`solve_refined` for one-shot solves (the stiffness), which
+factors in single precision and refines in double to the same residual
+bound.
 """
 from __future__ import annotations
 
@@ -292,13 +297,15 @@ class LuFactor:
         return x
 
 
-def _permuted_csc(A: sp.csr_matrix, order) -> sp.csc_matrix:
+def _permuted_csc(A: sp.csr_matrix, order, dtype=None) -> sp.csc_matrix:
     """``A[order][:, order]`` in CSC form, entry for entry, built with
     one copy of A: its column ids renumbered, one CSR -> CSC pass, then
-    the row ids renumbered and sorted within each column."""
+    the row ids renumbered and sorted within each column. With a
+    ``dtype``, that one copy holds the values cast to it."""
     rank = np.empty(A.shape[0], dtype=A.indices.dtype)
     rank[order] = np.arange(A.shape[0], dtype=rank.dtype)
-    C = sp.csr_matrix((A.data, rank[A.indices], A.indptr),
+    data = A.data if dtype is None else A.data.astype(dtype)
+    C = sp.csr_matrix((data, rank[A.indices], A.indptr),
                       shape=A.shape).tocsc()
     C.indices = rank[C.indices]
     C.has_sorted_indices = False
@@ -332,6 +339,50 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
                 f"LU residual {rel:.3e} exceeds {LU_RTOL:g}; "
                 "matrix near-singular")
     return x, factor
+
+
+# A refinement step must cut the residual at least this many times, or
+# solve_refined gives the system to solve_lu instead.
+REFINE_MIN_REDUCTION = 10.0
+
+
+def solve_refined(A: sp.spmatrix, b: np.ndarray, order) -> np.ndarray:
+    """One-shot solve of A x = b to the residual bound of :func:`solve_lu`
+    (<= LU_RTOL relative) from a single-precision factor, which holds
+    about 60% of the memory of a double-precision one.
+
+    A is factored in float32 in the numbering ``order``, then x is
+    refined in float64: r = b - A x, x += M^-1 (r / |r|) |r|, where the
+    scaling by |r| keeps each correction inside float32's range
+    (Carson & Higham, SIAM J. Sci. Comput. 40, 2018). The system goes
+    to :func:`solve_lu` instead, with its checks and messages, if the
+    float32 factorization fails or a step cuts the residual less than
+    REFINE_MIN_REDUCTION times, as one whose correction is not finite
+    does.
+    """
+    A = A.tocsr()
+    _reject_empty_rows(A.indptr)
+    try:
+        with np.errstate(over="ignore"):   # too large for float32: inf
+            superlu = spla.splu(_permuted_csc(A, order, np.float32),
+                                permc_spec="NATURAL")
+    except RuntimeError:
+        return solve_lu(A, b, order)[0]
+    x = np.zeros(len(b))
+    r = np.asarray(b, float)
+    rnorm = np.linalg.norm(r)
+    bound = LU_RTOL * rnorm
+    # negated so that a NaN residual enters the loop and falls back
+    while not rnorm <= bound:
+        dx = np.empty_like(x)
+        dx[order] = superlu.solve((r[order] / rnorm).astype(np.float32))
+        dx *= rnorm
+        x += dx
+        r = b - A @ x
+        previous, rnorm = rnorm, np.linalg.norm(r)
+        if not rnorm * REFINE_MIN_REDUCTION <= previous:
+            return solve_lu(A, b, order)[0]
+    return x
 
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:

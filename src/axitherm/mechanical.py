@@ -18,7 +18,7 @@ from .fem_core import (
     SingularSystemError,
     apply_constraints,
     assemble_csr,
-    solve_lu,
+    solve_refined,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
 from .mesh import BoundaryTag, Mesh
@@ -216,15 +216,20 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
                      T: np.ndarray, body_force=None, extra_constraints=None):
     """Solve for the displacement field; returns (u (N,2), SolveReport).
 
-    K is factored in the mesh's node order expanded to the dof pairs
-    (u_r, u_y) of each node. The report's one residual is the relative
+    K is factored once, in single precision, and the solution refined in
+    double (:func:`solve_refined`), in the mesh's node order expanded to
+    the dof pairs (u_r, u_y) of each node. Fixed dofs take their
+    prescribed values exactly. The report's one residual is the relative
     residual |K u - f| / |f| of the constrained system (0 for f = 0).
     """
     start = time.perf_counter()
-    K, f, _ = assemble_mechanical_system(mesh, materials, bc, T,
-                                         body_force, extra_constraints)
+    K, f, fixed = assemble_mechanical_system(mesh, materials, bc, T,
+                                             body_force, extra_constraints)
     order = 2 * mesh.assembly_workspace().node_order[:, None] + np.arange(2)
-    x, _ = solve_lu(K, f, order.ravel())
+    x = solve_refined(K, f, order.ravel())
+    # refined values of fixed dofs can miss the prescribed ones in the
+    # last bits
+    x[np.fromiter(fixed, int)] = np.fromiter(fixed.values(), float)
     fnorm = np.linalg.norm(f)
     res = np.linalg.norm(K @ x - f)
     report = SolveReport(iterations=1,

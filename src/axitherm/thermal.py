@@ -175,9 +175,13 @@ class _RobinEdges:
         r, y = mesh.nodes[ij, 0], mesh.nodes[ij, 1]
         h = np.array([conds[e].h for e in rows])
         weight = 0.5 * table.length[rows, None] * r * h[:, None]
-        ambient = np.empty_like(r)
+        # one ambient call per distinct condition, on all of its edges
+        edges_of = {}
         for k, e in enumerate(rows):
-            ambient[k] = conds[e].ambient(r[k], y[k])
+            edges_of.setdefault(id(conds[e]), (conds[e], []))[1].append(k)
+        ambient = np.empty_like(r)
+        for cond, ks in edges_of.values():
+            ambient[ks] = cond.ambient(r[ks], y[ks])
         return cls(ij, weight, ambient)
 
     def residual(self, T):

@@ -3,18 +3,24 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from axitherm import fem_core
+from axitherm.cli import hearth_mechanical_bc
 from axitherm.fem_core import (
     AssemblyWorkspace,
     CsrPattern,
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
+    LU_RTOL,
     SingularSystemError,
     _permuted_csc,
     apply_constraints,
     assemble_csr,
     solve_lu,
+    solve_refined,
     triangle_rule,
 )
+from axitherm.mechanical import assemble_mechanical_system
+from axitherm.mesh import hearth_mesh
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -219,6 +225,126 @@ class TestSolvers:
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         with pytest.raises(SingularSystemError, match="near-singular"):
             solve_lu(A, np.ones(n), self._reversed(n))
+
+
+@pytest.fixture(scope="module")
+def hearth_stiffness(hearth_materials):
+    """Constrained hearth K and f at h = 0.2 under a uniform 1000 K, with
+    the dof-pair expansion of the mesh's node order."""
+    mesh = hearth_mesh(0.2)
+    T = np.full(mesh.num_nodes, 1000.0)
+    K, f, _ = assemble_mechanical_system(mesh, hearth_materials,
+                                         hearth_mechanical_bc(), T)
+    order = 2 * mesh.assembly_workspace().node_order[:, None] + np.arange(2)
+    return K, f, order.ravel()
+
+
+def _relative_residual(A, x, b):
+    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+class TestSolveRefined:
+    @staticmethod
+    def _count_lu_calls(monkeypatch):
+        """Spy on fem_core.solve_lu; returns the list of its calls."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return solve_lu(*args)
+
+        monkeypatch.setattr(fem_core, "solve_lu", spy)
+        return calls
+
+    def test_matches_lu_on_hearth_stiffness(self, hearth_stiffness):
+        K, f, order = hearth_stiffness
+        x = solve_refined(K, f, order)
+        x_lu, _ = solve_lu(K, f, order)
+        assert x.dtype == np.float64
+        assert _relative_residual(K, x, f) <= LU_RTOL
+        assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()
+
+    def test_hearth_stiffness_factored_in_single_precision(
+            self, hearth_stiffness, monkeypatch):
+        K, f, order = hearth_stiffness
+
+        def refuse(*args):
+            raise AssertionError("fell back to the double-precision LU")
+
+        monkeypatch.setattr(fem_core, "solve_lu", refuse)
+        assert _relative_residual(K, solve_refined(K, f, order), f) <= LU_RTOL
+
+    def test_falls_back_beyond_float32_range(self, monkeypatch):
+        # entries about 1e41 are inf in float32, which SuperLU cannot
+        # factor
+        A = 1e40 * TestSolvers._spd(20)
+        b = A @ np.arange(20.0)
+        calls = self._count_lu_calls(monkeypatch)
+        x = solve_refined(A, b, np.arange(20))
+        assert len(calls) == 1
+        assert _relative_residual(A, x, b) <= LU_RTOL
+
+    def test_falls_back_on_non_finite_correction(self, monkeypatch):
+        # 1e-40 is subnormal in float32 and factors, but the correction
+        # 1e40 overflows it
+        A = sp.csr_matrix(np.diag([1e-40, 1.0]))
+        b = np.ones(2)
+        calls = self._count_lu_calls(monkeypatch)
+        x = solve_refined(A, b, np.arange(2))
+        assert len(calls) == 1
+        assert np.array_equal(x, [1e40, 1.0])
+
+    def test_falls_back_on_stall(self, hearth_stiffness, monkeypatch):
+        # no step can cut the residual 1e30 times
+        K, f, order = hearth_stiffness
+        monkeypatch.setattr(fem_core, "REFINE_MIN_REDUCTION", 1e30)
+        calls = self._count_lu_calls(monkeypatch)
+        x = solve_refined(K, f, order)
+        assert len(calls) == 1
+        assert np.array_equal(x, solve_lu(K, f, order)[0])
+
+    def test_falls_back_on_ill_conditioned_matrix(self, monkeypatch):
+        # the 8 x 8 Hilbert matrix (condition about 1.5e10) is beyond
+        # single-precision refinement but within the double LU's reach
+        n = 8
+        A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
+        calls = self._count_lu_calls(monkeypatch)
+        x = solve_refined(A, np.ones(n), TestSolvers._reversed(n))
+        assert len(calls) == 1
+        assert _relative_residual(A, x, np.ones(n)) <= LU_RTOL
+
+    def test_singular_raises_lu_message(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularSystemError, match="LU factorization failed"):
+            solve_refined(A, np.array([1.0, 1.0]), TestSolvers._reversed(2))
+
+    def test_near_singular_raises_lu_message(self):
+        n = 12
+        A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
+        with pytest.raises(SingularSystemError, match="near-singular"):
+            solve_refined(A, np.ones(n), TestSolvers._reversed(n))
+
+    def test_empty_row_raises_lu_message(self):
+        A = sp.lil_matrix((5, 5))
+        A[range(4), range(4)] = 1.0
+        with pytest.raises(SingularSystemError, match="row 4 is empty"):
+            solve_refined(A.tocsr(), np.ones(5), TestSolvers._reversed(5))
+
+    def test_zero_right_hand_side_gives_zeros(self, hearth_stiffness):
+        K, f, order = hearth_stiffness
+        x = solve_refined(K, np.zeros_like(f), order)
+        assert np.array_equal(x, np.zeros_like(f))
+
+    def test_permuted_csc_in_single_precision(self):
+        # the same structure as the float64 copy, values rounded once
+        A = sp.random(40, 40, density=0.2, random_state=5, format="csr")
+        order = np.random.default_rng(6).permutation(40)
+        ref = _permuted_csc(A, order)
+        got = _permuted_csc(A, order, np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data.astype(np.float32))
 
 
 class TestAssembleCsr:

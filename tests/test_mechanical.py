@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import sympy
 
 from axitherm.cli import hearth_mechanical_bc
 from axitherm.fem_core import SingularSystemError, triangle_rule
@@ -32,6 +33,7 @@ from axitherm.mesh import (
     hearth_mesh,
     tag_boundaries,
 )
+from axitherm.verification import MechanicalManufacturedCase
 
 
 def _cylinder_mesh(h=0.25, r1=1.0, y1=2.0):
@@ -225,6 +227,25 @@ class TestSolveMechanical:
         on_bottom = mesh.nodes[:, 1] == 0.0
         assert np.all(u[on_axis, 0] == 0.0)
         assert np.all(u[on_bottom, 1] == 0.0)
+
+    def test_prescribed_displacements_exact(self):
+        # nonzero Dirichlet data on every exterior node of the MMS square
+        r, y = sympy.symbols("r y", positive=True)
+        case = MechanicalManufacturedCase(
+            ur_expr=sympy.Rational(1, 10000) * r * y,
+            uy_expr=sympy.Rational(1, 10000) * r**2,
+            delta_T_expr=100 * r)
+        mesh = _cylinder_mesh(h=1 / 16, y1=1.0)
+        pinned = case.dirichlet_constraints(mesh)
+        bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
+        u, _ = solve_mechanical(mesh, case.material_set(), bc,
+                                case.temperature(mesh),
+                                body_force=case.body_force,
+                                extra_constraints=pinned)
+        nodes = np.unique([node for node, _ in pinned])
+        exact = case.exact(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
+        assert np.count_nonzero(exact) > 0
+        assert np.array_equal(u[nodes], exact)
 
     def test_unconstrained_axial_mode_rejected(self):
         mesh = _cylinder_mesh(h=0.5)

@@ -80,6 +80,32 @@ class TestResidual:
                                       np.full(mesh.num_nodes, 300.0))
 
 
+def _per_edge_ambient(mesh, bc):
+    """Reference: T_R at the end nodes of each Robin edge, one ambient
+    call per edge, in the order of the thermal edge data."""
+    table = mesh.boundary_edge_table()
+    conds = table.conditions(bc.lookup)
+    rows = [e for e, c in enumerate(conds) if isinstance(c, Robin)]
+    ij = np.column_stack([table.i[rows], table.j[rows]])
+    return np.array([conds[e].ambient(mesh.nodes[n, 0], mesh.nodes[n, 1])
+                     for e, n in zip(rows, ij)])
+
+
+class TestRobinEdges:
+    def test_ambient_matches_per_edge_calls(self, coarse_hearth_mesh):
+        # callables of (r, y), one per side, and the hearth's constants
+        import sympy
+        from axitherm.verification import ThermalManufacturedCase
+        r, y, T = sympy.symbols("r y T", positive=True)
+        case = ThermalManufacturedCase(
+            exact_expr=300 + 50 * r**2 + 20 * y * r,
+            conductivity_expr=1 + sympy.Rational(1, 1000) * T)
+        for mesh, bc in ((_strip_mesh(h=0.125), case.boundary_conditions()),
+                         (coarse_hearth_mesh, hearth_thermal_bc())):
+            edges = thermal._RobinEdges.build(mesh, bc)
+            assert np.array_equal(edges.ambient, _per_edge_ambient(mesh, bc))
+
+
 class TestJacobian:
     def test_symmetric_for_constant_k(self):
         mesh = _strip_mesh()
