@@ -75,9 +75,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(a, dtype=None) -> np.ndarray:
-    """Read-only copy."""
-    return _readonly(np.array(a, dtype=dtype))
+def read_only(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when it
+    already is one, else a read-only copy."""
+    out = np.asarray(a, dtype)
+    if out.flags.writeable:
+        return _readonly(out.copy() if out is a else out)
+    return out
 
 
 def _reject_empty_rows(indptr) -> None:
@@ -91,7 +95,7 @@ def _index32(a) -> np.ndarray:
     """Read-only int32 copy of an index array, which must fit."""
     if a.size and a.max() > np.iinfo(np.int32).max:
         raise ValueError("sparsity pattern too large for int32 indices")
-    return _frozen(a, np.int32)
+    return read_only(a, np.int32)
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,9 @@ class AssemblyWorkspace:
     """Per-mesh data shared by thermal and mechanical assembly, stress
     recovery and verification.
 
-    Holds read-only copies of the mesh arrays it was built from, the
-    element areas and P1 gradients, the centroid radii, quadrature
+    Built once per mesh, as ``Mesh.assembly_workspace``; it refers to the
+    mesh's read-only ``nodes``, ``triangles`` and ``tri_subdomain`` and
+    holds the element areas and P1 gradients, the centroid radii, quadrature
     points mapped onto the elements, per-subdomain triangle indices,
     and the CSR pattern of the scalar matrices with its element scatter
     map. The mechanical matrix, two dofs per node, is assembled on that
@@ -165,16 +170,18 @@ class AssemblyWorkspace:
     than the geometry are computed on first use.
     """
 
-    def __init__(self, nodes, triangles, tri_subdomain):
-        self.nodes = _frozen(nodes, float)
-        self.triangles = _frozen(triangles, np.int64)
-        self.tri_subdomain = _frozen(tri_subdomain)
+    def __init__(self, mesh):
+        # an axitherm.mesh.Mesh, read by attribute: mesh imports this module
+        self.nodes = mesh.nodes
+        self.triangles = mesh.triangles
+        self.tri_subdomain = mesh.tri_subdomain
         p = self.nodes[self.triangles]                      # (M, 3, 2)
         v1 = p[:, 1] - p[:, 0]
         v2 = p[:, 2] - p[:, 0]
         det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-        if np.any(det <= 0):
-            raise ValueError("mesh contains non-positively-oriented triangles")
+        if not np.all(np.isfinite(det) & (det > 0)):
+            raise ValueError("mesh contains non-positively-oriented or "
+                             "non-finite triangles")
         # gradient of hat function i: the edge (j, k) opposite i, rotated
         grads = np.empty((len(p), 3, 2))
         for i in range(3):
@@ -186,12 +193,6 @@ class AssemblyWorkspace:
         self.centroid_r = _readonly(p[:, :, 0].mean(axis=1))
         self._coords = p
         self._quadrature = {}
-
-    def matches(self, nodes, triangles, tri_subdomain) -> bool:
-        """Whether the mesh arrays still equal those it was built from."""
-        return (np.array_equal(self.nodes, nodes)
-                and np.array_equal(self.triangles, triangles)
-                and np.array_equal(self.tri_subdomain, tri_subdomain))
 
     def quadrature(self, degree: int = 3) -> ElementQuadrature:
         if degree not in self._quadrature:

@@ -30,12 +30,22 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _field(name: str, values, rows: int, what: str) -> np.ndarray:
+    """``values`` as a float array, which must have one row per ``what``."""
+    values = np.asarray(values, float)
+    if len(values) != rows:
+        raise ValueError(f"{name} has {len(values)} rows, the mesh has "
+                         f"{rows} {what}")
+    return values
+
+
 def vtk_text(mesh: Mesh, temperature=None, displacement=None,
              stress=None) -> str:
-    """Render the mesh and fields as a legacy ASCII VTK unstructured grid."""
+    """Render the mesh and fields as a legacy ASCII VTK unstructured grid;
+    a field with the wrong number of rows raises ValueError."""
     n = mesh.num_nodes
     m = len(mesh.triangles)
-    tris = np.asarray(mesh.triangles)
+    tris = mesh.triangles
     parts = [
         "# vtk DataFile Version 3.0\n"
         "axitherm fields\n"
@@ -49,16 +59,14 @@ def vtk_text(mesh: Mesh, temperature=None, displacement=None,
         "5\n" * m,
     ]
 
-    point_fields = []
-    if temperature is not None:
-        point_fields.append(("temperature", temperature))
-    if point_fields or displacement is not None:
+    if temperature is not None or displacement is not None:
         parts.append(f"POINT_DATA {n}\n")
-    for name, values in point_fields:
-        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        parts.append(format_table("%.12g\n", np.asarray(values, float)))
+    if temperature is not None:
+        parts.append("SCALARS temperature double 1\nLOOKUP_TABLE default\n")
+        parts.append(format_table(
+            "%.12g\n", _field("temperature", temperature, n, "nodes")))
     if displacement is not None:
-        u = np.asarray(displacement, float)
+        u = _field("displacement", displacement, n, "nodes")
         parts.append("VECTORS displacement double\n")
         parts.append(format_table("%.12g %.12g 0\n", u[:, 0], u[:, 1]))
 
@@ -67,7 +75,7 @@ def vtk_text(mesh: Mesh, temperature=None, displacement=None,
                  "LOOKUP_TABLE default\n")
     parts.append(format_table("%d\n", np.asarray(mesh.tri_subdomain, int)))
     if stress is not None:
-        stress = np.asarray(stress, float)
+        stress = _field("stress", stress, m, "triangles")
         for col, name in enumerate(
                 ["stress_rr", "stress_yy", "stress_tt", "stress_ry"]):
             parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
@@ -85,12 +93,14 @@ def export_csv(mesh: Mesh, path, temperature, displacement=None) -> None:
 
     T is written with 17 significant digits, which round-trips every
     double, so ``axitherm isoline`` rereads the solver's field exactly.
+    A field with the wrong number of rows raises ValueError.
     """
-    u = np.asarray(displacement, float) if displacement is not None \
-        else np.zeros((mesh.num_nodes, 2))
-    T = np.asarray(temperature, float)[:mesh.num_nodes]
+    n = mesh.num_nodes
+    T = _field("temperature", temperature, n, "nodes")
+    u = _field("displacement", displacement, n, "nodes") \
+        if displacement is not None else np.zeros((n, 2))
     text = "node_id,r,y,T,u_r,u_y\n" + format_table(
-        "%d,%.12g,%.12g,%.17g,%.12g,%.12g\n", np.arange(mesh.num_nodes),
+        "%d,%.12g,%.12g,%.17g,%.12g,%.12g\n", np.arange(n),
         mesh.nodes[:, 0], mesh.nodes[:, 1], T, u[:, 0], u[:, 1])
     atomic_write_text(path, text)
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+POSITIVITY_SAMPLES = 200  # temperatures PiecewiseQuadratic.is_positive checks
+
 
 @dataclass(frozen=True)
 class PiecewiseQuadratic:
@@ -65,10 +67,10 @@ class PiecewiseQuadratic:
         out = np.where(inside, out, 0.0)
         return out if out.ndim else float(out)
 
-    def is_positive(self, n_samples: int = 200) -> bool:
-        """Positivity on [Ta, Tc], checked by sampling plus the vertex
-        of each parabola when it falls inside its piece."""
-        Ts = list(np.linspace(self.Ta, self.Tc, n_samples))
+    def is_positive(self) -> bool:
+        """Positivity on [Ta, Tc], checked at POSITIVITY_SAMPLES points
+        plus the vertex of each parabola when it falls inside its piece."""
+        Ts = list(np.linspace(self.Ta, self.Tc, POSITIVITY_SAMPLES))
         a0, b0, _, a1, b1, _ = self.coeffs
         if a0 != 0:
             v = -b0 / (2 * a0)

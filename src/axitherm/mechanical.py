@@ -69,7 +69,7 @@ def _contact_constraints(mesh: Mesh, conds) -> dict:
     """u . n = 0 on contact edges: u_y on horizontal edges, u_r on
     vertical ones (and always u_r on the axis), as {dof: 0.0} with
     dof = 2 * node + component."""
-    table = mesh.boundary_edge_table()
+    table = mesh.boundary_edge_table
     axis = np.array([t is BoundaryTag.AXIS for t in table.tags], dtype=bool)
     contact = np.array([c == FRICTIONLESS_CONTACT for c in conds], dtype=bool)
     rows = np.flatnonzero(contact | axis)
@@ -145,7 +145,7 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     prescribed displacement values, which override the contact ones.
     """
     T = np.asarray(T, float)
-    geo = mesh.assembly_workspace()
+    geo = mesh.assembly_workspace
     quad = geo.quadrature(3)
     M = len(geo.triangles)
     ndof = 2 * mesh.num_nodes
@@ -185,7 +185,7 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     f = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=ndof)
 
     # boundary tractions (edge interiors; contact constraints win at nodes)
-    table = mesh.boundary_edge_table()
+    table = mesh.boundary_edge_table
     conds = table.conditions(bc.lookup)
     for e, cond in enumerate(conds):
         if not isinstance(cond, Traction):
@@ -225,7 +225,7 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     start = time.perf_counter()
     K, f, fixed = assemble_mechanical_system(mesh, materials, bc, T,
                                              body_force, extra_constraints)
-    order = 2 * mesh.assembly_workspace().node_order[:, None] + np.arange(2)
+    order = 2 * mesh.assembly_workspace.node_order[:, None] + np.arange(2)
     x = solve_refined(K, f, order.ravel())
     # refined values of fixed dofs can miss the prescribed ones in the
     # last bits
@@ -251,7 +251,7 @@ class StressField:
 def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
                    u: np.ndarray) -> StressField:
     """Element stresses from centroid strain and averaged temperature."""
-    geo = mesh.assembly_workspace()
+    geo = mesh.assembly_workspace
     rule = geo.quadrature(3).rule
     tris = geo.triangles
     M = len(tris)

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .fem_core import AssemblyWorkspace
+from .fem_core import AssemblyWorkspace, read_only
 
 GEOM_TOL = 1e-9
 
@@ -111,59 +112,53 @@ class BoundaryEdgeTable:
                 else lookup(tag) for tag in self.tags]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangle mesh with subdomain and boundary tagging.
 
     nodes            (N, 2) float array of (r, y) coordinates
-    triangles        (M, 3) int array, positively oriented
+    triangles        (M, 3) int64 array, positively oriented
     tri_subdomain    (M,) int array of subdomain ids
-    boundary_edges   list of (i, j, BoundaryTag) with i < j
-    h                maximum triangle diameter
+    boundary_edges   tuple of (i, j, BoundaryTag) with i < j
+
+    A mesh cannot change: its fields cannot be reassigned and its arrays
+    are read-only (a writable input is copied once, a read-only one is
+    shared, so ``dataclasses.replace`` copies no array). So every table
+    derived from it is built once, on first use.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     tri_subdomain: np.ndarray
-    boundary_edges: list = field(default_factory=list)
-    h: float = 0.0
-    # (copy of boundary_edges the table was built from, table)
-    _edge_table: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    _workspace: AssemblyWorkspace | None = field(default=None, init=False,
-                                                 repr=False, compare=False)
+    boundary_edges: tuple = ()
+
+    def __post_init__(self):
+        for name, dtype in (("nodes", float), ("triangles", np.int64),
+                            ("tri_subdomain", None)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        object.__setattr__(self, "boundary_edges",
+                           tuple(map(tuple, self.boundary_edges)))
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def h(self) -> float:
+        """Maximum triangle diameter: the longest triangle edge."""
+        p = self.nodes[self.triangles]
+        return float(np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max())
+
+    @cached_property
     def boundary_edge_table(self) -> BoundaryEdgeTable:
-        """Owners, normals and lengths of ``boundary_edges`` as arrays.
+        """Owners, normals and lengths of ``boundary_edges`` as arrays."""
+        return _build_edge_table(self)
 
-        Built on first use and kept until ``boundary_edges`` changes
-        (replaced or edited in place), when it is built afresh.
-        """
-        cached = self._edge_table
-        if cached is None or cached[0] != self.boundary_edges:
-            cached = (list(self.boundary_edges), _build_edge_table(self))
-            self._edge_table = cached
-        return cached[1]
-
+    @cached_property
     def assembly_workspace(self) -> AssemblyWorkspace:
         """Geometry, quadrature, subdomain and sparsity-pattern data that
-        every assembly on this mesh shares.
-
-        Built on first use and kept until ``nodes``, ``triangles`` or
-        ``tri_subdomain`` change (replaced or edited in place), when it
-        is built afresh.
-        """
-        ws = self._workspace
-        if ws is None or not ws.matches(self.nodes, self.triangles,
-                                        self.tri_subdomain):
-            ws = AssemblyWorkspace(self.nodes, self.triangles,
-                                   self.tri_subdomain)
-            self._workspace = ws
-        return ws
+        every assembly on this mesh shares."""
+        return AssemblyWorkspace(self)
 
 
 def _sorted_edge_keys(triangles: np.ndarray, num_nodes: int):
@@ -194,7 +189,7 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
         e = int(np.flatnonzero(~found)[0])
         raise ValueError(f"boundary edge ({i[e]}, {j[e]}) lies on no triangle")
     owner = tri[pos]
-    third = np.asarray(mesh.triangles, np.int64)[owner].sum(axis=1) - i - j
+    third = mesh.triangles[owner].sum(axis=1) - i - j
     p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]
     t = q - p
     normal = np.column_stack([t[:, 1], -t[:, 0]])
@@ -340,34 +335,27 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     tris = tris[order]
     tri_sub = tri_sub[order]
 
-    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
-                h=_longest_edge(nodes, tris))
-    _collect_boundary_edges(mesh)
-    return mesh
+    edges = _collect_boundary_edges(tris, tri_sub, len(nodes))
+    return Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
+                boundary_edges=edges)
 
 
-def _longest_edge(nodes, triangles) -> float:
-    """Largest triangle edge length (the diameter of a triangle)."""
-    p = nodes[triangles]
-    return float(np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max())
-
-
-def _collect_boundary_edges(mesh: Mesh) -> None:
-    """Find exterior and inter-subdomain edges; exterior ones untagged."""
-    n = mesh.num_nodes
-    keys, tri = _sorted_edge_keys(mesh.triangles, n)
+def _collect_boundary_edges(triangles, tri_subdomain, n: int) -> list:
+    """The exterior and inter-subdomain edges of a mesh of ``n`` nodes,
+    exterior ones untagged."""
+    keys, tri = _sorted_edge_keys(triangles, n)
     start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[start, len(keys)])
     lo, hi = keys[start] // n, keys[start] % n
     if np.any(counts > 2):
         e = int(np.flatnonzero(counts > 2)[0])
         raise ValueError(f"non-conforming edge ({lo[e]}, {hi[e]})")
-    sub = mesh.tri_subdomain[tri]
+    sub = tri_subdomain[tri]
     shared = counts == 2
     interface = np.zeros(len(start), dtype=bool)
     interface[shared] = sub[start[shared]] != sub[start[shared] + 1]
     keep = (counts == 1) | interface
-    mesh.boundary_edges = [
+    return [
         (i, j, BoundaryTag.INTERFACE if iface else None)
         for i, j, iface in zip(lo[keep].tolist(), hi[keep].tolist(),
                                interface[keep].tolist())
@@ -395,7 +383,8 @@ def tag_boundaries(
     inner_segments=None,
     top_band_min_y: float | None = None,
 ) -> Mesh:
-    """Assign physical tags to the exterior boundary edges in place.
+    """A copy of ``mesh`` with physical tags on its exterior boundary
+    edges; it shares the mesh's arrays.
 
     Exterior edges on r=0 become AXIS, y=0 BOTTOM, r=r_max OUTER and
     y=y_max TOP. When ``inner_segments`` is given, edges lying on those
@@ -434,8 +423,7 @@ def tag_boundaries(
                 f"untaggable exterior edge ({p[0]:g},{p[1]:g})-({q[0]:g},{q[1]:g})"
             )
         tagged.append((i, j, t))
-    mesh.boundary_edges = tagged
-    return mesh
+    return replace(mesh, boundary_edges=tagged)
 
 
 def hearth_mesh(target_h: float) -> Mesh:
@@ -495,9 +483,7 @@ def format_table(fmt: str, *columns) -> str:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (axitherm-mesh v1)."""
-    nodes = np.asarray(mesh.nodes, float)
-    tris = np.asarray(mesh.triangles)
-    edges = mesh.boundary_edges
+    nodes, tris, edges = mesh.nodes, mesh.triangles, mesh.boundary_edges
     i, j, tags = zip(*edges) if edges else ((), (), ())
     text = "".join([
         f"axitherm-mesh v1\nnodes {len(nodes)}\n",
@@ -526,8 +512,9 @@ _EDGE_ROW = re.compile(
 
 def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format written by :func:`save_mesh`; a
-    file that is empty, truncated or malformed, or that names a node id
-    outside 0..N-1, raises ValueError."""
+    file that is empty, truncated or malformed, that holds a non-finite
+    node coordinate, or that names a node id outside 0..N-1, raises
+    ValueError."""
     with open(path) as f:
         text = f.read()
     lines = list(filter(None, map(str.strip,
@@ -562,9 +549,13 @@ def load_mesh(path) -> Mesh:
         return out
 
     nodes = numbers(section("nodes"), 2, float)
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has a non-finite coordinate: "
+                         f"{tuple(nodes[bad[0]].tolist())}")
     tri_rows = numbers(section("triangles"), 4, int)
-    tris = tri_rows[:, :3].copy()
-    sub = tri_rows[:, 3].copy()
+    tris = tri_rows[:, :3]
+    sub = tri_rows[:, 3]
     rows = section("boundary_edges")
     fields = _EDGE_ROW.findall("\n".join(rows))
     if len(fields) < len(rows):
@@ -583,4 +574,4 @@ def load_mesh(path) -> Mesh:
         if bad.size:
             raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
     return Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
-                boundary_edges=bedges, h=_longest_edge(nodes, tris))
+                boundary_edges=bedges)

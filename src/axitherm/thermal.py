@@ -127,7 +127,7 @@ class _ThermalWorkspace:
     and bc it was built with."""
 
     def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
-        self.mesh_ws = mesh.assembly_workspace()
+        self.mesh_ws = mesh.assembly_workspace
         missing = set(self.mesh_ws.subdomains) - set(materials.subdomain_ids())
         if missing:
             raise ValueError(f"no material record for subdomains {sorted(missing)}")
@@ -165,7 +165,7 @@ class _RobinEdges:
 
     @classmethod
     def build(cls, mesh, bc):
-        table = mesh.boundary_edge_table()
+        table = mesh.boundary_edge_table
         conds = table.conditions(bc.lookup)
         rows = [e for e, c in enumerate(conds)
                 if c is not None and c is not ADIABATIC]

@@ -42,10 +42,9 @@ class ConvergenceRecord:
             raise ValueError("errors must be nonnegative")
         self.levels.append((float(h), float(l2), float(h1)))
 
-    def observed_order(self, skip_coarsest: int = 0) -> float:
-        data = self.levels[skip_coarsest:]
-        hs = np.log([h for h, _, _ in data])
-        es = np.log([e for _, e, _ in data])
+    def observed_order(self) -> float:
+        hs = np.log([h for h, _, _ in self.levels])
+        es = np.log([e for _, e, _ in self.levels])
         slope, _ = np.polyfit(hs, es, 1)
         return float(slope)
 
@@ -78,7 +77,7 @@ def annulus_analytic(r1, r2, k, h1, T_R1, h2, T_R2):
 def weighted_l2_error(mesh: Mesh, nodal, exact, gradient=None):
     """r-weighted L2 (and H1 seminorm) distance between a P1 field and a
     callable exact solution, via a degree-5 rule."""
-    geo = mesh.assembly_workspace()
+    geo = mesh.assembly_workspace
     quad = geo.quadrature(5)
     M = len(geo.triangles)
     # nodal values per element with a component axis: (M, 3, C)
@@ -96,7 +95,7 @@ def weighted_l2_error(mesh: Mesh, nodal, exact, gradient=None):
 
 
 def weighted_l2_norm(mesh: Mesh, exact):
-    quad = mesh.assembly_workspace().quadrature(5)
+    quad = mesh.assembly_workspace.quadrature(5)
     return math.sqrt(_weighted_sum(quad.w, np.asarray(exact(quad.r, quad.y), float)))
 
 
@@ -124,7 +123,6 @@ class ThermalManufacturedCase:
     exact_expr: sp.Expr
     conductivity_expr: sp.Expr
     robin_h: float = 100.0
-    domain: tuple = (0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self):
         Te = self.exact_expr
@@ -179,9 +177,8 @@ def mms_thermal_study(case: ThermalManufacturedCase, h_levels) -> ConvergenceRec
     mats = case.material_set()
     bc = case.boundary_conditions()
     rec = ConvergenceRecord()
-    r0, r1, y0, y1 = case.domain
     for h in h_levels:
-        mesh = _unit_square_mesh(h, r0, r1, y0, y1)
+        mesh = _unit_square_mesh(h)
         cfg = NewtonConfig(abs_tol=1e-9, max_iter=30, relative=True)
         T, _ = newton_solve(mesh, mats, bc, cfg, source=case.source)
         l2, h1 = weighted_l2_error(mesh, T, case.exact, case.gradient)
@@ -204,7 +201,6 @@ class MechanicalManufacturedCase:
     alpha: float = 1e-5
     T0: float = 300.0
     delta_T_expr: sp.Expr = sp.Integer(0)
-    domain: tuple = (0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self):
         ur, uy = self.ur_expr, self.uy_expr
@@ -253,7 +249,7 @@ class MechanicalManufacturedCase:
 
     def dirichlet_constraints(self, mesh: Mesh) -> dict:
         """Exact displacement pinned on every exterior boundary node."""
-        table = mesh.boundary_edge_table()
+        table = mesh.boundary_edge_table
         exterior = [c is not None for c in table.conditions(lambda tag: tag)]
         nodes = np.unique(np.column_stack([table.i, table.j])[exterior])
         u = self.exact(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
@@ -266,10 +262,9 @@ def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> Converge
         raise ValueError("need at least 3 refinement levels")
     mats = case.material_set()
     rec = ConvergenceRecord()
-    r0, r1, y0, y1 = case.domain
     bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
     for h in h_levels:
-        mesh = _unit_square_mesh(h, r0, r1, y0, y1)
+        mesh = _unit_square_mesh(h)
         T = case.temperature(mesh)
         u, _ = solve_mechanical(mesh, mats, bc, T,
                                 body_force=case.body_force,

@@ -311,7 +311,7 @@ def test_criterion_8_structural_invariants(hearth_solution, tmp_path):
     tri = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                triangles=np.array([[0, 1, 2]]),
                tri_subdomain=np.array([1]),
-               boundary_edges=[], h=np.sqrt(2.0))
+               boundary_edges=[])
     golden = (pathlib.Path(__file__).parent
               / "data" / "single_triangle_golden.vtk").read_text()
     text = vtk_text(tri,

@@ -109,11 +109,14 @@ def test_built_once_per_mesh(monkeypatch, hearth_materials):
     recover_stress(mesh, hearth_materials, T, u)
     weighted_l2_error(mesh, T, lambda r, y: 0.0 * r)
     assert len(builds) == 1
-    assert mesh.assembly_workspace() is mesh.assembly_workspace()
+    assert mesh.assembly_workspace is mesh.assembly_workspace
 
 
 def test_arrays_are_read_only(mesh, hearth_materials):
-    ws = mesh.assembly_workspace()
+    ws = mesh.assembly_workspace
+    # the mesh's own arrays, not copies
+    for name in ("nodes", "triangles", "tri_subdomain"):
+        assert getattr(ws, name) is getattr(mesh, name)
     quads = [ws.quadrature(3), ws.quadrature(5)]
     arrays = [ws.nodes, ws.triangles, ws.tri_subdomain, ws.area, ws.grads,
               ws.centroid_r, ws.grad_products]
@@ -128,22 +131,8 @@ def test_arrays_are_read_only(mesh, hearth_materials):
             a[(0,) * a.ndim] = 1
 
 
-def test_rebuilt_when_mesh_arrays_change():
-    mesh = hearth_mesh(0.5)
-    ws = mesh.assembly_workspace()
-    mesh.nodes = mesh.nodes.copy()
-    assert mesh.assembly_workspace() is ws   # equal arrays: kept
-    mesh.nodes[:, 0] *= 2.0
-    moved = mesh.assembly_workspace()
-    assert moved is not ws
-    assert np.allclose(moved.area, 2.0 * ws.area)
-    mesh.tri_subdomain = np.where(mesh.tri_subdomain == 1, 7,
-                                  mesh.tri_subdomain)
-    assert 7 in mesh.assembly_workspace().subdomains
-
-
 def test_node_order_is_minimum_degree_of_the_pattern(mesh):
-    ws = mesh.assembly_workspace()
+    ws = mesh.assembly_workspace
     order = ws.node_order
     assert ws.node_order is order
     assert not order.flags.writeable
@@ -162,7 +151,7 @@ def test_node_order_fills_no_more_than_stiffness_ordering(hearth_materials):
     T, _ = newton_solve(mesh, hearth_materials, hearth_thermal_bc())
     K, f, _ = mechanical.assemble_mechanical_system(
         mesh, hearth_materials, hearth_mechanical_bc(), T)
-    node = mesh.assembly_workspace().node_order
+    node = mesh.assembly_workspace.node_order
     x, factor = solve_lu(K, f, (2 * node[:, None] + np.arange(2)).ravel())
     ordered = factor.superlu.L.nnz + factor.superlu.U.nnz
     own = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")

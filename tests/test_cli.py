@@ -259,6 +259,17 @@ class TestMain:
         assert rc == 2
         assert "target_h must be finite" in capsys.readouterr().err
 
+    def test_non_finite_mesh_node_exits_2(self, tmp_path, capsys):
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "mesh.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "nan 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--mesh-file", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "node 0 has a non-finite coordinate" in capsys.readouterr().err
+
     def test_mistyped_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": "0.1"}))

@@ -20,14 +20,13 @@ from axitherm.fem_core import (
     triangle_rule,
 )
 from axitherm.mechanical import assemble_mechanical_system
-from axitherm.mesh import hearth_mesh
+from axitherm.mesh import Mesh, hearth_mesh
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def _one_triangle_workspace(tri):
-    return AssemblyWorkspace(np.asarray(tri, float), np.array([[0, 1, 2]]),
-                             np.array([1]))
+    return AssemblyWorkspace(Mesh(tri, np.array([[0, 1, 2]]), np.array([1])))
 
 
 def _one_triangle_quadrature(tri, degree=3):
@@ -96,6 +95,13 @@ class TestTriangleGeometry:
     def test_rejects_flipped(self):
         with pytest.raises(ValueError, match="non-positively-oriented"):
             _one_triangle_workspace(REF_TRIANGLE[::-1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_node(self, value):
+        tri = REF_TRIANGLE.copy()
+        tri[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite triangles"):
+            _one_triangle_workspace(tri)
 
 
 class TestDofMapAndConstraints:
@@ -235,7 +241,7 @@ def hearth_stiffness(hearth_materials):
     T = np.full(mesh.num_nodes, 1000.0)
     K, f, _ = assemble_mechanical_system(mesh, hearth_materials,
                                          hearth_mechanical_bc(), T)
-    order = 2 * mesh.assembly_workspace().node_order[:, None] + np.arange(2)
+    order = 2 * mesh.assembly_workspace.node_order[:, None] + np.arange(2)
     return K, f, order.ravel()
 
 

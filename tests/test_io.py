@@ -26,7 +26,7 @@ def _single_triangle():
     return Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 1, 2]]),
                 tri_subdomain=np.array([1]),
-                boundary_edges=[], h=np.sqrt(2.0))
+                boundary_edges=[])
 
 
 GOLDEN_FIELDS = dict(
@@ -71,6 +71,19 @@ class TestVtk:
         b = vtk_text(_single_triangle(), **GOLDEN_FIELDS)
         assert a == b
 
+    @pytest.mark.parametrize("name, rows, expected, what", [
+        ("temperature", 6, 3, "nodes"),
+        ("temperature", 2, 3, "nodes"),
+        ("displacement", 5, 3, "nodes"),
+        ("stress", 3, 1, "triangles"),
+    ])
+    def test_field_of_wrong_length_rejected(self, name, rows, expected, what):
+        fields = dict(GOLDEN_FIELDS)
+        fields[name] = np.resize(fields[name], (rows,) + fields[name].shape[1:])
+        with pytest.raises(ValueError, match=f"^{name} has {rows} rows, the "
+                                             f"mesh has {expected} {what}$"):
+            vtk_text(_single_triangle(), **fields)
+
 
 class TestCsvAndReports:
     def test_csv_fields(self, tmp_path):
@@ -96,6 +109,20 @@ class TestCsvAndReports:
         export_csv(_single_triangle(), path, np.array([1.0, 2.0, 3.0]))
         last = path.read_text().strip().split("\n")[-1]
         assert last.endswith(",0,0")
+
+    @pytest.mark.parametrize("T_rows, u_rows, name, rows", [
+        (4, 3, "temperature", 4),
+        (2, 3, "temperature", 2),
+        (3, 5, "displacement", 5),
+    ])
+    def test_csv_field_of_wrong_length_rejected(self, tmp_path, T_rows,
+                                                u_rows, name, rows):
+        path = tmp_path / "fields.csv"
+        with pytest.raises(ValueError, match=f"^{name} has {rows} rows, the "
+                                             f"mesh has 3 nodes$"):
+            export_csv(_single_triangle(), path, np.ones(T_rows),
+                       np.ones((u_rows, 2)))
+        assert not path.exists()
 
     def test_report_json(self, tmp_path):
         path = tmp_path / "report.json"
@@ -242,7 +269,7 @@ def _mesh_and_fields(draw):
     mesh = Mesh(nodes=np.column_stack([column(n), column(n)]),
                 triangles=node_ids,
                 tri_subdomain=rng.integers(1, 7, m),
-                boundary_edges=edges[:draw(st.integers(0, 40))], h=1.0)
+                boundary_edges=edges[:draw(st.integers(0, 40))])
     return (mesh, column(n), np.column_stack([column(n), column(n)]),
             np.column_stack([column(m) for _ in range(4)]))
 

@@ -53,7 +53,7 @@ def boundary_stress_components(mesh, field, tag):
     Returns a list of (edge, sigma_n, tangential traction vector) using
     the adjacent element's recovered stress.
     """
-    table = mesh.boundary_edge_table()
+    table = mesh.boundary_edge_table
     rows = np.flatnonzero([t is tag for t in table.tags])
     n = table.normal[rows]
     s = field.stress[table.owner[rows]]

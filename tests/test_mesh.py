@@ -1,4 +1,5 @@
 """Mesh generation, tagging and serialization tests."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ HEARTH_AREA = 20.454675
 
 def _edges_with_tag(mesh, tag):
     """(i, j) node pairs of the boundary edges carrying ``tag``."""
-    table = mesh.boundary_edge_table()
+    table = mesh.boundary_edge_table
     rows = np.flatnonzero([t is tag for t in table.tags])
     return list(zip(table.i[rows].tolist(), table.j[rows].tolist()))
 
@@ -54,10 +55,10 @@ class TestSubdomainPolygon:
 
 class TestGenerateMesh:
     def test_positive_orientation(self, unit_square_mesh):
-        assert np.all(unit_square_mesh.assembly_workspace().area > 0)
+        assert np.all(unit_square_mesh.assembly_workspace.area > 0)
 
     def test_area_conservation(self, unit_square_mesh):
-        area = unit_square_mesh.assembly_workspace().area
+        area = unit_square_mesh.assembly_workspace.area
         assert area.sum() == pytest.approx(1.0)
 
     def test_vertices_become_nodes(self):
@@ -156,6 +157,56 @@ class TestTagBoundaries:
         assert tags[0] == tags[1]
 
 
+def _brute_force_longest_edge(mesh):
+    return max(float(np.linalg.norm(mesh.nodes[a] - mesh.nodes[b]))
+               for tri in mesh.triangles.tolist()
+               for a, b in zip(tri, tri[1:] + tri[:1]))
+
+
+class TestImmutableMesh:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Mesh)])
+    def test_fields_cannot_be_reassigned(self, unit_square_mesh, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(unit_square_mesh, name, getattr(unit_square_mesh, name))
+
+    @pytest.mark.parametrize("name", ["nodes", "triangles", "tri_subdomain"])
+    def test_arrays_are_read_only(self, unit_square_mesh, name):
+        a = getattr(unit_square_mesh, name)
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+    def test_writable_input_is_copied_and_read_only_input_shared(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        mesh = Mesh(nodes, np.array([[0, 1, 2]]), np.array([1]),
+                    [[0, 1, BoundaryTag.BOTTOM]])
+        nodes[0, 0] = 5.0
+        assert mesh.nodes[0, 0] == 0.0
+        assert mesh.triangles.dtype == np.int64
+        assert mesh.boundary_edges == ((0, 1, BoundaryTag.BOTTOM),)
+        again = dataclasses.replace(mesh, boundary_edges=())
+        for name in ("nodes", "triangles", "tri_subdomain"):
+            assert getattr(again, name) is getattr(mesh, name)
+
+    def test_tag_boundaries_returns_a_new_mesh(self):
+        poly = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
+        plain = generate_mesh([poly], 0.25)
+        tagged = tag_boundaries(plain, [poly])
+        assert tagged is not plain
+        for name in ("nodes", "triangles", "tri_subdomain"):
+            assert getattr(tagged, name) is getattr(plain, name)
+        assert all(t is None for (_, _, t) in plain.boundary_edges)
+        assert all(t is not None for (_, _, t) in tagged.boundary_edges)
+        assert [e[:2] for e in tagged.boundary_edges] == \
+            [e[:2] for e in plain.boundary_edges]
+
+    def test_h_is_the_longest_edge(self, tmp_path):
+        mesh = hearth_mesh(0.4)
+        assert mesh.h == _brute_force_longest_edge(mesh)
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        back = load_mesh(tmp_path / "mesh.txt")
+        assert back.h == _brute_force_longest_edge(back) == mesh.h
+
+
 class TestHearthGeometry:
     def test_seven_polygons_six_subdomains(self):
         polys = build_hearth_geometry()
@@ -168,7 +219,7 @@ class TestHearthGeometry:
 
     def test_mesh_conserves_area(self):
         mesh = hearth_mesh(0.2)
-        area = mesh.assembly_workspace().area
+        area = mesh.assembly_workspace.area
         assert area.sum() == pytest.approx(HEARTH_AREA)
 
     def test_outer_edge_at_reference_radius(self):
@@ -322,6 +373,19 @@ class TestMeshIO:
             "boundary_edges row 2: expected 'i j tag' with integer node ids "
             "and tag one of bottom, outer, top, inner, axis, interface, "
             f"untagged, got '{row}'")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_node_rejected(self, tmp_path, unit_square_mesh,
+                                      value):
+        path = tmp_path / "mesh.txt"
+        save_mesh(unit_square_mesh, path)
+        lines = path.read_text().splitlines()
+        lines[2 + 3] = f"{value} 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"node 3 has a non-finite coordinate: "
+                                 rf"\({value}, 0\.0\)"):
+            load_mesh(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"

@@ -48,7 +48,7 @@ class TestResidual:
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 2]]),
                     tri_subdomain=np.array([1]),
-                    boundary_edges=[], h=np.sqrt(2.0))
+                    boundary_edges=[])
         bc = ThermalBC({})
         R = assemble_thermal_residual(mesh, _const_materials(2.0), bc,
                                       np.array([0.0, 1.0, 0.0]))
@@ -83,7 +83,7 @@ class TestResidual:
 def _per_edge_ambient(mesh, bc):
     """Reference: T_R at the end nodes of each Robin edge, one ambient
     call per edge, in the order of the thermal edge data."""
-    table = mesh.boundary_edge_table()
+    table = mesh.boundary_edge_table
     conds = table.conditions(bc.lookup)
     rows = [e for e, c in enumerate(conds) if isinstance(c, Robin)]
     ij = np.column_stack([table.i[rows], table.j[rows]])
