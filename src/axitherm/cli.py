@@ -21,7 +21,6 @@ from .mechanical import (
     FRICTIONLESS_CONTACT,
     MechanicalBC,
     TRACTION_FREE,
-    Traction,
     hydrostatic_bc,
     recover_stress,
     solve_mechanical,
@@ -121,7 +120,7 @@ def hearth_mechanical_bc() -> MechanicalBC:
         BoundaryTag.TOP: FRICTIONLESS_CONTACT,
         BoundaryTag.AXIS: FRICTIONLESS_CONTACT,
         BoundaryTag.INNER: hydrostatic_bc(HEARTH_Y_MAX),
-        BoundaryTag.OUTER: Traction(lambda r, y, n: (0.0, 0.0)),
+        BoundaryTag.OUTER: TRACTION_FREE,
     })
 
 

@@ -1,33 +1,19 @@
 """Field export: legacy ASCII VTK, CSV and structured solve reports.
 
 Numeric blocks are formatted by :func:`axitherm.mesh.format_table`, one
-``%`` per block, with the same bytes as formatting value by value. All
-files are written atomically (temporary name, then rename) so two
-identical runs produce bit-identical artifacts or nothing.
+``%`` per block, with the same bytes as formatting value by value. Every
+file, ``mesh.txt`` included, goes through one writer,
+:func:`axitherm.mesh.atomic_write_text`: a temporary name, then a rename,
+so two identical runs produce bit-identical artifacts or nothing, each
+with the permissions ``open()`` would give it.
 """
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import numpy as np
 
-from .mesh import Mesh, format_table
-
-
-def atomic_write_text(path, text: str) -> None:
-    path = str(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .mesh import Mesh, atomic_write_text, format_table
 
 
 def _field(name: str, values, rows: int, what: str) -> np.ndarray:

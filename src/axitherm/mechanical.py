@@ -153,20 +153,19 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     if missing:
         raise ValueError(f"no material record for subdomains {sorted(missing)}")
 
-    # per-element material data at the quadrature points; the unit-modulus
-    # elasticity matrix is C = [d l l 0; l d l 0; l l d 0; 0 0 0 s]
+    # per-element material data at the quadrature points: E, the thermal
+    # stress on the normal components, and the unit-modulus elasticity
+    # matrix C = [d l l 0; l d l 0; l l d 0; 0 0 0 s]
     T_q = T[geo.triangles] @ quad.rule.points.T              # (M, Q)
-    E_q = np.empty_like(T_q)
-    d, l, s, alpha, nu = np.empty((5, M))
+    E_q, sig0 = np.empty((2,) + T_q.shape)
+    d, l, s = np.empty((3, M))
     for sid, idx in geo.subdomains.items():
         rec = materials[sid]
         E_q[idx] = rec.E(T_q[idx])
+        sig0[idx] = thermal_stress_term(E_q[idx], rec.nu, rec.alpha,
+                                        T_q[idx], materials.T0)
         C = elasticity_matrix(1.0, rec.nu)
         d[idx], l[idx], s[idx] = C[0, 0], C[0, 1], C[3, 3]
-        alpha[idx] = rec.alpha
-        nu[idx] = rec.nu
-    # thermal stress E alpha dT / (1 - 2 nu) on the normal components
-    sig0 = E_q * alpha[:, None] * (T_q - materials.T0) / (1 - 2 * nu)[:, None]
 
     K = assemble_csr(geo.scalar_pattern,
                      _stiffness_blocks(geo, quad, quad.w * E_q, d, l, s))

@@ -7,12 +7,14 @@ into two triangles along the lower-left to upper-right diagonal. The
 result is deterministic and conforming by construction.
 
 The module also reads and writes the plain-text mesh format, and holds
-:func:`format_table`, the text formatter that :mod:`axitherm.io` uses
-for its files too (``io`` imports ``mesh``, not the other way round).
+:func:`format_table` and :func:`atomic_write_text`, the text formatter
+and the file writer that :mod:`axitherm.io` uses for its files too
+(``io`` imports ``mesh``, not the other way round).
 """
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -481,6 +483,25 @@ def format_table(fmt: str, *columns) -> str:
     return line * n % tuple(table.ravel().tolist())
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and a rename, so ``path`` holds its old content or all of
+    ``text``, never part of it. The file gets the mode ``open(path,
+    "w")`` gives a new file under the running umask."""
+    path = str(path)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    # created as open() creates a file: 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (axitherm-mesh v1)."""
     nodes, tris, edges = mesh.nodes, mesh.triangles, mesh.boundary_edges
@@ -495,8 +516,7 @@ def save_mesh(mesh: Mesh, path) -> None:
         format_table("%s %s %s\n", i, j,
                      [t.value if t is not None else "untagged" for t in tags]),
     ])
-    with open(path, "w") as f:
-        f.write(text)
+    atomic_write_text(path, text)
 
 
 _COMMENT = re.compile(r"#[^\n]*")

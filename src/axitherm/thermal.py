@@ -10,7 +10,7 @@ residual-halving backtracking for stubborn cases.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -109,16 +109,7 @@ class SolveReport:
     wall_time: float = 0.0
 
     def as_dict(self):
-        return {
-            "iterations": self.iterations,
-            "residuals": [float(r) for r in self.residuals],
-            "converged": self.converged,
-            "linear_solves": self.linear_solves,
-            "factorizations": self.factorizations,
-            "gmres_steps": self.gmres_steps,
-            "backtrack_exhausted": self.backtrack_exhausted,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 class _ThermalWorkspace:

@@ -129,6 +129,28 @@ class TestRunScenario:
                      "isoline_1423K.csv"):
             assert (tmp_path / name).read_text() == (out / name).read_text()
 
+    def test_artifact_modes_match_open(self, tmp_path):
+        # every file of a run and of its reread gets the mode that open()
+        # gives a new file in the same directory under the same umask
+        run, iso = tmp_path / "run", tmp_path / "iso"
+        old = os.umask(0o027)
+        try:
+            run_scenario(RunConfig(target_h=0.5, output_dir=str(run),
+                                   isoline_levels=[1423.0]))
+            assert main(["isoline", "--mesh-file", str(run / "mesh.txt"),
+                         "--csv", str(run / "fields.csv"),
+                         "--isoline", "1000", "--out", str(iso)]) == 0
+            for out in (run, iso):
+                open(out / "by_open", "w").close()
+        finally:
+            os.umask(old)
+        files = sorted(run.iterdir()) + sorted(iso.iterdir())
+        # seven run artifacts and one reread isoline, besides by_open
+        assert len(files) == 8 + 2
+        for path in files:
+            assert path.stat().st_mode == \
+                (path.parent / "by_open").stat().st_mode, path.name
+
     def test_unknown_scenario(self, tmp_path):
         config = RunConfig(scenario="ladle", output_dir=str(tmp_path))
         with pytest.raises(ValueError, match="unknown scenario"):

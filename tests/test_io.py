@@ -126,13 +126,17 @@ class TestCsvAndReports:
 
     def test_report_json(self, tmp_path):
         path = tmp_path / "report.json"
-        rep = SolveReport(iterations=3, residuals=[1.0, 0.1, 1e-5],
+        # solvers record numpy residuals; they are written as plain floats
+        rep = SolveReport(iterations=3,
+                          residuals=list(np.array([1.0, 0.1, 1e-5])),
                           converged=True, linear_solves=3, wall_time=0.5)
         export_report(rep, path)
         data = json.loads(path.read_text())
         assert data["iterations"] == 3
-        assert data["residuals"][-1] == 1e-5
+        assert data["residuals"] == [1.0, 0.1, 1e-5]
         assert data["converged"] is True
+        assert '"residuals": [\n    1.0,\n    0.1,\n    1e-05\n  ]' \
+            in path.read_text()
 
 
 class TestAtomicWrite:
@@ -151,6 +155,14 @@ class TestAtomicWrite:
         atomic_write_text(tmp_path / "f.txt", "x")
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+    def test_failed_mesh_save_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk gone")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            save_mesh(_single_triangle(), tmp_path / "mesh.txt")
+        assert os.listdir(tmp_path) == []
 
 
 def _fmt(x):

@@ -274,6 +274,25 @@ class TestSolveMechanical:
         assert set(fixed) == expected
         assert set(fixed.values()) == {0.0}
 
+    def test_traction_free_equals_zero_traction(self, coarse_hearth_mesh,
+                                                hearth_materials):
+        # the hearth's free OUTER wall, against a zero load evaluated on
+        # each of its edges: K and f bit for bit
+        mesh = coarse_hearth_mesh
+        T = 300.0 + 300.0 * mesh.nodes[:, 0] + 100.0 * mesh.nodes[:, 1]
+        free = hearth_mechanical_bc()
+        assert free.lookup(BoundaryTag.OUTER) == TRACTION_FREE
+        zero = MechanicalBC({**free.conditions, BoundaryTag.OUTER:
+                             Traction(lambda r, y, n: (0.0, 0.0))})
+        K1, f1, fixed1 = assemble_mechanical_system(mesh, hearth_materials,
+                                                    free, T)
+        K2, f2, fixed2 = assemble_mechanical_system(mesh, hearth_materials,
+                                                    zero, T)
+        for a, b in ((K1.indptr, K2.indptr), (K1.indices, K2.indices),
+                     (K1.data, K2.data), (f1, f2)):
+            assert a.tobytes() == b.tobytes()
+        assert fixed1 == fixed2
+
     def test_extra_constraints_override_contact(self):
         mesh = _cylinder_mesh(h=0.5)
         T = np.full(mesh.num_nodes, 300.0)

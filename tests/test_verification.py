@@ -16,7 +16,6 @@ from axitherm.verification import (
     spline_coefficient_report,
     format_coefficient_report,
     weighted_l2_error,
-    weighted_l2_norm,
 )
 
 _r, _y, _T = sp.symbols("r y T", positive=True)
@@ -70,8 +69,11 @@ class TestAnnulusAnalytic:
 
 class TestWeightedNorms:
     def test_norm_of_known_field(self, unit_square_mesh):
-        # ||1||^2 in the r-weighted L2 over the unit square is 1/2
-        val = weighted_l2_norm(unit_square_mesh, lambda r, y: np.ones_like(r))
+        # ||1||^2 in the r-weighted L2 over the unit square is 1/2; the
+        # norm is the distance from the zero field
+        zeros = np.zeros(unit_square_mesh.num_nodes)
+        val, _ = weighted_l2_error(unit_square_mesh, zeros,
+                                   lambda r, y: np.ones_like(r))
         assert val == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_error_of_interpolated_field_is_zero(self, unit_square_mesh):
