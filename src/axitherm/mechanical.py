@@ -21,7 +21,7 @@ from .fem_core import (
     solve_refined,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
-from .mesh import BoundaryTag, Mesh
+from .mesh import BoundaryConditions, BoundaryTag, Mesh
 from .thermal import SolveReport
 
 HYDROSTATIC_SLOPE = 77106.0  # N/m^2 per meter of metal column
@@ -29,54 +29,77 @@ HYDROSTATIC_SLOPE = 77106.0  # N/m^2 per meter of metal column
 
 @dataclass(frozen=True)
 class Traction:
-    """Applied boundary force; ``g`` maps (r, y, outward normal) -> (2,)."""
+    """Applied boundary force ``g(r, y, normal)``. r and y are arrays of
+    one shape S (or scalars); the outward unit normals and the returned
+    force components have shape S + (2,), and a constant is broadcast."""
 
     g: object
 
     def evaluate(self, r, y, normal):
-        return np.asarray(self.g(r, y, normal), float)
+        normal = np.asarray(normal, float)
+        return np.broadcast_to(self.g(r, y, normal), normal.shape).astype(float)
 
 
 FRICTIONLESS_CONTACT = "contact"
 TRACTION_FREE = "traction_free"
 
 
-@dataclass
-class MechanicalBC:
-    conditions: dict  # BoundaryTag -> Traction | FRICTIONLESS_CONTACT | TRACTION_FREE
+class MechanicalBC(BoundaryConditions):
+    """Traction, FRICTIONLESS_CONTACT or TRACTION_FREE per tag."""
 
-    def lookup(self, tag):
-        if tag not in self.conditions:
-            raise ValueError(f"no mechanical boundary condition for tag {tag}")
-        return self.conditions[tag]
+    physics, kinds = "mechanical", (Traction,)
+    constants = (FRICTIONLESS_CONTACT, TRACTION_FREE)
 
 
-def hydrostatic_traction(y: float, y_max: float) -> float:
-    """Magnitude of the molten-metal column load at height y."""
-    if y > y_max + 1e-12:
-        raise ValueError(f"y={y} lies above the metal surface y_max={y_max}")
+def hydrostatic_traction(y, y_max: float):
+    """Magnitude of the molten-metal column load at heights y."""
+    if np.any(np.asarray(y) > y_max + 1e-12):
+        raise ValueError(f"y={np.max(y)} is above the metal surface y_max={y_max}")
     return HYDROSTATIC_SLOPE * (y_max - y)
 
 
 def hydrostatic_bc(y_max: float) -> Traction:
     """Compression -slope*(y_max - y)*n toward the wall."""
-    def g(r, y, normal):
-        return -hydrostatic_traction(y, y_max) * np.asarray(normal, float)
-    return Traction(g)
+    return Traction(lambda r, y, normal: -np.expand_dims(
+        hydrostatic_traction(y, y_max), -1) * normal)
 
 
-def _contact_constraints(mesh: Mesh, conds) -> dict:
+def _contact_constraints(mesh: Mesh, bc: MechanicalBC) -> dict:
     """u . n = 0 on contact edges: u_y on horizontal edges, u_r on
     vertical ones (and always u_r on the axis), as {dof: 0.0} with
     dof = 2 * node + component."""
     table = mesh.boundary_edge_table
     axis = np.array([t is BoundaryTag.AXIS for t in table.tags], dtype=bool)
-    contact = np.array([c == FRICTIONLESS_CONTACT for c in conds], dtype=bool)
+    contact = np.array([c == FRICTIONLESS_CONTACT
+                        for c in table.conditions(bc.lookup)], dtype=bool)
     rows = np.flatnonzero(contact | axis)
     d = mesh.nodes[table.j[rows]] - mesh.nodes[table.i[rows]]
     comp = np.where(axis[rows] | (np.abs(d[:, 1]) > np.abs(d[:, 0])), 0, 1)
     dofs = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
     return dict.fromkeys(dofs.ravel().tolist(), 0.0)
+
+
+def _traction_loads(mesh: Mesh, bc: MechanicalBC):
+    """Loads sum_g w_g L r_g N_a(t_g) g(r_g, y_g, n) of the traction edges
+    on their end nodes a (contact constraints win at nodes), as (dofs,
+    values) ordered by edge, Gauss point, end node and component."""
+    table = mesh.boundary_edge_table
+    rows, groups = table.condition_groups(bc.lookup, Traction)
+    t = EDGE_GAUSS_POINTS
+    ij = np.column_stack([table.i[rows], table.j[rows]])          # (E, 2)
+    p, q = mesh.nodes[ij[:, :1]], mesh.nodes[ij[:, 1:]]           # (E, 1, 2)
+    x = p * (1 - t)[:, None] + q * t[:, None]                     # (E, G, 2)
+    r, y = x[..., 0], x[..., 1]
+    normal = np.broadcast_to(table.normal[rows, None], r.shape + (2,))
+    g = np.empty(r.shape + (2,))
+    # one evaluate call per distinct condition, on all of its points
+    for cond, ks in groups:
+        g[ks] = cond.evaluate(r[ks], y[ks], normal[ks])
+    w = EDGE_GAUSS_WEIGHTS * table.length[rows, None] * r
+    shape = np.column_stack([1 - t, t])                           # (G, 2)
+    loads = (w[:, :, None] * shape)[..., None] * g[:, :, None]    # (E, G, 2, 2)
+    dofs = 2 * ij[:, None, :, None] + np.arange(2)
+    return np.broadcast_to(dofs, loads.shape).ravel(), loads.ravel()
 
 
 def _stiffness_blocks(geo, quad, a, d, l, s):
@@ -138,7 +161,9 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                                body_force=None, extra_constraints=None):
     """Assemble and constrain the thermoelastic system; returns
     (K, f, fixed) with ``fixed`` the eliminated dofs (2 * node +
-    component) and their values.
+    component) and their values. f adds the element loads, then the
+    traction loads, in one ``np.bincount``: each dof's terms in a fixed
+    order.
 
     ``body_force`` is a verification-only hook mapping (r, y) to a
     (2,)-vector density; ``extra_constraints`` maps (node, component) to
@@ -181,26 +206,12 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
         fe[:, :, 1] += (quad.w * fy) @ pts
     # element dofs (u_r, u_y) per vertex: 2 * node + component
     dofs = 2 * geo.triangles[:, :, None] + np.arange(2)
-    f = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=ndof)
+    t_dofs, t_loads = _traction_loads(mesh, bc)
+    f = np.bincount(np.concatenate([dofs.ravel(), t_dofs]),
+                    weights=np.concatenate([fe.ravel(), t_loads]),
+                    minlength=ndof)
 
-    # boundary tractions (edge interiors; contact constraints win at nodes)
-    table = mesh.boundary_edge_table
-    conds = table.conditions(bc.lookup)
-    for e, cond in enumerate(conds):
-        if not isinstance(cond, Traction):
-            continue
-        i, j = table.i[e], table.j[e]
-        p, q = mesh.nodes[i], mesh.nodes[j]
-        length, normal = table.length[e], table.normal[e]
-        for t, wg in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):
-            r = p[0] * (1 - t) + q[0] * t
-            y = p[1] * (1 - t) + q[1] * t
-            g = cond.evaluate(r, y, normal)
-            w = wg * length * r
-            f[2 * i:2 * i + 2] += w * (1 - t) * g
-            f[2 * j:2 * j + 2] += w * t * g
-
-    fixed = _contact_constraints(mesh, conds)
+    fixed = _contact_constraints(mesh, bc)
     for (node, comp), value in (extra_constraints or {}).items():
         fixed[2 * node + comp] = value
     if not any(d % 2 == 1 for d in fixed):

@@ -113,6 +113,37 @@ class BoundaryEdgeTable:
         return [None if tag is None or tag is BoundaryTag.INTERFACE
                 else lookup(tag) for tag in self.tags]
 
+    def condition_groups(self, lookup, kind) -> tuple:
+        """(rows, groups): the rows whose condition is a ``kind``, in table
+        order, and each distinct such condition with its rows' positions."""
+        conds = self.conditions(lookup)
+        rows = [e for e, c in enumerate(conds) if isinstance(c, kind)]
+        groups = {}
+        for k, e in enumerate(rows):
+            groups.setdefault(id(conds[e]), (conds[e], []))[1].append(k)
+        return np.array(rows, dtype=np.intp), list(groups.values())
+
+
+@dataclass
+class BoundaryConditions:
+    """A condition per tag, an instance of ``kinds`` or one of the string
+    ``constants``, checked when made; unlisted tags must not occur."""
+
+    conditions: dict  # BoundaryTag -> condition
+    physics, kinds, constants = "", (), ()
+
+    def __post_init__(self):
+        for tag, c in self.conditions.items():
+            if not (isinstance(c, self.kinds)
+                    or isinstance(c, str) and c in self.constants):
+                raise ValueError(f"{c!r} on tag {tag} is not a "
+                                 f"{self.physics} boundary condition")
+
+    def lookup(self, tag):
+        if tag not in self.conditions:
+            raise ValueError(f"no {self.physics} boundary condition for tag {tag}")
+        return self.conditions[tag]
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:

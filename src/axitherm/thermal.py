@@ -4,8 +4,8 @@ Weak form: sum_i int k(T) grad T . grad psi r + int_R h T psi r ds
          = int_R h T_R psi r ds (+ an optional volumetric source used
 only for manufactured-solution verification). Solved by inexact Newton:
 the first step of a solve factors the Jacobian, later steps are taken by
-GMRES preconditioned with that factor to a tight forcing term; optional
-residual-halving backtracking for stubborn cases.
+GMRES preconditioned with that factor to a tight forcing term. Every
+step is a full one.
 """
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fem_core import LU_RTOL, ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
-from .mesh import Mesh
+from .mesh import BoundaryConditions, Mesh
 
 # Krylov steps (one restart cycle) before an inexact Newton step gives
 # up and the current Jacobian is factored instead.
 GMRES_STEPS = 30
-# Backtracking halves the step at most this often (down to 1/256).
-MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -38,24 +36,17 @@ class Robin:
     T_R: object
 
     def ambient(self, r, y):
-        if callable(self.T_R):
-            return np.asarray(self.T_R(r, y), float)
-        return np.full_like(np.asarray(r, float), float(self.T_R))
+        T_R = self.T_R(r, y) if callable(self.T_R) else self.T_R
+        return np.broadcast_to(np.asarray(T_R, float), np.shape(r))
 
 
 ADIABATIC = "adiabatic"
 
 
-@dataclass
-class ThermalBC:
-    """Boundary condition per tag; unlisted tags must not occur."""
+class ThermalBC(BoundaryConditions):
+    """Robin or ADIABATIC per tag; unlisted tags must not occur."""
 
-    conditions: dict  # BoundaryTag -> Robin | ADIABATIC
-
-    def lookup(self, tag):
-        if tag not in self.conditions:
-            raise ValueError(f"no thermal boundary condition for tag {tag}")
-        return self.conditions[tag]
+    physics, kinds, constants = "thermal", (Robin,), (ADIABATIC,)
 
 
 @dataclass
@@ -74,14 +65,13 @@ class NewtonConfig:
     error. On the hearth, a smooth error of 1 K leaves a residual norm
     of 1.6e3, 1.2e3 and 0.8e3 at h = 0.1, 0.05 and 0.025, so the
     default 1e-4 admits about 0.6e-7 to 1.2e-7 K there, far below the
-    discretization error.
+    discretization error. No option damps a Newton step.
     """
 
     abs_tol: float = 1e-4
     max_iter: int = 25
     initial_guess: float = 300.0
     relative: bool = False
-    backtracking: bool = False
 
     def __post_init__(self):
         # each message starts with the field name it rejects
@@ -96,8 +86,7 @@ class NewtonConfig:
 @dataclass
 class SolveReport:
     """What a solve did: Newton iterations and residual norms, one
-    linear solve per step, LU factorizations and GMRES steps in total,
-    and whether backtracking ever ran out of halvings."""
+    linear solve per step, LU factorizations and GMRES steps in total."""
 
     iterations: int = 0
     residuals: list = field(default_factory=list)
@@ -105,7 +94,6 @@ class SolveReport:
     linear_solves: int = 0
     factorizations: int = 0
     gmres_steps: int = 0
-    backtrack_exhausted: bool = False
     wall_time: float = 0.0
 
     def as_dict(self):
@@ -124,9 +112,7 @@ class _ThermalWorkspace:
             raise ValueError(f"no material record for subdomains {sorted(missing)}")
         self.materials = materials
         self.robin = _RobinEdges.build(mesh, bc)
-        if self.robin is not None:
-            self.robin_diagonal = \
-                self.mesh_ws.scalar_pattern.diagonal()[self.robin.ij]
+        self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[self.robin.ij]
 
     def conductivity(self, T_q, derivative=False):
         """k, or dk/dT, at the temperatures T_q (M, Q)."""
@@ -141,9 +127,9 @@ class _ThermalWorkspace:
 class _RobinEdges:
     """Convection edges under the vertex (trapezoid) rule.
 
-    ij (E, 2) end nodes; weight (E, 2) 0.5 * length * r * h at each end
-    node; ambient (E, 2) T_R at each end node. The rule's edge mass
-    matrix is diagonal (lumped), which keeps the assembled system an
+    ij (E, 2) end nodes, E >= 0; weight (E, 2) 0.5 * length * r * h at
+    each end node; ambient (E, 2) T_R at each end node. The rule's edge
+    mass matrix is diagonal (lumped), which keeps the assembled system an
     M-matrix on meshes of right triangles and so preserves the discrete
     maximum principle (Ciarlet & Raviart, CMAME 2, 1973); a consistent
     Gauss rule produces positive off-diagonals that let corner nodes
@@ -157,21 +143,13 @@ class _RobinEdges:
     @classmethod
     def build(cls, mesh, bc):
         table = mesh.boundary_edge_table
-        conds = table.conditions(bc.lookup)
-        rows = [e for e, c in enumerate(conds)
-                if c is not None and c is not ADIABATIC]
-        if not rows:
-            return None
+        rows, groups = table.condition_groups(bc.lookup, Robin)
         ij = np.column_stack([table.i[rows], table.j[rows]])
         r, y = mesh.nodes[ij, 0], mesh.nodes[ij, 1]
-        h = np.array([conds[e].h for e in rows])
-        weight = 0.5 * table.length[rows, None] * r * h[:, None]
+        weight, ambient = np.empty_like(r), np.empty_like(r)
         # one ambient call per distinct condition, on all of its edges
-        edges_of = {}
-        for k, e in enumerate(rows):
-            edges_of.setdefault(id(conds[e]), (conds[e], []))[1].append(k)
-        ambient = np.empty_like(r)
-        for cond, ks in edges_of.values():
+        for cond, ks in groups:
+            weight[ks] = 0.5 * table.length[rows[ks], None] * r[ks] * cond.h
             ambient[ks] = cond.ambient(r[ks], y[ks])
         return cls(ij, weight, ambient)
 
@@ -198,10 +176,8 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
         contrib -= (quad.w * source(quad.r, quad.y)) @ quad.rule.points
     R = np.bincount(geo.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.num_nodes)
-    if ws.robin is not None:
-        R += np.bincount(ws.robin.ij.ravel(),
-                         weights=ws.robin.residual(T).ravel(),
-                         minlength=mesh.num_nodes)
+    R += np.bincount(ws.robin.ij.ravel(), weights=ws.robin.residual(T).ravel(),
+                     minlength=mesh.num_nodes)
     return R
 
 
@@ -222,9 +198,8 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     # k grad lambda_j . grad lambda_i + dk/dT lambda_j grad T . grad lambda_i
     blocks = wk[:, None, None] * gg + flux[:, :, None] * wdk[:, None, :]
     J = assemble_csr(geo.scalar_pattern, blocks.ravel())
-    if ws.robin is not None:
-        # unbuffered, in edge order: a node on two Robin edges gets both
-        np.add.at(J.data, ws.robin_diagonal, ws.robin.weight)
+    # unbuffered, in edge order: a node on two Robin edges gets both
+    np.add.at(J.data, ws.robin_diagonal, ws.robin.weight)
     return J
 
 
@@ -265,7 +240,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     iterates follow exact Newton's; near convergence eta is loosened to
     leave half the stopping tolerance. A step GMRES cannot take within
     GMRES_STEPS factors the current J instead, and that factor serves
-    the steps after it.
+    the steps after it. Each step is taken in full, T + delta.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
@@ -282,16 +257,13 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     # negated so that a NaN norm enters the loop and is rejected there
     while not norm / ref <= config.abs_tol:
         if not np.isfinite(norm):
-            report.wall_time = time.perf_counter() - start
             raise ConvergenceError(
                 f"Newton residual is not finite ({norm}) after "
                 f"{report.iterations} iterations")
         if report.iterations >= config.max_iter:
-            report.wall_time = time.perf_counter() - start
             raise ConvergenceError(
                 f"Newton did not reach {config.abs_tol:g} in "
-                f"{config.max_iter} iterations (residual {norm:.3e}); "
-                "consider enabling backtracking")
+                f"{config.max_iter} iterations (residual {norm:.3e})")
         J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
         delta = None
         if factor is not None:
@@ -301,21 +273,9 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             delta, factor = solve_lu(J, -R, ws.mesh_ws.node_order)
             report.factorizations += 1
         report.linear_solves += 1
-
-        step = 1.0
-        for halving in range(MAX_HALVINGS + 1):
-            T_new = T + step * delta
-            R_new = assemble_thermal_residual(mesh, materials, bc, T_new,
-                                              source, ws)
-            norm_new = np.linalg.norm(R_new)
-            if not config.backtracking or norm_new < norm:
-                break
-            if halving == MAX_HALVINGS:
-                # no halving lowered the residual; the step is taken
-                report.backtrack_exhausted = True
-                break
-            step *= 0.5
-        T, R, norm = T_new, R_new, norm_new
+        T = T + delta
+        R = assemble_thermal_residual(mesh, materials, bc, T, source, ws)
+        norm = np.linalg.norm(R)
         report.iterations += 1
         report.residuals.append(norm)
 

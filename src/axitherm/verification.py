@@ -139,8 +139,8 @@ class ThermalManufacturedCase:
         nr, ny = normal
         dTdn = nr * sp.diff(self.exact_expr, _r) + ny * sp.diff(self.exact_expr, _y)
         TR = self.exact_expr + self._k_of_T * dTdn / self.robin_h
-        fn = sp.lambdify((_r, _y), TR, "numpy")
-        return lambda r, y: np.broadcast_to(fn(r, y), np.shape(r))
+        # Robin.ambient broadcasts a constant result to the points' shape
+        return sp.lambdify((_r, _y), TR, "numpy")
 
     def material_set(self) -> MaterialSet:
         kT = sp.Poly(self.conductivity_expr, _T).all_coeffs()
@@ -153,14 +153,11 @@ class ThermalManufacturedCase:
         return uniform_materials(k_model, E_model, nu=0.3, alpha=1e-5)
 
     def boundary_conditions(self) -> ThermalBC:
-        conds = {
-            BoundaryTag.AXIS: ADIABATIC,
-            BoundaryTag.BOTTOM: Robin(self.robin_h, self.robin_ambient((0.0, -1.0))),
-            BoundaryTag.TOP: Robin(self.robin_h, self.robin_ambient((0.0, 1.0))),
-            BoundaryTag.OUTER: Robin(self.robin_h, self.robin_ambient((1.0, 0.0))),
-            BoundaryTag.INNER: Robin(self.robin_h, self.robin_ambient((-1.0, 0.0))),
-        }
-        return ThermalBC(conds)
+        normals = {BoundaryTag.BOTTOM: (0.0, -1.0), BoundaryTag.TOP: (0.0, 1.0),
+                   BoundaryTag.OUTER: (1.0, 0.0), BoundaryTag.INNER: (-1.0, 0.0)}
+        return ThermalBC({BoundaryTag.AXIS: ADIABATIC} | {
+            tag: Robin(self.robin_h, self.robin_ambient(n))
+            for tag, n in normals.items()})
 
 
 def mms_thermal_study(case: ThermalManufacturedCase, h_levels) -> ConvergenceRecord:

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
+from axitherm.mechanical import MechanicalBC
 from axitherm.mesh import (
     BoundaryTag,
     _collect_boundary_edges,
@@ -11,6 +13,7 @@ from axitherm.mesh import (
     load_mesh,
     save_mesh,
 )
+from axitherm.thermal import Robin, ThermalBC
 
 
 def _brute_force(mesh, i, j):
@@ -99,6 +102,39 @@ def test_conditions_skip_interface_and_untagged_rows():
                if t is BoundaryTag.INTERFACE)
     # the mesh it was made from keeps its own table and tags
     assert tagged.boundary_edge_table.tags[0] is not None
+
+
+def test_condition_groups_follow_identity_in_table_order():
+    mesh = hearth_mesh(0.4)
+    table = mesh.boundary_edge_table
+    bc = hearth_thermal_bc()
+    rows, groups = table.condition_groups(bc.lookup, Robin)
+    conds = table.conditions(bc.lookup)
+    assert rows.tolist() == [e for e, c in enumerate(conds)
+                             if isinstance(c, Robin)]
+    # BOTTOM and OUTER hold equal but distinct Robin objects
+    assert [cond for cond, _ in groups] == [
+        bc.lookup(t) for t in dict.fromkeys(table.tags[e] for e in rows)]
+    positions = sorted(k for _, ks in groups for k in ks)
+    assert positions == list(range(len(rows)))
+    for cond, ks in groups:
+        assert all(conds[rows[k]] is cond for k in ks)
+
+
+@pytest.mark.parametrize("make, value", [
+    (hearth_mechanical_bc, "traction-free"),
+    (hearth_mechanical_bc, "Contact"),
+    (hearth_mechanical_bc, Robin(200.0, 300.0)),
+    (hearth_thermal_bc, "adiabatc"),
+    (hearth_thermal_bc, "contact"),
+    (hearth_thermal_bc, None),
+])
+def test_conditions_of_the_wrong_kind_are_rejected(make, value):
+    # each was once taken as TRACTION_FREE or ADIABATIC, or failed on
+    # first use with an AttributeError
+    tag = BoundaryTag.OUTER if make is hearth_mechanical_bc else BoundaryTag.TOP
+    with pytest.raises(ValueError, match=f"on tag {tag}"):
+        type(make())({**make().conditions, tag: value})
 
 
 def test_edge_on_no_triangle_raises(unit_square_mesh):

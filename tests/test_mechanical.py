@@ -6,8 +6,14 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
+from axitherm import mechanical
 from axitherm.cli import hearth_mechanical_bc
-from axitherm.fem_core import SingularSystemError, triangle_rule
+from axitherm.fem_core import (
+    EDGE_GAUSS_POINTS,
+    EDGE_GAUSS_WEIGHTS,
+    SingularSystemError,
+    triangle_rule,
+)
 from axitherm.materials import (
     PiecewiseQuadratic,
     elasticity_matrix,
@@ -108,11 +114,85 @@ class TestHydrostaticLoad:
         with pytest.raises(ValueError):
             hydrostatic_traction(8.0, 7.4)
 
+    def test_array_matches_scalar_calls(self):
+        y = np.array([0.0, 1.3, 5.0, 7.4])
+        assert np.array_equal(hydrostatic_traction(y, 7.4),
+                              [hydrostatic_traction(v, 7.4) for v in y])
+        with pytest.raises(ValueError, match="above the metal surface"):
+            hydrostatic_traction(np.array([0.0, 8.0, 3.0]), 7.4)
+
     def test_traction_points_against_normal(self):
         bc = hydrostatic_bc(7.4)
         g = bc.evaluate(1.0, 3.4, np.array([1.0, 0.0]))
         assert g[0] == pytest.approx(-HYDROSTATIC_SLOPE * 4.0)
         assert g[1] == 0.0
+
+
+def _per_edge_traction_load(mesh, bc, f):
+    """Reference: adds the traction loads to f in place, edge by edge
+    and Gauss point by Gauss point, with one scalar evaluate call each."""
+    table = mesh.boundary_edge_table
+    for e, cond in enumerate(table.conditions(bc.lookup)):
+        if not isinstance(cond, Traction):
+            continue
+        i, j = table.i[e], table.j[e]
+        p, q = mesh.nodes[i], mesh.nodes[j]
+        length, normal = table.length[e], table.normal[e]
+        for t, wg in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):
+            r = p[0] * (1 - t) + q[0] * t
+            y = p[1] * (1 - t) + q[1] * t
+            g = cond.evaluate(r, y, normal)
+            w = wg * length * r
+            f[2 * i:2 * i + 2] += w * (1 - t) * g
+            f[2 * j:2 * j + 2] += w * t * g
+    return f
+
+
+class TestTractionLoad:
+    """f against the per-edge reference, bit for bit, before the
+    constraints are applied."""
+
+    @staticmethod
+    def _load(monkeypatch, mesh, mats, bc, T):
+        seen = []
+        real = mechanical.apply_constraints
+        monkeypatch.setattr(mechanical, "apply_constraints",
+                            lambda K, f, fixed: seen.append(f) or
+                            real(K, f, fixed))
+        assemble_mechanical_system(mesh, mats, bc, T)
+        return seen[-1]
+
+    def _assert_matches_reference(self, monkeypatch, mesh, mats, bc):
+        T = 300.0 + 300.0 * mesh.nodes[:, 0] + 100.0 * mesh.nodes[:, 1]
+        free = MechanicalBC({tag: TRACTION_FREE if isinstance(c, Traction)
+                             else c for tag, c in bc.conditions.items()})
+        f = self._load(monkeypatch, mesh, mats, bc, T)
+        ref = _per_edge_traction_load(
+            mesh, bc, self._load(monkeypatch, mesh, mats, free, T))
+        assert np.count_nonzero(f - self._load(monkeypatch, mesh, mats,
+                                               free, T)) > 0
+        assert f.tobytes() == ref.tobytes()
+
+    def test_hearth(self, monkeypatch, coarse_hearth_mesh, hearth_materials):
+        self._assert_matches_reference(monkeypatch, coarse_hearth_mesh,
+                                       hearth_materials, hearth_mechanical_bc())
+
+    def test_two_conditions_sharing_a_corner(self, monkeypatch):
+        poly = SubdomainPolygon(1, ((0.5, 0.0), (1.5, 0.0), (1.5, 1.0),
+                                    (0.5, 1.0)))
+        mesh = tag_boundaries(generate_mesh([poly], 0.125), [poly])
+        bc = MechanicalBC({
+            BoundaryTag.BOTTOM: FRICTIONLESS_CONTACT,
+            BoundaryTag.OUTER: TRACTION_FREE,
+            BoundaryTag.INNER: hydrostatic_bc(1.0),
+            BoundaryTag.TOP: Traction(lambda r, y, n: np.stack(
+                [1e5 * r, -2e5 - 1e4 * r * y], axis=-1)),
+        })
+        nodes_of = {tag: {n for i, j, t in mesh.boundary_edges if t is tag
+                          for n in (i, j)}
+                    for tag in (BoundaryTag.INNER, BoundaryTag.TOP)}
+        assert nodes_of[BoundaryTag.INNER] & nodes_of[BoundaryTag.TOP]
+        self._assert_matches_reference(monkeypatch, mesh, _materials(), bc)
 
 
 class TestSolveMechanical:
