@@ -31,10 +31,6 @@ from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 HEARTH_Y_MAX = 7.4
 # RunConfig key of each NewtonConfig field whose name differs
 _NEWTON_KEYS = {"abs_tol": "newton_tol", "max_iter": "newton_max_iter"}
-# RunConfig key each command-line flag sets
-_FLAG_KEYS = {"case": "scenario", "mesh_file": "mesh_file", "h": "target_h",
-              "out": "output_dir", "newton_tol": "newton_tol",
-              "newton_max_iter": "newton_max_iter"}
 
 
 def _is_number(v) -> bool:
@@ -176,11 +172,9 @@ def run_scenario(config: RunConfig) -> dict:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            setattr(config, key, getattr(args, flag))
-    if getattr(args, "isoline", None):
-        config.isoline_levels = list(args.isoline)
+    for key in RunConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 
@@ -284,18 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Axisymmetric thermomechanical finite element solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that sets a RunConfig field has the field's name as its
+    # dest, which _config_from_args relies on
     def common(p):
-        p.add_argument("--case", default=None)
-        p.add_argument("--mesh-file", dest="mesh_file", default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
+        p.add_argument("--case", dest="scenario", metavar="CASE")
+        p.add_argument("--mesh-file")
+        p.add_argument("--h", dest="target_h", metavar="H", type=float)
+        p.add_argument("--out", dest="output_dir", metavar="OUT")
+        p.add_argument("--config")
 
     p_solve = sub.add_parser("solve", help="run a full scenario")
     common(p_solve)
-    p_solve.add_argument("--newton-tol", type=float, default=None)
-    p_solve.add_argument("--newton-max-iter", type=int, default=None)
-    p_solve.add_argument("--isoline", type=float, action="append", default=None)
+    p_solve.add_argument("--newton-tol", type=float)
+    p_solve.add_argument("--newton-max-iter", type=int)
+    p_solve.add_argument("--isoline", dest="isoline_levels", metavar="ISOLINE",
+                         type=float, action="append")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run verification oracles")

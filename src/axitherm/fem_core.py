@@ -365,8 +365,8 @@ def solve_refined(A: sp.spmatrix, b: np.ndarray, order) -> np.ndarray:
     _reject_empty_rows(A.indptr)
     try:
         with np.errstate(over="ignore"):   # too large for float32: inf
-            superlu = spla.splu(_permuted_csc(A, order, np.float32),
-                                permc_spec="NATURAL")
+            factor = LuFactor(spla.splu(_permuted_csc(A, order, np.float32),
+                                        permc_spec="NATURAL"), order)
     except RuntimeError:
         return solve_lu(A, b, order)[0]
     x = np.zeros(len(b))
@@ -375,10 +375,9 @@ def solve_refined(A: sp.spmatrix, b: np.ndarray, order) -> np.ndarray:
     bound = LU_RTOL * rnorm
     # negated so that a NaN residual enters the loop and falls back
     while not rnorm <= bound:
-        dx = np.empty_like(x)
-        dx[order] = superlu.solve((r[order] / rnorm).astype(np.float32))
-        dx *= rnorm
-        x += dx
+        # the float32 correction is widened before the scaling, which
+        # float32 * float would keep in single precision
+        x += factor.solve((r / rnorm).astype(np.float32)).astype(float) * rnorm
         r = b - A @ x
         previous, rnorm = rnorm, np.linalg.norm(r)
         if not rnorm * REFINE_MIN_REDUCTION <= previous:

@@ -13,25 +13,18 @@ import json
 
 import numpy as np
 
-from .mesh import Mesh, atomic_write_text, format_table
+from .mesh import Mesh, atomic_write_text, checked_field, format_table
 
 
-def _field(name: str, values, rows: int, what: str) -> np.ndarray:
-    """``values`` as a float array, which must have one row per ``what``."""
-    values = np.asarray(values, float)
-    if len(values) != rows:
-        raise ValueError(f"{name} has {len(values)} rows, the mesh has "
-                         f"{rows} {what}")
-    return values
-
-
-def vtk_text(mesh: Mesh, temperature=None, displacement=None,
-             stress=None) -> str:
+def vtk_text(mesh: Mesh, temperature, displacement, stress) -> str:
     """Render the mesh and fields as a legacy ASCII VTK unstructured grid;
     a field with the wrong number of rows raises ValueError."""
     n = mesh.num_nodes
     m = len(mesh.triangles)
     tris = mesh.triangles
+    T = checked_field("temperature", temperature, n, "nodes")
+    u = checked_field("displacement", displacement, n, "nodes")
+    stress = checked_field("stress", stress, m, "triangles")
     parts = [
         "# vtk DataFile Version 3.0\n"
         "axitherm fields\n"
@@ -43,38 +36,28 @@ def vtk_text(mesh: Mesh, temperature=None, displacement=None,
         format_table("3 %s %s %s\n", tris[:, 0], tris[:, 1], tris[:, 2]),
         f"CELL_TYPES {m}\n",
         "5\n" * m,
+        f"POINT_DATA {n}\n"
+        "SCALARS temperature double 1\nLOOKUP_TABLE default\n",
+        format_table("%.12g\n", T),
+        "VECTORS displacement double\n",
+        format_table("%.12g %.12g 0\n", u[:, 0], u[:, 1]),
+        f"CELL_DATA {m}\n"
+        "SCALARS subdomain int 1\n"
+        "LOOKUP_TABLE default\n",
+        format_table("%d\n", np.asarray(mesh.tri_subdomain, int)),
     ]
-
-    if temperature is not None or displacement is not None:
-        parts.append(f"POINT_DATA {n}\n")
-    if temperature is not None:
-        parts.append("SCALARS temperature double 1\nLOOKUP_TABLE default\n")
-        parts.append(format_table(
-            "%.12g\n", _field("temperature", temperature, n, "nodes")))
-    if displacement is not None:
-        u = _field("displacement", displacement, n, "nodes")
-        parts.append("VECTORS displacement double\n")
-        parts.append(format_table("%.12g %.12g 0\n", u[:, 0], u[:, 1]))
-
-    parts.append(f"CELL_DATA {m}\n"
-                 "SCALARS subdomain int 1\n"
-                 "LOOKUP_TABLE default\n")
-    parts.append(format_table("%d\n", np.asarray(mesh.tri_subdomain, int)))
-    if stress is not None:
-        stress = _field("stress", stress, m, "triangles")
-        for col, name in enumerate(
-                ["stress_rr", "stress_yy", "stress_tt", "stress_ry"]):
-            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            parts.append(format_table("%.12g\n", stress[:, col]))
+    for col, name in enumerate(
+            ["stress_rr", "stress_yy", "stress_tt", "stress_ry"]):
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(format_table("%.12g\n", stress[:, col]))
     return "".join(parts)
 
 
-def export_vtk(mesh: Mesh, path, temperature=None, displacement=None,
-               stress=None) -> None:
+def export_vtk(mesh: Mesh, path, temperature, displacement, stress) -> None:
     atomic_write_text(path, vtk_text(mesh, temperature, displacement, stress))
 
 
-def export_csv(mesh: Mesh, path, temperature, displacement=None) -> None:
+def export_csv(mesh: Mesh, path, temperature, displacement) -> None:
     """Per-node table: node_id,r,y,T,u_r,u_y.
 
     T is written with 17 significant digits, which round-trips every
@@ -82,9 +65,8 @@ def export_csv(mesh: Mesh, path, temperature, displacement=None) -> None:
     A field with the wrong number of rows raises ValueError.
     """
     n = mesh.num_nodes
-    T = _field("temperature", temperature, n, "nodes")
-    u = _field("displacement", displacement, n, "nodes") \
-        if displacement is not None else np.zeros((n, 2))
+    T = checked_field("temperature", temperature, n, "nodes")
+    u = checked_field("displacement", displacement, n, "nodes")
     text = "node_id,r,y,T,u_r,u_y\n" + format_table(
         "%d,%.12g,%.12g,%.17g,%.12g,%.12g\n", np.arange(n),
         mesh.nodes[:, 0], mesh.nodes[:, 1], T, u[:, 0], u[:, 1])

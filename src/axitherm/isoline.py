@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import checked_field
+
 # the next vertex of each triangle vertex: edge e runs from e to _NEXT[e]
 _NEXT = [1, 2, 0]
 
@@ -102,7 +104,7 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
     equals ``level``; an empty result is valid.
     """
     n = mesh.num_nodes
-    d = np.asarray(values, float) - level
+    d = checked_field("values", values, n, "nodes") - level
     segments = _segment_keys(mesh.triangles, d, n)
     keys = np.unique(segments)
     crossing = keys >= n

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POSITIVITY_SAMPLES = 200  # temperatures PiecewiseQuadratic.is_positive checks
-
 
 @dataclass(frozen=True)
 class PiecewiseQuadratic:
@@ -68,9 +66,12 @@ class PiecewiseQuadratic:
         return out if out.ndim else float(out)
 
     def is_positive(self) -> bool:
-        """Positivity on [Ta, Tc], checked at POSITIVITY_SAMPLES points
-        plus the vertex of each parabola when it falls inside its piece."""
-        Ts = list(np.linspace(self.Ta, self.Tc, POSITIVITY_SAMPLES))
+        """Positivity on [Ta, Tc], exactly: the minimum of a parabola over
+        its piece lies at an end of the piece or at its vertex, so the
+        three knots and each vertex inside its piece are checked."""
+        # Tb too: the pieces are C1 only to the 1e-9 of __post_init__, so
+        # a minimum at Tb need not be a vertex of either piece
+        Ts = [self.Ta, self.Tb, self.Tc]
         a0, b0, _, a1, b1, _ = self.coeffs
         if a0 != 0:
             v = -b0 / (2 * a0)
@@ -89,7 +90,7 @@ def fit_piecewise_quadratic(samples, knots) -> PiecewiseQuadratic:
     ``samples`` is a sequence of 4 (T, value) pairs, two with T in
     [Ta, Tb] and two in [Tb, Tc]. The 6x6 system combines the four
     interpolation conditions with value and slope continuity at Tb;
-    one step of iterative refinement keeps the interpolation residual
+    two steps of iterative refinement keep the interpolation residual
     at the 1e-10 relative level despite the T^2 scaling.
     """
     Ta, Tb, Tc = knots
@@ -152,8 +153,14 @@ class MaterialSet:
     def __getitem__(self, subdomain_id: int) -> MaterialRecord:
         return self.records[subdomain_id]
 
-    def subdomain_ids(self):
-        return sorted(self.records)
+    def by_subdomain(self, subdomains: dict) -> list:
+        """(record, element indices) per entry of ``subdomains`` (subdomain
+        id -> element indices, as in ``AssemblyWorkspace.subdomains``);
+        raises ValueError naming every subdomain without a record."""
+        missing = sorted(set(subdomains) - set(self.records))
+        if missing:
+            raise ValueError(f"no material record for subdomains {missing}")
+        return [(self.records[sid], idx) for sid, idx in subdomains.items()]
 
 
 def elasticity_matrix(E: float, nu: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from .fem_core import (
     solve_refined,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
-from .mesh import BoundaryConditions, BoundaryTag, Mesh
+from .mesh import BoundaryConditions, BoundaryTag, Mesh, checked_field
 from .thermal import SolveReport
 
 HYDROSTATIC_SLOPE = 77106.0  # N/m^2 per meter of metal column
@@ -169,14 +169,12 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     (2,)-vector density; ``extra_constraints`` maps (node, component) to
     prescribed displacement values, which override the contact ones.
     """
-    T = np.asarray(T, float)
+    T = checked_field("T", T, mesh.num_nodes, "nodes")
     geo = mesh.assembly_workspace
     quad = geo.quadrature(3)
     M = len(geo.triangles)
     ndof = 2 * mesh.num_nodes
-    missing = set(geo.subdomains) - set(materials.subdomain_ids())
-    if missing:
-        raise ValueError(f"no material record for subdomains {sorted(missing)}")
+    records = materials.by_subdomain(geo.subdomains)
 
     # per-element material data at the quadrature points: E, the thermal
     # stress on the normal components, and the unit-modulus elasticity
@@ -184,8 +182,7 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     T_q = T[geo.triangles] @ quad.rule.points.T              # (M, Q)
     E_q, sig0 = np.empty((2,) + T_q.shape)
     d, l, s = np.empty((3, M))
-    for sid, idx in geo.subdomains.items():
-        rec = materials[sid]
+    for rec, idx in records:
         E_q[idx] = rec.E(T_q[idx])
         sig0[idx] = thermal_stress_term(E_q[idx], rec.nu, rec.alpha,
                                         T_q[idx], materials.T0)
@@ -261,6 +258,8 @@ class StressField:
 def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
                    u: np.ndarray) -> StressField:
     """Element stresses from centroid strain and averaged temperature."""
+    T = checked_field("T", T, mesh.num_nodes, "nodes")
+    u = checked_field("u", u, mesh.num_nodes, "nodes")
     geo = mesh.assembly_workspace
     rule = geo.quadrature(3).rule
     tris = geo.triangles
@@ -277,8 +276,7 @@ def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
     strain[:, 3] = du[:, 0, 1] + du[:, 1, 0]
 
     stress = np.empty((M, 4))
-    for sid, idx in geo.subdomains.items():
-        rec = materials[sid]
+    for rec, idx in materials.by_subdomain(geo.subdomains):
         E_b = np.asarray(rec.E(T_bar[idx]))
         sig = (strain[idx] @ elasticity_matrix(1.0, rec.nu).T) * E_b[:, None]
         sig[:, :3] -= thermal_stress_term(E_b, rec.nu, rec.alpha, T_bar[idx],

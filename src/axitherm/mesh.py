@@ -194,6 +194,16 @@ class Mesh:
         return AssemblyWorkspace(self)
 
 
+def checked_field(name: str, values, rows: int, what: str) -> np.ndarray:
+    """``values`` as a float array, which must have one row per ``what``
+    (nodes or triangles) of a mesh that has ``rows`` of them."""
+    values = np.asarray(values, float)
+    if len(values) != rows:
+        raise ValueError(f"{name} has {len(values)} rows, the mesh has "
+                         f"{rows} {what}")
+    return values
+
+
 def _sorted_edge_keys(triangles: np.ndarray, num_nodes: int):
     """Every triangle edge as the key lo * num_nodes + hi, sorted.
 

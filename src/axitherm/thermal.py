@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fem_core import LU_RTOL, ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
-from .mesh import BoundaryConditions, Mesh
+from .mesh import BoundaryConditions, Mesh, checked_field
 
 # Krylov steps (one restart cycle) before an inexact Newton step gives
 # up and the current Jacobian is factored instead.
@@ -107,19 +107,15 @@ class _ThermalWorkspace:
 
     def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
         self.mesh_ws = mesh.assembly_workspace
-        missing = set(self.mesh_ws.subdomains) - set(materials.subdomain_ids())
-        if missing:
-            raise ValueError(f"no material record for subdomains {sorted(missing)}")
-        self.materials = materials
+        self.records = materials.by_subdomain(self.mesh_ws.subdomains)
         self.robin = _RobinEdges.build(mesh, bc)
         self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[self.robin.ij]
 
     def conductivity(self, T_q, derivative=False):
         """k, or dk/dT, at the temperatures T_q (M, Q)."""
         k = np.empty_like(T_q)
-        for sid, idx in self.mesh_ws.subdomains.items():
-            model = self.materials[sid].k
-            k[idx] = (model.derivative if derivative else model)(T_q[idx])
+        for rec, idx in self.records:
+            k[idx] = (rec.k.derivative if derivative else rec.k)(T_q[idx])
         return k
 
 
@@ -164,6 +160,7 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None
                               ) -> np.ndarray:
     """Residual vector of the weak form tested with every hat function."""
+    T = checked_field("T", T, mesh.num_nodes, "nodes")
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geo = ws.mesh_ws
     quad = geo.quadrature(3)
@@ -186,6 +183,7 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None):
     """Exact Jacobian: k-stiffness + dk/dT secondary term + the lumped
     Robin mass on the diagonal."""
+    T = checked_field("T", T, mesh.num_nodes, "nodes")
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geo = ws.mesh_ws
     quad = geo.quadrature(3)

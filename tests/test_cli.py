@@ -197,6 +197,25 @@ class TestMain:
         assert ((out / "mesh.txt").read_text()
                 != (other / "mesh.txt").read_text())
 
+    def test_flags_reach_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["solve", "--case", "hearth", "--h", "0.5", "--out", str(out),
+                   "--isoline", "1423", "--newton-tol", "1e-5",
+                   "--newton-max-iter", "30"])
+        assert rc == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config == dict(
+            json.loads(RunConfig().to_json()), scenario="hearth",
+            target_h=0.5, output_dir=str(out), isoline_levels=[1423.0],
+            newton_tol=1e-5, newton_max_iter=30)
+        assert (out / "isoline_1423K.csv").exists()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--h H", "--out OUT", "--case CASE", "--isoline ISOLINE"):
+            assert flag in usage
+
     def test_isoline_subcommand(self, tmp_path, capsys):
         run_out = tmp_path / "run"
         assert main(["solve", "--h", "0.5", "--out", str(run_out)]) == 0

@@ -100,15 +100,9 @@ class TestCsvAndReports:
         # T is written losslessly; r, y and u keep 12 significant digits
         path = tmp_path / "fields.csv"
         T = np.array([1423.0 + 1e-9, 1 / 3, -2.0 ** -1074])
-        export_csv(_single_triangle(), path, T)
+        export_csv(_single_triangle(), path, T, np.zeros((3, 2)))
         back = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
         assert np.array_equal(back, T)
-
-    def test_csv_defaults_zero_displacement(self, tmp_path):
-        path = tmp_path / "fields.csv"
-        export_csv(_single_triangle(), path, np.array([1.0, 2.0, 3.0]))
-        last = path.read_text().strip().split("\n")[-1]
-        assert last.endswith(",0,0")
 
     @pytest.mark.parametrize("T_rows, u_rows, name, rows", [
         (4, 3, "temperature", 4),

@@ -68,6 +68,16 @@ class TestPiecewiseQuadratic:
         m = PiecewiseQuadratic(0.0, 2.0, 4.0, (1, -2, 0.5, 1, -2, 0.5))
         assert not m.is_positive()
 
+    def test_is_positive_catches_kink_minimum_at_middle_knot(self):
+        # the slopes at Tb differ by 4e-10, inside the C1 tolerance, so
+        # neither vertex lies in its piece and only Tb shows the dip
+        d = 1e-10
+        b0, b1 = -2 * (2 + d), -2 * (2 - d)
+        m = PiecewiseQuadratic(0.0, 2.0, 4.0, (1.0, b0, -4.001 - 2 * b0,
+                                               1.0, b1, -4.001 - 2 * b1))
+        assert m(2.0) < 0 < min(m(0.0), m(4.0))
+        assert not m.is_positive()
+
 
 class TestFitPiecewiseQuadratic:
     def test_interpolates_samples(self):
@@ -164,7 +174,7 @@ class TestElasticityMatrix:
 class TestHearthMaterials:
     def test_all_six_subdomains(self):
         ms = build_hearth_materials()
-        assert ms.subdomain_ids() == [1, 2, 3, 4, 5, 6]
+        assert sorted(ms.records) == [1, 2, 3, 4, 5, 6]
         assert ms.T0 == 300.0
 
     def test_constant_conductivities(self):
@@ -186,7 +196,7 @@ class TestHearthMaterials:
     def test_positive_properties_over_working_range(self):
         ms = build_hearth_materials()
         T = np.linspace(250.0, 1850.0, 400)
-        for sid in ms.subdomain_ids():
+        for sid in sorted(ms.records):
             assert np.all(ms[sid].k(T) > 0)
             assert np.all(ms[sid].E(T) > 0)
 
@@ -204,3 +214,14 @@ class TestHearthMaterials:
         assert ms[7] is rec
         with pytest.raises(KeyError):
             ms[1]
+
+    def test_by_subdomain_names_every_missing_record(self):
+        k = PiecewiseQuadratic.constant(1.0)
+        rec = MaterialRecord(k=k, E=k, nu=0.3, alpha=1e-5)
+        ms = MaterialSet(records={7: rec})
+        idx = np.array([0, 2])
+        [(found, found_idx)] = ms.by_subdomain({7: idx})
+        assert found is rec and found_idx is idx
+        with pytest.raises(ValueError, match=r"^no material record for "
+                                             r"subdomains \[3, 9\]$"):
+            ms.by_subdomain({9: idx, 7: idx, 3: idx})

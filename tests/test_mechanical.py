@@ -7,13 +7,14 @@ import scipy.sparse as sp
 import sympy
 
 from axitherm import mechanical
-from axitherm.cli import hearth_mechanical_bc
+from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
 from axitherm.fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
     triangle_rule,
 )
+from axitherm.isoline import extract_isoline
 from axitherm.materials import (
     PiecewiseQuadratic,
     elasticity_matrix,
@@ -38,6 +39,12 @@ from axitherm.mesh import (
     generate_mesh,
     hearth_mesh,
     tag_boundaries,
+)
+from axitherm.thermal import (
+    ThermalBC,
+    assemble_thermal_jacobian,
+    assemble_thermal_residual,
+    newton_solve,
 )
 from axitherm.verification import MechanicalManufacturedCase
 
@@ -464,3 +471,46 @@ class TestStressRecovery:
                 tot += np.linalg.norm(tangential) * length * r_mid
             totals.append(tot)
         assert totals[2] < totals[0]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda mesh, mats, T: newton_solve(mesh, mats, ThermalBC({})),
+    lambda mesh, mats, T: solve_mechanical(mesh, mats, MechanicalBC({}), T),
+    lambda mesh, mats, T: recover_stress(mesh, mats, T, np.zeros((3, 2))),
+], ids=["newton_solve", "solve_mechanical", "recover_stress"])
+def test_missing_material_record_named(solve):
+    mesh = Mesh(nodes=np.array([[0.5, 0.0], [1.0, 0.0], [0.5, 1.0]]),
+                triangles=np.array([[0, 1, 2]]), tri_subdomain=np.array([3]))
+    with pytest.raises(ValueError,
+                       match=r"no material record for subdomains \[3\]"):
+        solve(mesh, _materials(), np.full(3, 300.0))
+
+
+@pytest.mark.parametrize("extra", [7, -1], ids=["long", "short"])
+@pytest.mark.parametrize("entry, name", [
+    ("assemble_thermal_residual", "T"), ("assemble_thermal_jacobian", "T"),
+    ("solve_mechanical", "T"), ("recover_stress", "T"),
+    ("recover_stress", "u"), ("extract_isoline", "values"),
+])
+def test_field_of_wrong_length_rejected(entry, name, extra, coarse_hearth_mesh,
+                                        hearth_materials):
+    mesh, mats = coarse_hearth_mesh, hearth_materials
+    n = mesh.num_nodes
+    T, u = np.full(n, 300.0), np.zeros((n, 2))
+    if name == "u":
+        u = np.zeros((n + extra, 2))
+    else:
+        T = np.full(n + extra, 300.0)
+    call = {
+        "assemble_thermal_residual": lambda: assemble_thermal_residual(
+            mesh, mats, hearth_thermal_bc(), T),
+        "assemble_thermal_jacobian": lambda: assemble_thermal_jacobian(
+            mesh, mats, hearth_thermal_bc(), T),
+        "solve_mechanical": lambda: solve_mechanical(
+            mesh, mats, hearth_mechanical_bc(), T),
+        "recover_stress": lambda: recover_stress(mesh, mats, T, u),
+        "extract_isoline": lambda: extract_isoline(mesh, T, 1000.0),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{name} has {n + extra} rows, "
+                                         f"the mesh has {n} nodes$"):
+        call()

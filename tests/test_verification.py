@@ -140,10 +140,13 @@ class TestManufacturedCases:
         assert rec.observed_order() >= 1.9
 
     def test_needs_three_levels(self):
-        case = ThermalManufacturedCase(
+        thermal = ThermalManufacturedCase(
             exact_expr=300 + _r, conductivity_expr=sp.Integer(1))
-        with pytest.raises(ValueError):
-            mms_thermal_study(case, [0.5, 0.25])
+        mechanical = MechanicalManufacturedCase(ur_expr=_r * _y, uy_expr=_r)
+        for study, case in ((mms_thermal_study, thermal),
+                            (mms_mechanical_study, mechanical)):
+            with pytest.raises(ValueError, match="at least 3 refinement"):
+                study(case, [0.5, 0.25])
 
 
 class TestAnnulusStudy:
