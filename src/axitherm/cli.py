@@ -89,16 +89,6 @@ class RunConfig:
             name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_NEWTON_KEYS.get(name, name)} {rest}") from None
 
-    def validate(self):
-        if not (np.isfinite(self.target_h) and self.target_h > 0):
-            raise ValueError(
-                f"target_h must be finite and positive, not {self.target_h}")
-        if self.mesh_file is not None and not os.path.exists(self.mesh_file):
-            raise ValueError(f"mesh file not found: {self.mesh_file}")
-        self.newton_config()
-        if not all(np.isfinite(v) for v in self.isoline_levels):
-            raise ValueError("isoline levels must be finite")
-
 
 def hearth_thermal_bc() -> ThermalBC:
     return ThermalBC({
@@ -128,36 +118,47 @@ def _load_scenario_mesh(config: RunConfig):
     return hearth_mesh(config.target_h)
 
 
+def _extract_isolines(mesh, T, levels) -> dict:
+    """The isoline of every level, by the name of its file; two levels
+    whose files would have the same name are rejected."""
+    isolines = {}
+    for level in levels:
+        name = f"isoline_{level:g}K.csv"
+        if name in isolines:
+            raise ValueError(f"isoline levels {isolines[name].level!r} and "
+                             f"{level!r} would both be written to {name}")
+        isolines[name] = extract_isoline(mesh, T, level)
+    return isolines
+
+
+def _write_isolines(isolines, out):
+    for name, iso in isolines.items():
+        axio.atomic_write_text(os.path.join(out, name), isoline_csv(iso))
+
+
 def run_scenario(config: RunConfig) -> dict:
-    """Mesh, thermal Newton solve, mechanical solve, stress recovery,
-    exports. Returns a summary dict; artifacts land in the output dir."""
-    config.validate()
+    """Mesh, thermal Newton solve, mechanical solve, stress recovery and
+    isolines, all before the first artifact is written to the output dir,
+    so a run that raises leaves that dir as it was. Returns a summary."""
+    newton = config.newton_config()
+    mesh = _load_scenario_mesh(config)
+    materials = build_hearth_materials()
+    T, thermal_report = newton_solve(mesh, materials, hearth_thermal_bc(), newton)
+    u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
+    stress = recover_stress(mesh, materials, T, u)
+    isolines = _extract_isolines(mesh, T, config.isoline_levels)
+
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-
-    mesh = _load_scenario_mesh(config)
     save_mesh(mesh, os.path.join(out, "mesh.txt"))
-    materials = build_hearth_materials()
-
-    T, thermal_report = newton_solve(mesh, materials, hearth_thermal_bc(),
-                                     config.newton_config())
     axio.export_report(thermal_report,
                        os.path.join(out, "thermal_report.json"))
-
-    u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     axio.export_report(mech_report,
                        os.path.join(out, "mechanical_report.json"))
-
-    stress = recover_stress(mesh, materials, T, u)
     axio.export_vtk(mesh, os.path.join(out, "solution.vtk"),
                     temperature=T, displacement=u, stress=stress.stress)
     axio.export_csv(mesh, os.path.join(out, "fields.csv"), T, u)
-
-    for level in config.isoline_levels:
-        iso = extract_isoline(mesh, T, level)
-        axio.atomic_write_text(
-            os.path.join(out, f"isoline_{level:g}K.csv"), isoline_csv(iso))
-
+    _write_isolines(isolines, out)
     axio.atomic_write_text(os.path.join(out, "config.json"), config.to_json())
     return {
         "nodes": mesh.num_nodes,
@@ -238,9 +239,6 @@ def _cmd_fit_materials(args) -> int:
 
 
 def _cmd_isoline(args) -> int:
-    for level in args.isoline:
-        if not np.isfinite(level):
-            raise ValueError(f"isoline level must be finite, not {level}")
     mesh = load_mesh(args.mesh_file)
     # node_id and T columns of fields.csv
     table = np.loadtxt(args.csv, delimiter=",", skiprows=1, usecols=(0, 3),
@@ -251,13 +249,11 @@ def _cmd_isoline(args) -> int:
             f"{args.csv} does not belong to {args.mesh_file}: its node_id "
             f"column must be 0..{n - 1}, and it has {len(table)} rows "
             f"for {n} nodes")
-    T = table[:, 1]
-    for level in args.isoline:
-        iso = extract_isoline(mesh, T, level)
-        path = os.path.join(args.out, f"isoline_{level:g}K.csv")
-        os.makedirs(args.out, exist_ok=True)
-        axio.atomic_write_text(path, isoline_csv(iso))
-        print(f"{path}: {len(iso.polylines)} polylines")
+    isolines = _extract_isolines(mesh, table[:, 1], args.isoline)
+    os.makedirs(args.out, exist_ok=True)
+    _write_isolines(isolines, args.out)
+    for name, iso in isolines.items():
+        print(f"{os.path.join(args.out, name)}: {len(iso.polylines)} polylines")
     return 0
 
 

@@ -101,8 +101,11 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
     """Extract the level set of a P1 field as chained polylines.
 
     Every emitted vertex lies on a mesh edge where the interpolant
-    equals ``level``; an empty result is valid.
+    equals ``level``; an empty result is valid. A non-finite level
+    raises ValueError.
     """
+    if not np.isfinite(level):
+        raise ValueError(f"isoline level must be finite, not {level}")
     n = mesh.num_nodes
     d = checked_field("values", values, n, "nodes") - level
     segments = _segment_keys(mesh.triangles, d, n)

@@ -12,14 +12,16 @@ import pytest
 import axitherm
 from axitherm import materials
 from axitherm.cli import RunConfig, main, run_scenario
+from axitherm.fem_core import ConvergenceError
 from axitherm.materials import CONDUCTIVITY_KNOTS
+from axitherm.thermal import NewtonConfig
 
 
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
         assert config.scenario == "hearth"
-        config.validate()
+        assert config.newton_config() == NewtonConfig()
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -43,17 +45,25 @@ class TestRunConfig:
                            match=r"unknown config keys: \['solver'\]"):
             RunConfig.from_file(path)
 
+    # run_scenario checks each value where it is used, and a bad one
+    # fails the run before its output directory is created
     def test_validate_rejects_bad_values(self, tmp_path):
+        out = tmp_path / "out"
         with pytest.raises(ValueError, match="target_h"):
-            RunConfig(target_h=-1.0).validate()
-        with pytest.raises(ValueError, match="mesh file"):
-            RunConfig(mesh_file=str(tmp_path / "missing.txt")).validate()
+            run_scenario(RunConfig(target_h=-1.0, output_dir=str(out)))
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+            run_scenario(RunConfig(mesh_file=missing, output_dir=str(out)))
         with pytest.raises(ValueError, match="finite"):
-            RunConfig(isoline_levels=[float("nan")]).validate()
+            run_scenario(RunConfig(target_h=0.5, output_dir=str(out),
+                                   isoline_levels=[float("nan")]))
+        assert not out.exists()
 
-    def test_validate_rejects_non_finite_target_h(self):
+    def test_validate_rejects_non_finite_target_h(self, tmp_path):
+        out = tmp_path / "out"
         with pytest.raises(ValueError, match="target_h must be finite"):
-            RunConfig(target_h=float("nan")).validate()
+            run_scenario(RunConfig(target_h=float("nan"), output_dir=str(out)))
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("target_h", "0.1"),
@@ -75,9 +85,12 @@ class TestRunConfig:
         ("newton_tol", -1e-4, "newton_tol"),
         ("newton_max_iter", 0, "newton_max_iter"),
     ])
-    def test_validate_rejects_bad_newton_settings(self, field, value, match):
+    def test_validate_rejects_bad_newton_settings(self, tmp_path, field,
+                                                  value, match):
+        out = tmp_path / "out"
         with pytest.raises(ValueError, match=match):
-            RunConfig(**{field: value}).validate()
+            run_scenario(RunConfig(**{field: value}, output_dir=str(out)))
+        assert not out.exists()
 
     def test_json_round_trip(self, tmp_path):
         config = RunConfig(target_h=0.3, isoline_levels=[1423.0])
@@ -156,6 +169,17 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="unknown scenario"):
             run_scenario(config)
 
+    def test_failed_run_leaves_output_dir_as_it_was(self, tmp_path):
+        # a run that fails after meshing must not leave a mesh.txt that
+        # the fields.csv of the earlier run does not belong to
+        run_scenario(RunConfig(target_h=0.5, output_dir=str(tmp_path),
+                               isoline_levels=[1423.0]))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConvergenceError):
+            run_scenario(RunConfig(target_h=0.4, newton_max_iter=1,
+                                   output_dir=str(tmp_path)))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def test_cli_import_leaves_out_sympy():
     # only `verify` and `fit-materials` need verification, and with it
@@ -228,20 +252,27 @@ class TestMain:
         assert text.startswith("polyline,r,y\n")
         assert len(text.strip().split("\n")) > 2
 
-    @pytest.mark.parametrize("edit, level, match", [
-        (lambda rows: rows[:-1], "1423", r"has \d+ rows for \d+ nodes"),
-        (lambda rows: rows + [rows[-1]], "1423", r"has \d+ rows for \d+ nodes"),
-        (lambda rows: rows, "nan", "level must be finite, not nan"),
-    ], ids=["too-few-rows", "too-many-rows", "nan-level"])
+    # a second level that fails is rejected before the first is written
+    @pytest.mark.parametrize("edit, levels, match", [
+        (lambda rows: rows[:-1], ["1423"], r"has \d+ rows for \d+ nodes"),
+        (lambda rows: rows + [rows[-1]], ["1423"],
+         r"has \d+ rows for \d+ nodes"),
+        (lambda rows: rows, ["nan"], "level must be finite, not nan"),
+        (lambda rows: rows, ["1423", "nan"], "level must be finite, not nan"),
+        (lambda rows: rows, ["1423", "1423.0000001"],
+         r"levels 1423\.0 and 1423\.0000001 would both be written to "
+         r"isoline_1423K\.csv"),
+    ], ids=["too-few-rows", "too-many-rows", "nan-level", "1423-then-nan",
+            "levels-sharing-a-file-name"])
     def test_isoline_rejects_foreign_input(self, coarse_run, tmp_path, capsys,
-                                           edit, level, match):
+                                           edit, levels, match):
         out, summary = coarse_run
         header, *rows = (out / "fields.csv").read_text().splitlines()
         csv = tmp_path / "fields.csv"
         csv.write_text("\n".join([header] + edit(rows)) + "\n")
+        flags = [arg for level in levels for arg in ("--isoline", level)]
         rc = main(["isoline", "--mesh-file", str(out / "mesh.txt"),
-                   "--csv", str(csv), "--isoline", level,
-                   "--out", str(tmp_path / "iso")])
+                   "--csv", str(csv), *flags, "--out", str(tmp_path / "iso")])
         assert rc == 2
         err = capsys.readouterr().err
         assert re.search(match, err), err
@@ -294,6 +325,15 @@ class TestMain:
         rc = main(["mesh", "--h", "-0.5", "--out", "unused"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_levels_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["solve", "--h", "0.5", "--isoline", "1423",
+                   "--isoline", "1423.0000001", "--out", str(out)])
+        assert rc == 2
+        assert ("isoline levels 1423.0 and 1423.0000001 would both be "
+                "written to isoline_1423K.csv") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_h_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--h", "nan", "--out", str(tmp_path)])

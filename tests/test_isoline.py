@@ -64,6 +64,12 @@ class TestExtractIsoline:
         iso = extract_isoline(mesh, T, 99.0)
         assert iso.polylines == []
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, level):
+        mesh = _square()
+        with pytest.raises(ValueError, match="isoline level must be finite"):
+            extract_isoline(mesh, mesh.nodes[:, 0], level)
+
     def test_closed_contour_around_hot_spot(self):
         mesh = _square(0.1)
         c = np.array([0.5, 0.5])
