@@ -111,11 +111,17 @@ def hearth_mechanical_bc() -> MechanicalBC:
 
 
 def _load_scenario_mesh(config: RunConfig):
-    if config.mesh_file is not None:
-        return load_mesh(config.mesh_file)
+    """The hearth mesh of size ``target_h``, or the mesh file, which
+    leaves ``target_h`` at its default."""
     if config.scenario != "hearth":
         raise ValueError(f"unknown scenario '{config.scenario}'")
-    return hearth_mesh(config.target_h)
+    if config.mesh_file is None:
+        return hearth_mesh(config.target_h)
+    if config.target_h != RunConfig.target_h:
+        raise ValueError(f"target_h {config.target_h!r} does not apply to mesh "
+                         f"file {config.mesh_file}: leave it at its default "
+                         f"{RunConfig.target_h!r}")
+    return load_mesh(config.mesh_file)
 
 
 def _extract_isolines(mesh, T, levels) -> dict:

@@ -34,7 +34,6 @@ class QuadratureRule:
 
     points: np.ndarray   # (Q, 3)
     weights: np.ndarray  # (Q,)
-    degree: int
 
 
 def triangle_rule(degree: int = 3) -> QuadratureRule:
@@ -47,7 +46,7 @@ def triangle_rule(degree: int = 3) -> QuadratureRule:
             [0.2, 0.2, 0.6],
         ])
         w = np.array([-27.0, 25.0, 25.0, 25.0]) / 96.0
-        return QuadratureRule(pts, w, 3)
+        return QuadratureRule(pts, w)
     if degree <= 5:
         a, b = 0.059715871789770, 0.470142064105115
         c, d = 0.797426985353087, 0.101286507323456
@@ -61,7 +60,7 @@ def triangle_rule(degree: int = 3) -> QuadratureRule:
                             0.132394152788506,
                             0.125939180544827, 0.125939180544827,
                             0.125939180544827])
-        return QuadratureRule(pts, w, 5)
+        return QuadratureRule(pts, w)
     raise ValueError(f"no triangle rule of degree {degree}")
 
 
@@ -257,8 +256,6 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     prescribed values exactly. Symmetric input stays symmetric. The
     result is a new sorted CSR matrix that stores no zeros.
     """
-    if not fixed:
-        return A.tocsr(), b.copy()
     n = A.shape[0]
     idx = np.fromiter(fixed.keys(), dtype=int)
     if np.any(idx < 0) or np.any(idx >= n):

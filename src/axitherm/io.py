@@ -10,6 +10,7 @@ with the permissions ``open()`` would give it.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -74,4 +75,4 @@ def export_csv(mesh: Mesh, path, temperature, displacement) -> None:
 
 
 def export_report(report, path) -> None:
-    atomic_write_text(path, json.dumps(report.as_dict(), indent=2) + "\n")
+    atomic_write_text(path, json.dumps(asdict(report), indent=2) + "\n")

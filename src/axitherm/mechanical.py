@@ -241,7 +241,7 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     res = np.linalg.norm(K @ x - f)
     report = SolveReport(iterations=1,
                          residuals=[float(res / fnorm if fnorm > 0 else res)],
-                         converged=True, linear_solves=1, factorizations=1,
+                         converged=True, factorizations=1,
                          wall_time=time.perf_counter() - start)
     return x.reshape(-1, 2), report
 

@@ -356,11 +356,12 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
 
     ll, lr = gid(ci, cj), gid(ci + 1, cj)
     ul, ur = gid(ci, cj + 1), gid(ci + 1, cj + 1)
-    # fixed diagonal lower-left -> upper-right, both triangles CCW
-    tris = np.concatenate(
-        [np.column_stack([ll, lr, ur]), np.column_stack([ll, ur, ul])]
-    )
-    tri_sub = np.concatenate([sub, sub])
+    # fixed diagonal lower-left -> upper-right, both triangles CCW; a
+    # cell's two triangles are consecutive, so element numbering follows
+    # the grid
+    tris = np.stack([np.column_stack([ll, lr, ur]),
+                     np.column_stack([ll, ur, ul])], axis=1).reshape(-1, 3)
+    tri_sub = np.repeat(sub, 2)
 
     # drop unused grid nodes, renumber
     used = np.unique(tris)
@@ -370,13 +371,6 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     nodes = np.column_stack(
         [r_lines[used // ny], y_lines[used % ny]]
     )
-
-    # interleave the two triangles of each cell back into cell order so
-    # element numbering follows the grid deterministically
-    order = np.argsort(np.r_[np.arange(len(ci)) * 2, np.arange(len(ci)) * 2 + 1],
-                       kind="stable")
-    tris = tris[order]
-    tri_sub = tri_sub[order]
 
     edges = _collect_boundary_edges(tris, tri_sub, len(nodes))
     return Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
@@ -409,20 +403,12 @@ def _on_segment(p, q, seg) -> bool:
     (ax, ay), (bx, by) = seg
     lo_x, hi_x = min(ax, bx) - GEOM_TOL, max(ax, bx) + GEOM_TOL
     lo_y, hi_y = min(ay, by) - GEOM_TOL, max(ay, by) + GEOM_TOL
-    for x, y in (p, q):
-        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
-            return False
-        # axis-aligned segments: collinearity is a single coordinate match
-        if abs(ax - bx) < GEOM_TOL and abs(x - ax) > GEOM_TOL:
-            return False
-        if abs(ay - by) < GEOM_TOL and abs(y - ay) > GEOM_TOL:
-            return False
-    return True
+    # an axis-aligned segment is its own bounding box
+    return all(lo_x <= x <= hi_x and lo_y <= y <= hi_y for x, y in (p, q))
 
 
 def tag_boundaries(
     mesh: Mesh,
-    polygons: list[SubdomainPolygon],
     inner_segments=None,
     top_band_min_y: float | None = None,
 ) -> Mesh:
@@ -430,15 +416,14 @@ def tag_boundaries(
     edges; it shares the mesh's arrays.
 
     Exterior edges on r=0 become AXIS, y=0 BOTTOM, r=r_max OUTER and
-    y=y_max TOP. When ``inner_segments`` is given, edges lying on those
-    segments become INNER and remaining edges above ``top_band_min_y``
-    become TOP (stepped upper surfaces); otherwise every leftover
-    exterior edge is treated as an inner (cavity-facing) wall. Any edge
-    matching no rule raises.
+    y=y_max TOP, where r_max and y_max are the largest node coordinates.
+    When ``inner_segments`` (axis-aligned) is given, edges lying on
+    those segments become INNER and remaining edges above
+    ``top_band_min_y`` become TOP (stepped upper surfaces); otherwise
+    every leftover exterior edge is treated as an inner (cavity-facing)
+    wall. Any edge matching no rule raises.
     """
-    verts = np.concatenate([np.asarray(p.vertices, float) for p in polygons])
-    r_max = float(verts[:, 0].max())
-    y_max = float(verts[:, 1].max())
+    r_max, y_max = mesh.nodes.max(axis=0).tolist()
 
     tagged = []
     for (i, j, tag) in mesh.boundary_edges:
@@ -471,10 +456,8 @@ def tag_boundaries(
 
 def hearth_mesh(target_h: float) -> Mesh:
     """Generate and fully tag the built-in hearth mesh."""
-    polys = build_hearth_geometry()
-    mesh = generate_mesh(polys, target_h)
-    return tag_boundaries(mesh, polys, HEARTH_CAVITY_SEGMENTS,
-                          HEARTH_TOP_BAND_MIN_Y)
+    mesh = generate_mesh(build_hearth_geometry(), target_h)
+    return tag_boundaries(mesh, HEARTH_CAVITY_SEGMENTS, HEARTH_TOP_BAND_MIN_Y)
 
 
 # one %-conversion of a format line: flags, width and precision, then

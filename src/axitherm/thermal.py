@@ -10,7 +10,7 @@ step is a full one.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -85,19 +85,15 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """What a solve did: Newton iterations and residual norms, one
-    linear solve per step, LU factorizations and GMRES steps in total."""
+    """What a solve did: Newton iterations (one linear solve each) and
+    residual norms, LU factorizations and GMRES steps in total."""
 
     iterations: int = 0
     residuals: list = field(default_factory=list)
     converged: bool = False
-    linear_solves: int = 0
     factorizations: int = 0
     gmres_steps: int = 0
     wall_time: float = 0.0
-
-    def as_dict(self):
-        return asdict(self)
 
 
 class _ThermalWorkspace:
@@ -270,7 +266,6 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
         if delta is None:
             delta, factor = solve_lu(J, -R, ws.mesh_ws.node_order)
             report.factorizations += 1
-        report.linear_solves += 1
         T = T + delta
         R = assemble_thermal_residual(mesh, materials, bc, T, source, ws)
         norm = np.linalg.norm(R)

@@ -16,17 +16,19 @@ import numpy as np
 import sympy as sp
 
 from . import materials as mat
-from .materials import (
-    MaterialSet,
-    PiecewiseQuadratic,
-    fit_piecewise_quadratic,
-    uniform_materials,
-)
+from .materials import MaterialSet, PiecewiseQuadratic, uniform_materials
 from .mesh import BoundaryTag, Mesh, SubdomainPolygon, generate_mesh, tag_boundaries
 from .mechanical import MechanicalBC, TRACTION_FREE, solve_mechanical
 from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 
 _r, _y, _T = sp.symbols("r y T", positive=True)
+
+
+def _field(expr):
+    """``expr`` as a numpy function of (r, y) whose value has the shape
+    of r, a constant ``expr`` included."""
+    f = sp.lambdify((_r, _y), expr, "numpy")
+    return lambda r, y: np.broadcast_to(f(r, y), np.shape(r))
 
 
 @dataclass
@@ -103,8 +105,7 @@ def _weighted_sum(w, values):
 
 def _unit_square_mesh(h, r0=0.0, r1=1.0, y0=0.0, y1=1.0):
     poly = SubdomainPolygon(1, ((r0, y0), (r1, y0), (r1, y1), (r0, y1)))
-    mesh = generate_mesh([poly], h)
-    return tag_boundaries(mesh, [poly])
+    return tag_boundaries(generate_mesh([poly], h))
 
 
 @dataclass
@@ -124,13 +125,10 @@ class ThermalManufacturedCase:
         k_of_T = self.conductivity_expr.subs(_T, Te)
         flux_r = _r * k_of_T * sp.diff(Te, _r)
         source = -(sp.diff(flux_r, _r) / _r + sp.diff(k_of_T * sp.diff(Te, _y), _y))
-        self.exact = sp.lambdify((_r, _y), Te, "numpy")
-        self.source = sp.lambdify((_r, _y), source, "numpy")
-        gr = sp.lambdify((_r, _y), sp.diff(Te, _r), "numpy")
-        gy = sp.lambdify((_r, _y), sp.diff(Te, _y), "numpy")
-        self.gradient = lambda r, y: np.stack(
-            [np.broadcast_to(gr(r, y), np.shape(r)),
-             np.broadcast_to(gy(r, y), np.shape(r))], axis=-1)
+        self.exact = _field(Te)
+        self.source = _field(source)
+        gr, gy = _field(sp.diff(Te, _r)), _field(sp.diff(Te, _y))
+        self.gradient = lambda r, y: np.stack([gr(r, y), gy(r, y)], axis=-1)
         # Robin ambient temperature realizing the exact solution on each
         # outward normal: T_R = T + k dT/dn / h
         self._k_of_T = k_of_T
@@ -139,8 +137,7 @@ class ThermalManufacturedCase:
         nr, ny = normal
         dTdn = nr * sp.diff(self.exact_expr, _r) + ny * sp.diff(self.exact_expr, _y)
         TR = self.exact_expr + self._k_of_T * dTdn / self.robin_h
-        # Robin.ambient broadcasts a constant result to the points' shape
-        return sp.lambdify((_r, _y), TR, "numpy")
+        return _field(TR)
 
     def material_set(self) -> MaterialSet:
         kT = sp.Poly(self.conductivity_expr, _T).all_coeffs()
@@ -208,25 +205,18 @@ class MechanicalManufacturedCase:
         sry = sig[3]
         fr = -(sp.diff(srr, _r) + sp.diff(sry, _y) + (srr - stt) / _r)
         fy = -(sp.diff(sry, _r) + sp.diff(syy, _y) + sry / _r)
-        self._fr = sp.lambdify((_r, _y), fr, "numpy")
-        self._fy = sp.lambdify((_r, _y), fy, "numpy")
-        self._ur = sp.lambdify((_r, _y), ur, "numpy")
-        self._uy = sp.lambdify((_r, _y), uy, "numpy")
-        self._dT = sp.lambdify((_r, _y), self.delta_T_expr, "numpy")
+        self._fr, self._fy = _field(fr), _field(fy)
+        self._ur, self._uy = _field(ur), _field(uy)
+        self._dT = _field(self.delta_T_expr)
 
     def body_force(self, r, y):
-        shape = np.shape(r)
-        return (np.broadcast_to(self._fr(r, y), shape),
-                np.broadcast_to(self._fy(r, y), shape))
+        return self._fr(r, y), self._fy(r, y)
 
     def exact(self, r, y):
-        shape = np.shape(r)
-        return np.stack([np.broadcast_to(self._ur(r, y), shape),
-                         np.broadcast_to(self._uy(r, y), shape)], axis=-1)
+        return np.stack([self._ur(r, y), self._uy(r, y)], axis=-1)
 
     def temperature(self, mesh: Mesh) -> np.ndarray:
-        r, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        return self.T0 + np.broadcast_to(self._dT(r, y), r.shape).astype(float)
+        return self.T0 + self._dT(mesh.nodes[:, 0], mesh.nodes[:, 1]).astype(float)
 
     def material_set(self) -> MaterialSet:
         return uniform_materials(

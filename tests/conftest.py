@@ -11,7 +11,7 @@ from axitherm.mesh import SubdomainPolygon, generate_mesh, tag_boundaries
 def unit_square_mesh():
     poly = SubdomainPolygon(1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     mesh = generate_mesh([poly], 0.25)
-    return tag_boundaries(mesh, [poly])
+    return tag_boundaries(mesh)
 
 
 @pytest.fixture(scope="session")

@@ -351,6 +351,25 @@ class TestMain:
         assert rc == 2
         assert "node 0 has a non-finite coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "mesh"])
+    @pytest.mark.parametrize("flags, messages", [
+        (["--case", "ladle"], ["unknown scenario 'ladle'"]),
+        (["--h", "0.05"], ["target_h 0.05 does not apply to mesh file",
+                           "default 0.1"]),
+    ], ids=["case", "h"])
+    def test_mesh_file_rejects_scenario_and_h(self, tmp_path, capsys, command,
+                                              flags, messages):
+        # a mesh file fixes the mesh, so a scenario or size that the run
+        # would not use is an error rather than a false record
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "run"
+        rc = main([command, "--mesh-file", str(tmp_path / "mesh.txt"), *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(m in err for m in messages)
+        assert not out.exists()
+
     def test_mistyped_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": "0.1"}))

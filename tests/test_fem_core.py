@@ -174,6 +174,22 @@ class TestDofMapAndConstraints:
         assert np.allclose(Ac.toarray(), np.eye(3))
         assert np.allclose(bc, b)
 
+    def test_no_constraints_returns_a_new_matrix(self):
+        # a stored zero, which the result must not keep
+        A = sp.csr_matrix((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        b = np.array([1.0, -1.0])
+        before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
+        Ac, bc = apply_constraints(A, b, {})
+        assert Ac is not A
+        assert bc is not b
+        assert Ac.nnz == 2
+        assert not np.any(Ac.data == 0)
+        assert (Ac != A).nnz == 0
+        assert np.array_equal(bc, b)
+        for a, copy in zip((A.indptr, A.indices, A.data, b), before):
+            assert np.array_equal(a, copy)
+
 
 class TestSolvers:
     @staticmethod

@@ -123,7 +123,7 @@ class TestCsvAndReports:
         # solvers record numpy residuals; they are written as plain floats
         rep = SolveReport(iterations=3,
                           residuals=list(np.array([1.0, 0.1, 1e-5])),
-                          converged=True, linear_solves=3, wall_time=0.5)
+                          converged=True, wall_time=0.5)
         export_report(rep, path)
         data = json.loads(path.read_text())
         assert data["iterations"] == 3

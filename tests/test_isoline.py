@@ -16,7 +16,7 @@ from axitherm.mesh import (
 
 def _square(h=0.25):
     poly = SubdomainPolygon(1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    return tag_boundaries(generate_mesh([poly], h), [poly])
+    return tag_boundaries(generate_mesh([poly], h))
 
 
 class TestExtractIsoline:

@@ -125,6 +125,15 @@ class TestGenerateMesh:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.tri_subdomain, b.tri_subdomain)
 
+    def test_cell_triangles_are_consecutive(self, coarse_hearth_mesh):
+        # each grid cell gives a lower and an upper triangle on its
+        # lower-left to upper-right diagonal, numbered one after the other
+        tris = coarse_hearth_mesh.triangles
+        sub = coarse_hearth_mesh.tri_subdomain
+        assert len(tris) % 2 == 0
+        assert np.array_equal(tris[0::2][:, [0, 2]], tris[1::2][:, [0, 1]])
+        assert np.array_equal(sub[0::2], sub[1::2])
+
 
 class TestTagBoundaries:
     def test_axis_edge(self, unit_square_mesh):
@@ -145,8 +154,7 @@ class TestTagBoundaries:
         right = SubdomainPolygon(1, ((2, 0), (3, 0), (3, 3), (2, 3)))
         mesh = generate_mesh([left, right], 0.5)
         with pytest.raises(ValueError, match="untaggable"):
-            tag_boundaries(mesh, [left, right],
-                           inner_segments=[((1.0, 0.0), (1.0, 3.0))])
+            tag_boundaries(mesh, inner_segments=[((1.0, 0.0), (1.0, 3.0))])
 
     def test_tag_multiset_stable_under_refinement(self):
         polys = build_hearth_geometry()
@@ -190,7 +198,7 @@ class TestImmutableMesh:
     def test_tag_boundaries_returns_a_new_mesh(self):
         poly = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
         plain = generate_mesh([poly], 0.25)
-        tagged = tag_boundaries(plain, [poly])
+        tagged = tag_boundaries(plain)
         assert tagged is not plain
         for name in ("nodes", "triangles", "tri_subdomain"):
             assert getattr(tagged, name) is getattr(plain, name)

@@ -1,4 +1,6 @@
 """Nonlinear heat conduction solver tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -28,7 +30,7 @@ from axitherm.thermal import (
 
 def _strip_mesh(h=0.25, r0=0.0, r1=1.0, y1=1.0):
     poly = SubdomainPolygon(1, ((r0, 0.0), (r1, 0.0), (r1, y1), (r0, y1)))
-    return tag_boundaries(generate_mesh([poly], h), [poly])
+    return tag_boundaries(generate_mesh([poly], h))
 
 
 def _const_materials(k=2.0):
@@ -163,7 +165,6 @@ class TestNewtonSolve:
         T, report = newton_solve(mesh, mats, bc, NewtonConfig(abs_tol=1e-8))
         assert report.residuals[-1] <= 1e-8
         assert report.residuals[0] > report.residuals[-1]
-        assert report.linear_solves == report.iterations
 
     def test_iteration_cap_raises(self):
         mesh = _strip_mesh()
@@ -236,11 +237,10 @@ class TestNewtonSolve:
         mesh = _strip_mesh()
         _, report = newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
                                  NewtonConfig())
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         # the order of the keys in the report files
         assert list(d) == ["iterations", "residuals", "converged",
-                           "linear_solves", "factorizations", "gmres_steps",
-                           "wall_time"]
+                           "factorizations", "gmres_steps", "wall_time"]
         assert d["converged"] is True
 
 
@@ -296,7 +296,6 @@ class TestInexactNewton:
         assert report.iterations == 5
         assert report.factorizations == 1
         assert report.gmres_steps > 0
-        assert report.linear_solves == 5
         assert report.residuals[-1] <= 1e-4
         self._assert_matches(T, T_ref)
 
