@@ -4,7 +4,6 @@ from .materials import (
     MaterialRecord,
     MaterialSet,
     PiecewiseQuadratic,
-    build_hearth_materials,
     elasticity_matrix,
     fit_piecewise_quadratic,
     thermal_stress_term,
@@ -13,9 +12,7 @@ from .mesh import (
     BoundaryTag,
     Mesh,
     SubdomainPolygon,
-    build_hearth_geometry,
     generate_mesh,
-    hearth_mesh,
     load_mesh,
     save_mesh,
     tag_boundaries,
@@ -30,6 +27,7 @@ from .mechanical import (
     solve_mechanical,
 )
 from .isoline import IsoLine, extract_isoline
+from .hearth import build_hearth_geometry, build_hearth_materials, hearth_mesh
 
 __version__ = "0.1.0"
 

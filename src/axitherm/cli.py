@@ -15,20 +15,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as axio
+from .hearth import (build_hearth_materials, hearth_mechanical_bc,
+                     hearth_mesh, hearth_thermal_bc)
 from .isoline import extract_isoline, isoline_csv
-from .materials import build_hearth_materials
-from .mechanical import (
-    FRICTIONLESS_CONTACT,
-    MechanicalBC,
-    TRACTION_FREE,
-    hydrostatic_bc,
-    recover_stress,
-    solve_mechanical,
-)
-from .mesh import BoundaryTag, hearth_mesh, load_mesh, save_mesh
-from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
+from .mechanical import recover_stress, solve_mechanical
+from .mesh import load_mesh, save_mesh
+from .thermal import NewtonConfig, newton_solve
 
-HEARTH_Y_MAX = 7.4
 # RunConfig key of each NewtonConfig field whose name differs
 _NEWTON_KEYS = {"abs_tol": "newton_tol", "max_iter": "newton_max_iter"}
 
@@ -88,26 +81,6 @@ class RunConfig:
             # NewtonConfig's messages start with the field name
             name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_NEWTON_KEYS.get(name, name)} {rest}") from None
-
-
-def hearth_thermal_bc() -> ThermalBC:
-    return ThermalBC({
-        BoundaryTag.BOTTOM: Robin(200.0, 300.0),
-        BoundaryTag.OUTER: Robin(200.0, 300.0),
-        BoundaryTag.TOP: ADIABATIC,
-        BoundaryTag.INNER: Robin(2000.0, 1773.0),
-        BoundaryTag.AXIS: ADIABATIC,
-    })
-
-
-def hearth_mechanical_bc() -> MechanicalBC:
-    return MechanicalBC({
-        BoundaryTag.BOTTOM: FRICTIONLESS_CONTACT,
-        BoundaryTag.TOP: FRICTIONLESS_CONTACT,
-        BoundaryTag.AXIS: FRICTIONLESS_CONTACT,
-        BoundaryTag.INNER: hydrostatic_bc(HEARTH_Y_MAX),
-        BoundaryTag.OUTER: TRACTION_FREE,
-    })
 
 
 def _load_scenario_mesh(config: RunConfig):

@@ -184,67 +184,6 @@ def thermal_stress_term(E: float, nu: float, alpha: float,
     return E * alpha * (T - T0) / (1 - 2 * nu)
 
 
-# Hearth material data. Conductivity samples in W/(m K), modulus samples
-# in Pa, at the sample temperatures in kelvin.
-CONDUCTIVITY_KNOTS = (293.0, 673.0, 1800.0)
-MODULUS_KNOTS = (293.0, 823.0, 1800.0)
-
-CONDUCTIVITY_SAMPLE_TEMPS = (293.0, 473.0, 873.0, 1273.0)
-MODULUS_SAMPLE_TEMPS = (293.0, 573.0, 1073.0, 1273.0)
-
-CONDUCTIVITY_SAMPLES = {
-    1: (16.07, 15.53, 15.97, 17.23),
-    2: (49.35, 24.75, 27.06, 38.24),
-    5: (23.34, 20.81, 20.99, 21.62),
-}
-CONSTANT_CONDUCTIVITY = {3: 5.3, 4: 4.75, 6: 45.6}
-
-MODULUS_SAMPLES_GPA = {
-    1: (10.5, 10.3, 10.4, 10.3),
-    2: (15.4, 14.7, 13.8, 14.4),
-    3: (58.2, 67.3, 52.9, 51.6),
-    4: (1.85, 1.92, 1.83, 1.85),
-    5: (14.5, 15.0, 15.3, 13.3),
-}
-CONSTANT_MODULUS = {6: 1.9e11}
-
-POISSON_RATIO = {1: 0.3, 2: 0.2, 3: 0.1, 4: 0.1, 5: 0.2, 6: 0.3}
-EXPANSION_COEFF = {1: 2.3e-6, 2: 4.6e-6, 3: 4.7e-6, 4: 4.6e-6,
-                   5: 6e-6, 6: 1.2e-5}
-
-REFERENCE_TEMPERATURE = 300.0
-
-
-def hearth_conductivity(subdomain_id: int) -> PiecewiseQuadratic:
-    if subdomain_id in CONSTANT_CONDUCTIVITY:
-        return PiecewiseQuadratic.constant(CONSTANT_CONDUCTIVITY[subdomain_id])
-    vals = CONDUCTIVITY_SAMPLES[subdomain_id]
-    return fit_piecewise_quadratic(
-        list(zip(CONDUCTIVITY_SAMPLE_TEMPS, vals)), CONDUCTIVITY_KNOTS)
-
-
-def hearth_modulus(subdomain_id: int) -> PiecewiseQuadratic:
-    if subdomain_id in CONSTANT_MODULUS:
-        return PiecewiseQuadratic.constant(CONSTANT_MODULUS[subdomain_id])
-    vals = [v * 1e9 for v in MODULUS_SAMPLES_GPA[subdomain_id]]
-    return fit_piecewise_quadratic(
-        list(zip(MODULUS_SAMPLE_TEMPS, vals)), MODULUS_KNOTS)
-
-
-def build_hearth_materials() -> MaterialSet:
-    """Material set for the six hearth subdomains."""
-    records = {
-        sid: MaterialRecord(
-            k=hearth_conductivity(sid),
-            E=hearth_modulus(sid),
-            nu=POISSON_RATIO[sid],
-            alpha=EXPANSION_COEFF[sid],
-        )
-        for sid in range(1, 7)
-    }
-    return MaterialSet(records=records, T0=REFERENCE_TEMPERATURE)
-
-
 def uniform_materials(k_model, E_model, nu, alpha, T0=300.0,
                       subdomain_ids=(1,)) -> MaterialSet:
     """Same record on every listed subdomain; handy for test problems."""

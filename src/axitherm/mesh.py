@@ -247,48 +247,6 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
                              normal=normal, length=length)
 
 
-# Hearth geometry. Vertex coordinates in meters. Subdomain 2 consists of
-# two disconnected blocks; a naive vertex list for it would overlap the
-# neighbouring subdomains, so the two blocks are trimmed to a tiling of
-# the domain (west edge of the lower block at r = 0.39, inner corner of
-# the upper block at y = 6.4).
-_HEARTH_POLYGONS = [
-    (1, [(0.0, 0.0), (5.9501, 0.0), (5.9501, 1.0), (2.1, 1.0), (0.0, 1.0)]),
-    (2, [(0.39, 1.0), (2.1, 1.0), (2.1, 1.6), (0.39, 1.6)]),
-    (2, [(4.875, 5.2), (5.9501, 5.2), (5.9501, 7.35), (5.5188, 7.35),
-         (5.5188, 6.4), (4.875, 6.4)]),
-    (3, [(0.0, 1.0), (0.39, 1.0), (0.39, 1.6), (0.0, 1.6)]),
-    (4, [(0.39, 1.6), (2.1, 1.6), (4.875, 1.6), (4.875, 5.2), (4.875, 6.4),
-         (5.5188, 6.4), (5.5188, 7.35), (5.5188, 7.4), (4.875, 7.4),
-         (4.875, 7.0), (4.475, 7.0), (4.475, 2.1), (0.39, 2.1)]),
-    (5, [(2.1, 1.0), (5.9501, 1.0), (5.9501, 5.2), (4.875, 5.2),
-         (4.875, 1.6), (2.1, 1.6)]),
-    (6, [(5.9501, 0.0), (6.0201, 0.0), (6.0201, 7.4), (5.9501, 7.4),
-         (5.9501, 7.35), (5.9501, 5.2), (5.9501, 1.0)]),
-]
-
-# Inner (cavity) wall of the hearth: the polyline from the cavity floor
-# near the axis up-and-over to (4.875, 7.4). Edges lying on these
-# segments face the molten metal.
-HEARTH_CAVITY_SEGMENTS = [
-    ((0.0, 1.6), (0.39, 1.6)),
-    ((0.39, 1.6), (0.39, 2.1)),
-    ((0.39, 2.1), (4.475, 2.1)),
-    ((4.475, 2.1), (4.475, 7.0)),
-    ((4.475, 7.0), (4.875, 7.0)),
-    ((4.875, 7.0), (4.875, 7.4)),
-]
-
-# Edges of the stepped upper surface (a notch between the top of the
-# middle block at y = 7.35 and y_max) count as top-boundary contact.
-HEARTH_TOP_BAND_MIN_Y = 7.35
-
-
-def build_hearth_geometry() -> list[SubdomainPolygon]:
-    """Blast-furnace hearth cross-section: 6 subdomains, 7 polygons."""
-    return [SubdomainPolygon(sid, tuple(v)) for sid, v in _HEARTH_POLYGONS]
-
-
 def _breaklines(polygons, axis: int, target_h: float) -> np.ndarray:
     breaks = sorted({float(v[axis]) for p in polygons for v in p.vertices})
     lines = [breaks[0]]
@@ -322,7 +280,7 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     if target_h > feature + GEOM_TOL:
         raise ValueError(
             f"target_h={target_h} exceeds the smallest polygon extent "
-            f"{feature} (subdomain {fid})"
+            f"{feature:g} (subdomain {fid})"
         )
 
     r_lines = _breaklines(polygons, 0, target_h)
@@ -399,29 +357,14 @@ def _collect_boundary_edges(triangles, tri_subdomain, n: int) -> list:
     ]
 
 
-def _on_segment(p, q, seg) -> bool:
-    (ax, ay), (bx, by) = seg
-    lo_x, hi_x = min(ax, bx) - GEOM_TOL, max(ax, bx) + GEOM_TOL
-    lo_y, hi_y = min(ay, by) - GEOM_TOL, max(ay, by) + GEOM_TOL
-    # an axis-aligned segment is its own bounding box
-    return all(lo_x <= x <= hi_x and lo_y <= y <= hi_y for x, y in (p, q))
-
-
-def tag_boundaries(
-    mesh: Mesh,
-    inner_segments=None,
-    top_band_min_y: float | None = None,
-) -> Mesh:
+def tag_boundaries(mesh: Mesh) -> Mesh:
     """A copy of ``mesh`` with physical tags on its exterior boundary
     edges; it shares the mesh's arrays.
 
     Exterior edges on r=0 become AXIS, y=0 BOTTOM, r=r_max OUTER and
     y=y_max TOP, where r_max and y_max are the largest node coordinates.
-    When ``inner_segments`` (axis-aligned) is given, edges lying on
-    those segments become INNER and remaining edges above
-    ``top_band_min_y`` become TOP (stepped upper surfaces); otherwise
-    every leftover exterior edge is treated as an inner (cavity-facing)
-    wall. Any edge matching no rule raises.
+    Every other exterior edge left of r_max is an inner (cavity-facing)
+    wall, INNER; any edge left over raises.
     """
     r_max, y_max = mesh.nodes.max(axis=0).tolist()
 
@@ -439,25 +382,14 @@ def tag_boundaries(
             t = BoundaryTag.OUTER
         elif abs(p[1] - y_max) < GEOM_TOL and abs(q[1] - y_max) < GEOM_TOL:
             t = BoundaryTag.TOP
-        elif (any(_on_segment(p, q, s) for s in inner_segments)
-              if inner_segments is not None
-              else max(p[0], q[0]) < r_max - GEOM_TOL):
+        elif max(p[0], q[0]) < r_max - GEOM_TOL:
             t = BoundaryTag.INNER
-        elif (inner_segments is not None and top_band_min_y is not None
-              and min(p[1], q[1]) >= top_band_min_y - GEOM_TOL):
-            t = BoundaryTag.TOP
         else:
             raise ValueError(
                 f"untaggable exterior edge ({p[0]:g},{p[1]:g})-({q[0]:g},{q[1]:g})"
             )
         tagged.append((i, j, t))
     return replace(mesh, boundary_edges=tagged)
-
-
-def hearth_mesh(target_h: float) -> Mesh:
-    """Generate and fully tag the built-in hearth mesh."""
-    mesh = generate_mesh(build_hearth_geometry(), target_h)
-    return tag_boundaries(mesh, HEARTH_CAVITY_SEGMENTS, HEARTH_TOP_BAND_MIN_Y)
 
 
 # one %-conversion of a format line: flags, width and precision, then

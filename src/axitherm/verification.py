@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from . import materials as mat
-from .materials import MaterialSet, PiecewiseQuadratic, uniform_materials
+from . import hearth
+from .materials import (MaterialSet, PiecewiseQuadratic, elasticity_matrix,
+                        uniform_materials)
 from .mesh import BoundaryTag, Mesh, SubdomainPolygon, generate_mesh, tag_boundaries
 from .mechanical import MechanicalBC, TRACTION_FREE, solve_mechanical
 from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
@@ -198,7 +199,7 @@ class MechanicalManufacturedCase:
             ur / _r,
             sp.diff(ur, _y) + sp.diff(uy, _r),
         ])
-        C = sp.Matrix(mat.elasticity_matrix(self.E, self.nu))
+        C = sp.Matrix(elasticity_matrix(self.E, self.nu))
         sig = C * eps
         s0 = self.E * self.alpha * self.delta_T_expr / (1 - 2 * self.nu)
         srr, syy, stt = (sig[k] - s0 for k in range(3))
@@ -301,15 +302,15 @@ def material_fit_checks() -> list[MaterialFitCheck]:
     middle knot at the midpoint of the two middle samples, and the fit
     positive on its knot range."""
     out = []
-    for prop, fit, temps, samples, scale in (
-        ("k", mat.hearth_conductivity, mat.CONDUCTIVITY_SAMPLE_TEMPS,
-         mat.CONDUCTIVITY_SAMPLES, 1.0),
-        ("E", mat.hearth_modulus, mat.MODULUS_SAMPLE_TEMPS,
-         mat.MODULUS_SAMPLES_GPA, 1e9),
+    for prop, fit, temps, samples in (
+        ("k", hearth.hearth_conductivity, hearth.CONDUCTIVITY_SAMPLE_TEMPS,
+         hearth.CONDUCTIVITY_SAMPLES),
+        ("E", hearth.hearth_modulus, hearth.MODULUS_SAMPLE_TEMPS,
+         hearth.MODULUS_SAMPLES),
     ):
         for sid, values in samples.items():
             model = fit(sid)
-            v = np.asarray(values) * scale
+            v = np.asarray(values)
             err = np.abs(model(np.asarray(temps)) - v) / np.abs(v)
             out.append(MaterialFitCheck(
                 subdomain=sid, prop=prop, sample_error=float(err.max()),
@@ -321,7 +322,7 @@ def material_fit_checks() -> list[MaterialFitCheck]:
 # Reference spline coefficients as printed (two to three significant
 # digits); `None` marks constant-model entries with no fitted a, b.
 #
-# This table is not the fit of the samples in `materials`, and
+# This table is not the fit of the samples in `hearth`, and
 # `spline_coefficient_report` reports the disagreement (20 of 56 entries
 # within half a printed unit). The fit itself is scipy's interpolating
 # quadratic spline (`splrep`, k=2, s=0), whose interior knot lies at the
@@ -390,8 +391,8 @@ def spline_coefficient_report() -> list[CoefficientComparison]:
     what shows that disagreement, entry by entry."""
     out = []
     for prop, refs, fit in (
-        ("k", REFERENCE_CONDUCTIVITY_COEFFS, mat.hearth_conductivity),
-        ("E", REFERENCE_MODULUS_COEFFS, mat.hearth_modulus),
+        ("k", REFERENCE_CONDUCTIVITY_COEFFS, hearth.hearth_conductivity),
+        ("E", REFERENCE_MODULUS_COEFFS, hearth.hearth_modulus),
     ):
         for sid, printed in refs.items():
             model = fit(sid)

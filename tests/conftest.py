@@ -23,13 +23,13 @@ def simple_materials():
 
 @pytest.fixture(scope="session")
 def coarse_hearth_mesh():
-    from axitherm.mesh import hearth_mesh
+    from axitherm.hearth import hearth_mesh
     return hearth_mesh(0.4)
 
 
 @pytest.fixture(scope="session")
 def hearth_materials():
-    from axitherm.materials import build_hearth_materials
+    from axitherm.hearth import build_hearth_materials
     return build_hearth_materials()
 
 

@@ -11,17 +11,19 @@ import pytest
 import sympy as sp
 from scipy.interpolate import PPoly, splrep
 
-from axitherm.cli import RunConfig, hearth_thermal_bc, run_scenario
+from axitherm.cli import RunConfig, run_scenario
 from axitherm.fem_core import SingularSystemError
 from axitherm.io import vtk_text
-from axitherm.materials import (
+from axitherm.hearth import (
     CONDUCTIVITY_SAMPLE_TEMPS,
     CONDUCTIVITY_SAMPLES,
     MODULUS_SAMPLE_TEMPS,
-    MODULUS_SAMPLES_GPA,
+    MODULUS_SAMPLES,
     build_hearth_materials,
     hearth_conductivity,
+    hearth_mesh,
     hearth_modulus,
+    hearth_thermal_bc,
 )
 from axitherm.mechanical import (
     FRICTIONLESS_CONTACT,
@@ -36,7 +38,6 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    hearth_mesh,
     tag_boundaries,
 )
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
@@ -99,13 +100,13 @@ def test_criterion_1_material_fit_reproduction():
     report = spline_coefficient_report()
     elapsed = time.perf_counter() - start
 
-    tables = {"k": (CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_SAMPLES, 1.0),
-              "E": (MODULUS_SAMPLE_TEMPS, MODULUS_SAMPLES_GPA, 1e9)}
+    tables = {"k": (CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_SAMPLES),
+              "E": (MODULUS_SAMPLE_TEMPS, MODULUS_SAMPLES)}
     problems = []
-    for prop, (temps, samples, scale) in tables.items():
+    for prop, (temps, samples) in tables.items():
         for sid, vals in samples.items():
             model = models[prop, sid]
-            values = np.array(vals) * scale
+            values = np.array(vals)
             knot, coeffs = _scipy_spline_pieces(temps, values)
             row = f"{prop} row {sid}"
             if knot != model.Tb:

@@ -11,10 +11,9 @@ import scipy.sparse.linalg as spla
 
 import axitherm.mesh as mesh_module
 from axitherm import mechanical, thermal
-from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
 from axitherm.fem_core import AssemblyWorkspace, solve_lu
+from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.mechanical import recover_stress, solve_mechanical
-from axitherm.mesh import hearth_mesh
 from axitherm.thermal import assemble_thermal_jacobian, newton_solve
 from axitherm.verification import weighted_l2_error
 

@@ -4,12 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
+from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.mechanical import MechanicalBC
 from axitherm.mesh import (
     BoundaryTag,
     _collect_boundary_edges,
-    hearth_mesh,
     load_mesh,
     save_mesh,
 )

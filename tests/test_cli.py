@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import axitherm
-from axitherm import materials
+from axitherm import hearth
 from axitherm.cli import RunConfig, main, run_scenario
 from axitherm.fem_core import ConvergenceError
-from axitherm.materials import CONDUCTIVITY_KNOTS
+from axitherm.hearth import CONDUCTIVITY_KNOTS
 from axitherm.thermal import NewtonConfig
 
 
@@ -301,17 +301,17 @@ class TestMain:
     ])
     def test_verify_materials_fails_on_broken_fit(self, monkeypatch, capsys,
                                                   knots, scale):
-        fit = materials.hearth_conductivity
+        fit = hearth.hearth_conductivity
 
         def broken(sid):
             if sid != 2:
                 return fit(sid)
-            values = list(materials.CONDUCTIVITY_SAMPLES[2])
+            values = list(hearth.CONDUCTIVITY_SAMPLES[2])
             values[1] *= scale
-            return materials.fit_piecewise_quadratic(
-                list(zip(materials.CONDUCTIVITY_SAMPLE_TEMPS, values)), knots)
+            return hearth.fit_piecewise_quadratic(
+                list(zip(hearth.CONDUCTIVITY_SAMPLE_TEMPS, values)), knots)
 
-        monkeypatch.setattr(materials, "hearth_conductivity", broken)
+        monkeypatch.setattr(hearth, "hearth_conductivity", broken)
         rc = main(["verify", "--suite", "materials"])
         assert rc == 1
         assert "FAIL: k2" in capsys.readouterr().out

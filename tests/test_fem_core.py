@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from axitherm import fem_core
-from axitherm.cli import hearth_mechanical_bc
+from axitherm.hearth import hearth_mechanical_bc, hearth_mesh
 from axitherm.fem_core import (
     AssemblyWorkspace,
     CsrPattern,
@@ -20,7 +20,7 @@ from axitherm.fem_core import (
     triangle_rule,
 )
 from axitherm.mechanical import assemble_mechanical_system
-from axitherm.mesh import Mesh, hearth_mesh
+from axitherm.mesh import Mesh
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axitherm.hearth import hearth_mesh
 from axitherm.io import (
     atomic_write_text,
     export_csv,
@@ -16,7 +17,7 @@ from axitherm.io import (
     export_vtk,
     vtk_text,
 )
-from axitherm.mesh import BoundaryTag, Mesh, hearth_mesh, save_mesh
+from axitherm.mesh import BoundaryTag, Mesh, save_mesh
 from axitherm.thermal import SolveReport
 
 DATA = Path(__file__).parent / "data"

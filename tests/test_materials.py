@@ -4,19 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axitherm.materials import (
+from axitherm.hearth import (
     CONDUCTIVITY_KNOTS,
     CONDUCTIVITY_SAMPLE_TEMPS,
     CONDUCTIVITY_SAMPLES,
-    MaterialRecord,
-    MaterialSet,
     MODULUS_KNOTS,
-    PiecewiseQuadratic,
     build_hearth_materials,
-    elasticity_matrix,
-    fit_piecewise_quadratic,
     hearth_conductivity,
     hearth_modulus,
+)
+from axitherm.materials import (
+    MaterialRecord,
+    MaterialSet,
+    PiecewiseQuadratic,
+    elasticity_matrix,
+    fit_piecewise_quadratic,
     thermal_stress_term,
 )
 

@@ -7,13 +7,13 @@ import scipy.sparse as sp
 import sympy
 
 from axitherm import mechanical
-from axitherm.cli import hearth_mechanical_bc, hearth_thermal_bc
 from axitherm.fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
     triangle_rule,
 )
+from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.isoline import extract_isoline
 from axitherm.materials import (
     PiecewiseQuadratic,
@@ -37,7 +37,6 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    hearth_mesh,
     tag_boundaries,
 )
 from axitherm.thermal import (

@@ -5,14 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from axitherm.hearth import build_hearth_geometry, hearth_mesh
 from axitherm.mesh import (
     BoundaryTag,
-    HEARTH_CAVITY_SEGMENTS,
     Mesh,
     SubdomainPolygon,
-    build_hearth_geometry,
     generate_mesh,
-    hearth_mesh,
     load_mesh,
     save_mesh,
     tag_boundaries,
@@ -97,6 +95,11 @@ class TestGenerateMesh:
         with pytest.raises(ValueError, match="smallest polygon extent"):
             generate_mesh([small], 0.5)
 
+    def test_feature_size_error_prints_the_extent_as_tabulated(self):
+        # 1.6 - 1.0 is 0.6000000000000001 in binary
+        with pytest.raises(ValueError, match=r"extent 0\.6 \(subdomain 3\)"):
+            generate_mesh(build_hearth_geometry(), 0.61)
+
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
     def test_rejects_target_h_not_finite_and_positive(self, h):
         square = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -147,14 +150,13 @@ class TestTagBoundaries:
         assert all(t is not None for (_, _, t) in unit_square_mesh.boundary_edges)
 
     def test_untaggable_edge_raises(self):
-        # exterior edges at r = r_max of the *left* block are inner walls
-        # unless inner segments say so; here a conflicting segment list
-        # leaves them unmatched
-        left = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 3), (0, 3)))
-        right = SubdomainPolygon(1, ((2, 0), (3, 0), (3, 3), (2, 3)))
-        mesh = generate_mesh([left, right], 0.5)
+        # a step in the outer wall: its horizontal edge at y = 1 reaches
+        # r_max without lying on it, so it is neither OUTER nor INNER
+        step = SubdomainPolygon(1, ((0, 0), (3, 0), (3, 1), (2, 1), (2, 3),
+                                    (0, 3)))
+        mesh = generate_mesh([step], 0.5)
         with pytest.raises(ValueError, match="untaggable"):
-            tag_boundaries(mesh, inner_segments=[((1.0, 0.0), (1.0, 3.0))])
+            tag_boundaries(mesh)
 
     def test_tag_multiset_stable_under_refinement(self):
         polys = build_hearth_geometry()
@@ -248,8 +250,18 @@ class TestHearthGeometry:
         assert found
 
     def test_inner_edges_lie_on_cavity_polyline(self):
+        # the cavity wall, from the floor near the axis up and over to
+        # the top of the wall at (4.875, 7.4)
+        cavity = [
+            ((0.0, 1.6), (0.39, 1.6)),
+            ((0.39, 1.6), (0.39, 2.1)),
+            ((0.39, 2.1), (4.475, 2.1)),
+            ((4.475, 2.1), (4.475, 7.0)),
+            ((4.475, 7.0), (4.875, 7.0)),
+            ((4.875, 7.0), (4.875, 7.4)),
+        ]
         mesh = hearth_mesh(0.2)
-        segs = [np.asarray(s, float) for s in HEARTH_CAVITY_SEGMENTS]
+        segs = [np.asarray(s, float) for s in cavity]
         for (i, j) in _edges_with_tag(mesh, BoundaryTag.INNER):
             mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
             on_any = False

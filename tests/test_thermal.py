@@ -6,15 +6,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from axitherm import thermal
-from axitherm.cli import hearth_thermal_bc
 from axitherm.fem_core import ConvergenceError
+from axitherm.hearth import hearth_mesh, hearth_thermal_bc
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.mesh import (
     BoundaryTag,
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    hearth_mesh,
     tag_boundaries,
 )
 from axitherm.thermal import (
