@@ -20,24 +20,23 @@ from .mesh import (
 from .thermal import NewtonConfig, Robin, SolveReport, ThermalBC, newton_solve
 from .mechanical import (
     MechanicalBC,
-    StressField,
     Traction,
     hydrostatic_traction,
     recover_stress,
     solve_mechanical,
 )
 from .isoline import IsoLine, extract_isoline
-from .hearth import build_hearth_geometry, build_hearth_materials, hearth_mesh
+from .hearth import build_hearth_materials, hearth_mesh
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryTag", "Mesh", "SubdomainPolygon", "build_hearth_geometry",
-    "generate_mesh", "hearth_mesh", "load_mesh", "save_mesh",
-    "tag_boundaries", "MaterialRecord", "MaterialSet", "PiecewiseQuadratic",
+    "BoundaryTag", "Mesh", "SubdomainPolygon", "generate_mesh",
+    "hearth_mesh", "load_mesh", "save_mesh", "tag_boundaries",
+    "MaterialRecord", "MaterialSet", "PiecewiseQuadratic",
     "build_hearth_materials", "elasticity_matrix", "fit_piecewise_quadratic",
     "thermal_stress_term", "NewtonConfig", "Robin", "SolveReport",
-    "ThermalBC", "newton_solve", "MechanicalBC", "StressField", "Traction",
+    "ThermalBC", "newton_solve", "MechanicalBC", "Traction",
     "hydrostatic_traction", "recover_stress", "solve_mechanical",
     "IsoLine", "extract_isoline",
 ]

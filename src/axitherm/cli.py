@@ -43,12 +43,10 @@ _JSON_TYPES = {
 
 @dataclass
 class RunConfig:
-    scenario: str = "hearth"
     mesh_file: str | None = None
     target_h: float = 0.1
     newton_tol: float = 1e-4
     newton_max_iter: int = 25
-    initial_guess: float = 300.0
     output_dir: str = "out"
     isoline_levels: list = field(default_factory=list)
 
@@ -75,8 +73,7 @@ class RunConfig:
         the key of this config."""
         try:
             return NewtonConfig(abs_tol=self.newton_tol,
-                                max_iter=self.newton_max_iter,
-                                initial_guess=self.initial_guess)
+                                max_iter=self.newton_max_iter)
         except ValueError as exc:
             # NewtonConfig's messages start with the field name
             name, _, rest = str(exc).partition(" ")
@@ -86,8 +83,6 @@ class RunConfig:
 def _load_scenario_mesh(config: RunConfig):
     """The hearth mesh of size ``target_h``, or the mesh file, which
     leaves ``target_h`` at its default."""
-    if config.scenario != "hearth":
-        raise ValueError(f"unknown scenario '{config.scenario}'")
     if config.mesh_file is None:
         return hearth_mesh(config.target_h)
     if config.target_h != RunConfig.target_h:
@@ -135,7 +130,7 @@ def run_scenario(config: RunConfig) -> dict:
     axio.export_report(mech_report,
                        os.path.join(out, "mechanical_report.json"))
     axio.export_vtk(mesh, os.path.join(out, "solution.vtk"),
-                    temperature=T, displacement=u, stress=stress.stress)
+                    temperature=T, displacement=u, stress=stress)
     axio.export_csv(mesh, os.path.join(out, "fields.csv"), T, u)
     _write_isolines(isolines, out)
     axio.atomic_write_text(os.path.join(out, "config.json"), config.to_json())
@@ -256,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag that sets a RunConfig field has the field's name as its
     # dest, which _config_from_args relies on
     def common(p):
-        p.add_argument("--case", dest="scenario", metavar="CASE")
         p.add_argument("--mesh-file")
         p.add_argument("--h", dest="target_h", metavar="H", type=float)
         p.add_argument("--out", dest="output_dir", metavar="OUT")

@@ -52,15 +52,10 @@ HEARTH_Y_MAX = max(y for p in HEARTH_POLYGONS for _, y in p.vertices)
 _NOTCH_BOX = ((5.5188, 7.35), (5.9501, HEARTH_Y_MAX))
 
 
-def build_hearth_geometry() -> list[SubdomainPolygon]:
-    """Blast-furnace hearth cross-section: 6 subdomains, 7 polygons."""
-    return list(HEARTH_POLYGONS)
-
-
 def hearth_mesh(target_h: float) -> Mesh:
     """Generate and fully tag the hearth mesh: the generic rule of
     :func:`tag_boundaries`, then the notch's INNER edges as TOP."""
-    mesh = tag_boundaries(generate_mesh(build_hearth_geometry(), target_h))
+    mesh = tag_boundaries(generate_mesh(HEARTH_POLYGONS, target_h))
     i, j, tags = zip(*mesh.boundary_edges)
     lo, hi = np.asarray(_NOTCH_BOX)
     ends = mesh.nodes[[i, j]]                       # (2, E, 2)

@@ -184,8 +184,7 @@ def thermal_stress_term(E: float, nu: float, alpha: float,
     return E * alpha * (T - T0) / (1 - 2 * nu)
 
 
-def uniform_materials(k_model, E_model, nu, alpha, T0=300.0,
-                      subdomain_ids=(1,)) -> MaterialSet:
-    """Same record on every listed subdomain; handy for test problems."""
+def uniform_materials(k_model, E_model, nu, alpha, T0=300.0) -> MaterialSet:
+    """One record, on subdomain 1; handy for test problems."""
     rec = MaterialRecord(k=k_model, E=E_model, nu=nu, alpha=alpha)
-    return MaterialSet(records={sid: rec for sid in subdomain_ids}, T0=T0)
+    return MaterialSet(records={1: rec}, T0=T0)

@@ -246,18 +246,10 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     return x.reshape(-1, 2), report
 
 
-@dataclass
-class StressField:
-    """Piecewise-constant per-element stress and strain 4-vectors."""
-
-    stress: np.ndarray  # (M, 4): (s_rr, s_yy, s_tt, s_ry)
-    strain: np.ndarray  # (M, 4)
-    element_temperature: np.ndarray  # (M,) quadrature-averaged
-
-
 def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
-                   u: np.ndarray) -> StressField:
-    """Element stresses from centroid strain and averaged temperature."""
+                   u: np.ndarray) -> np.ndarray:
+    """Piecewise-constant element stresses (M, 4), (s_rr, s_yy, s_tt,
+    s_ry), from centroid strain and quadrature-averaged temperature."""
     T = checked_field("T", T, mesh.num_nodes, "nodes")
     u = checked_field("u", u, mesh.num_nodes, "nodes")
     geo = mesh.assembly_workspace
@@ -282,4 +274,4 @@ def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
         sig[:, :3] -= thermal_stress_term(E_b, rec.nu, rec.alpha, T_bar[idx],
                                           materials.T0)[:, None]
         stress[idx] = sig
-    return StressField(stress=stress, strain=strain, element_temperature=T_bar)
+    return stress

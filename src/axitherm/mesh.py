@@ -93,7 +93,7 @@ class BoundaryEdgeTable:
     the same order.
 
     i, j     (E,) int arrays of the edge's node ids
-    tags     tuple of BoundaryTag (or None for untagged exterior edges)
+    tags     tuple of BoundaryTag
     owner    (E,) lowest-numbered triangle containing the edge
     normal   (E, 2) unit normal pointing away from the owner's third node
     length   (E,) edge length
@@ -108,10 +108,9 @@ class BoundaryEdgeTable:
 
     def conditions(self, lookup) -> list:
         """``lookup(tag)`` for every row in table order: the boundary
-        condition of each exterior edge, None on interface and untagged
-        rows."""
-        return [None if tag is None or tag is BoundaryTag.INTERFACE
-                else lookup(tag) for tag in self.tags]
+        condition of each exterior edge, None on interface rows."""
+        return [None if tag is BoundaryTag.INTERFACE else lookup(tag)
+                for tag in self.tags]
 
     def condition_groups(self, lookup, kind) -> tuple:
         """(rows, groups): the rows whose condition is a ``kind``, in table
@@ -226,11 +225,23 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     keys, tri = _sorted_edge_keys(mesh.triangles, n)
     want = np.minimum(i, j) * n + np.maximum(i, j)
     pos = np.searchsorted(keys, want)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == want[found]
-    if not np.all(found):
-        e = int(np.flatnonzero(~found)[0])
-        raise ValueError(f"boundary edge ({i[e]}, {j[e]}) lies on no triangle")
+    # a row that would change the answer unnoticed is rejected: one with
+    # no tag, a repeat, or a tag on the wrong side of the wall
+    count = np.searchsorted(keys, want, side="right") - pos
+    repeat = np.ones(n_edges, dtype=bool)
+    repeat[np.unique(want, return_index=True)[1]] = False
+    untagged = np.array([t is None for t in tags], bool)
+    interface = np.array([t is BoundaryTag.INTERFACE for t in tags], bool)
+    for bad, why in ((count == 0, "lies on no triangle"),
+                     (untagged, "has no tag"),
+                     (repeat, "is listed twice"),
+                     ((count == 2) & ~interface,
+                      "is shared by two triangles but not tagged interface"),
+                     ((count == 1) & interface,
+                      "lies on one triangle but is tagged interface")):
+        if np.any(bad):
+            e = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"boundary edge ({i[e]}, {j[e]}) {why}")
     owner = tri[pos]
     third = mesh.triangles[owner].sum(axis=1) - i - j
     p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import sympy as sp
@@ -119,7 +120,7 @@ class ThermalManufacturedCase:
 
     exact_expr: sp.Expr
     conductivity_expr: sp.Expr
-    robin_h: float = 100.0
+    robin_h: ClassVar[float] = 100.0
 
     def __post_init__(self):
         Te = self.exact_expr
@@ -185,10 +186,10 @@ class MechanicalManufacturedCase:
 
     ur_expr: sp.Expr
     uy_expr: sp.Expr
-    E: float = 1e9
-    nu: float = 0.25
-    alpha: float = 1e-5
-    T0: float = 300.0
+    E: ClassVar[float] = 1e9
+    nu: ClassVar[float] = 0.25
+    alpha: ClassVar[float] = 1e-5
+    T0: ClassVar[float] = 300.0
     delta_T_expr: sp.Expr = sp.Integer(0)
 
     def __post_init__(self):
@@ -252,9 +253,10 @@ def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> Converge
     return rec
 
 
-def annulus_study(r1=1.0, r2=2.0, k=10.0, h1=100.0, T_R1=1000.0,
-                  h2=50.0, T_R2=300.0, subdivisions=(16, 32, 64)):
+def annulus_study(subdivisions=(16, 32, 64)):
     """FEM against the closed-form annulus solution on a thin strip."""
+    r1, r2, k = 1.0, 2.0, 10.0
+    h1, T_R1, h2, T_R2 = 100.0, 1000.0, 50.0, 300.0   # inner, outer Robin
     exact = annulus_analytic(r1, r2, k, h1, T_R1, h2, T_R2)
     mats = uniform_materials(PiecewiseQuadratic.constant(k),
                              PiecewiseQuadratic.constant(1e9),

@@ -235,8 +235,8 @@ def test_criterion_7_free_expansion():
     })
     T = np.full(mesh.num_nodes, 300.0 + dT)
     u, _ = solve_mechanical(mesh, materials, bc, T)
-    field = recover_stress(mesh, materials, T, u)
-    peak = float(np.abs(field.stress).max())
+    stress = recover_stress(mesh, materials, T, u)
+    peak = float(np.abs(stress).max())
     limit = 1e-9 * E * alpha * dT
     ok = peak <= limit
     _line(7, ok, f"max |sigma| {peak:.2e} Pa against limit {limit:.2e} Pa")
@@ -287,8 +287,8 @@ def test_criterion_8_structural_invariants(hearth_solution, tmp_path):
     # traction-free problem is rejected as singular
     rigid = np.column_stack([np.zeros(cyl.num_nodes),
                              np.full(cyl.num_nodes, 1e-3)])
-    field = recover_stress(cyl, simple, np.full(cyl.num_nodes, 300.0), rigid)
-    kernel_ok = float(np.abs(field.stress).max()) <= 1e-6
+    stress = recover_stress(cyl, simple, np.full(cyl.num_nodes, 300.0), rigid)
+    kernel_ok = float(np.abs(stress).max()) <= 1e-6
     try:
         assemble_mechanical_system(
             cyl, simple, MechanicalBC({t: TRACTION_FREE for t in BoundaryTag}),

@@ -88,19 +88,21 @@ def test_table_is_built_once_and_read_only(unit_square_mesh):
 
 def test_conditions_skip_interface_and_untagged_rows():
     tagged = hearth_mesh(0.4)
-    (i, j, _), *rest = tagged.boundary_edges
-    mesh = replace(tagged, boundary_edges=[(i, j, None), *rest])
-    table = mesh.boundary_edge_table
+    table = tagged.boundary_edge_table
     conds = table.conditions(lambda tag: tag.value)
     assert len(conds) == len(table.tags)
     for tag, cond in zip(table.tags, conds):
-        exterior = tag is not None and tag is not BoundaryTag.INTERFACE
-        assert cond == (tag.value if exterior else None)
-    assert conds[0] is None
-    assert any(c is None for c, t in zip(conds, table.tags)
-               if t is BoundaryTag.INTERFACE)
+        assert cond == (None if tag is BoundaryTag.INTERFACE else tag.value)
+    assert BoundaryTag.INTERFACE in table.tags
+    # an untagged row would drop its edge's condition unnoticed, so the
+    # table of a mesh with one is never built
+    (i, j, _), *rest = tagged.boundary_edges
+    mesh = replace(tagged, boundary_edges=[(i, j, None), *rest])
+    with pytest.raises(ValueError,
+                       match=rf"boundary edge \({i}, {j}\) has no tag"):
+        mesh.boundary_edge_table
     # the mesh it was made from keeps its own table and tags
-    assert tagged.boundary_edge_table.tags[0] is not None
+    assert tagged.boundary_edge_table is table
 
 
 def test_condition_groups_follow_identity_in_table_order():

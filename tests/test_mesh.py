@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from axitherm.hearth import build_hearth_geometry, hearth_mesh
+from axitherm.hearth import HEARTH_POLYGONS, hearth_mesh
 from axitherm.mesh import (
     BoundaryTag,
     Mesh,
@@ -98,7 +98,7 @@ class TestGenerateMesh:
     def test_feature_size_error_prints_the_extent_as_tabulated(self):
         # 1.6 - 1.0 is 0.6000000000000001 in binary
         with pytest.raises(ValueError, match=r"extent 0\.6 \(subdomain 3\)"):
-            generate_mesh(build_hearth_geometry(), 0.61)
+            generate_mesh(HEARTH_POLYGONS, 0.61)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
     def test_rejects_target_h_not_finite_and_positive(self, h):
@@ -121,7 +121,7 @@ class TestGenerateMesh:
         assert not np.any((centroids[:, 0] > 1) & (centroids[:, 0] < 2))
 
     def test_determinism(self):
-        polys = build_hearth_geometry()
+        polys = HEARTH_POLYGONS
         a = generate_mesh(polys, 0.3)
         b = generate_mesh(polys, 0.3)
         assert np.array_equal(a.nodes, b.nodes)
@@ -159,7 +159,6 @@ class TestTagBoundaries:
             tag_boundaries(mesh)
 
     def test_tag_multiset_stable_under_refinement(self):
-        polys = build_hearth_geometry()
         tags = []
         for h in (0.4, 0.2):
             mesh = hearth_mesh(h)
@@ -219,12 +218,12 @@ class TestImmutableMesh:
 
 class TestHearthGeometry:
     def test_seven_polygons_six_subdomains(self):
-        polys = build_hearth_geometry()
+        polys = HEARTH_POLYGONS
         assert len(polys) == 7
         assert {p.subdomain_id for p in polys} == set(range(1, 7))
 
     def test_total_area(self):
-        polys = build_hearth_geometry()
+        polys = HEARTH_POLYGONS
         assert sum(p.area() for p in polys) == pytest.approx(HEARTH_AREA)
 
     def test_mesh_conserves_area(self):

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from axitherm import thermal
 from axitherm.fem_core import ConvergenceError
 from axitherm.hearth import hearth_mesh, hearth_thermal_bc
-from axitherm.materials import PiecewiseQuadratic, uniform_materials
+from axitherm.materials import (MaterialSet, PiecewiseQuadratic,
+                                uniform_materials)
 from axitherm.mesh import (
     BoundaryTag,
     Mesh,
@@ -77,9 +78,8 @@ class TestResidual:
 
     def test_missing_material_raises(self):
         mesh = _strip_mesh()
-        mats = uniform_materials(PiecewiseQuadratic.constant(1.0),
-                                 PiecewiseQuadratic.constant(1e9),
-                                 nu=0.3, alpha=1e-5, subdomain_ids=(9,))
+        record = _const_materials()[1]
+        mats = MaterialSet(records={9: record})
         with pytest.raises(ValueError, match="no material record"):
             assemble_thermal_residual(mesh, mats, ThermalBC(ALL_ROBIN),
                                       np.full(mesh.num_nodes, 300.0))
