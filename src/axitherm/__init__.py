@@ -21,12 +21,11 @@ from .thermal import NewtonConfig, Robin, SolveReport, ThermalBC, newton_solve
 from .mechanical import (
     MechanicalBC,
     Traction,
-    hydrostatic_traction,
     recover_stress,
     solve_mechanical,
 )
 from .isoline import IsoLine, extract_isoline
-from .hearth import build_hearth_materials, hearth_mesh
+from .hearth import build_hearth_materials, hearth_mesh, hydrostatic_traction
 
 __version__ = "0.1.0"
 

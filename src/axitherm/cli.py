@@ -45,8 +45,8 @@ _JSON_TYPES = {
 class RunConfig:
     mesh_file: str | None = None
     target_h: float = 0.1
-    newton_tol: float = 1e-4
-    newton_max_iter: int = 25
+    newton_tol: float = NewtonConfig.abs_tol
+    newton_max_iter: int = NewtonConfig.max_iter
     output_dir: str = "out"
     isoline_levels: list = field(default_factory=list)
 

@@ -1,8 +1,9 @@
 """The paper's one scenario, a blast-furnace hearth wall: its
 cross-section, the tagging of its notch, its material tables and its
-boundary conditions. Every other module is generic, so a study of
-another wall or of a hearth variant replaces the names of this module
-only. SI units throughout, temperatures in kelvin.
+boundary conditions, the molten-metal load among them. Every other
+module is generic, so a study of another wall or of a hearth variant
+replaces the names of this module only. SI units throughout,
+temperatures in kelvin.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from .materials import (MaterialRecord, MaterialSet, PiecewiseQuadratic,
                         fit_piecewise_quadratic)
 from .mechanical import (FRICTIONLESS_CONTACT, TRACTION_FREE, MechanicalBC,
-                         hydrostatic_bc)
+                         Traction)
 from .mesh import (GEOM_TOL, BoundaryTag, Mesh, SubdomainPolygon,
                    generate_mesh, tag_boundaries)
 from .thermal import ADIABATIC, Robin, ThermalBC
@@ -139,11 +140,25 @@ def hearth_thermal_bc() -> ThermalBC:
     })
 
 
+HYDROSTATIC_SLOPE = 77106.0  # N/m^2 per meter of metal column
+
+
+def hydrostatic_traction(y):
+    """Magnitude of the molten-metal column load at heights y, which
+    must not lie above the metal surface HEARTH_Y_MAX."""
+    if np.any(np.asarray(y) > HEARTH_Y_MAX + 1e-12):
+        raise ValueError(f"y={np.max(y)} is above the metal surface "
+                         f"y_max={HEARTH_Y_MAX}")
+    return HYDROSTATIC_SLOPE * (HEARTH_Y_MAX - y)
+
+
 def hearth_mechanical_bc() -> MechanicalBC:
     return MechanicalBC({
         BoundaryTag.BOTTOM: FRICTIONLESS_CONTACT,
         BoundaryTag.TOP: FRICTIONLESS_CONTACT,
         BoundaryTag.AXIS: FRICTIONLESS_CONTACT,
-        BoundaryTag.INNER: hydrostatic_bc(HEARTH_Y_MAX),
+        # the metal column's compression toward the wall
+        BoundaryTag.INNER: Traction(lambda r, y, normal: -np.expand_dims(
+            hydrostatic_traction(y), -1) * normal),
         BoundaryTag.OUTER: TRACTION_FREE,
     })

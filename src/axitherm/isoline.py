@@ -101,13 +101,18 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
     """Extract the level set of a P1 field as chained polylines.
 
     Every emitted vertex lies on a mesh edge where the interpolant
-    equals ``level``; an empty result is valid. A non-finite level
-    raises ValueError.
+    equals ``level``; an empty result is valid. A non-finite level or
+    value raises ValueError.
     """
     if not np.isfinite(level):
         raise ValueError(f"isoline level must be finite, not {level}")
     n = mesh.num_nodes
-    d = checked_field("values", values, n, "nodes") - level
+    values = checked_field("values", values, n, "nodes")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has a non-finite value: "
+                         f"{values[bad[0]]}")
+    d = values - level
     segments = _segment_keys(mesh.triangles, d, n)
     keys = np.unique(segments)
     crossing = keys >= n

@@ -24,8 +24,6 @@ from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
 from .mesh import BoundaryConditions, BoundaryTag, Mesh, checked_field
 from .thermal import SolveReport
 
-HYDROSTATIC_SLOPE = 77106.0  # N/m^2 per meter of metal column
-
 
 @dataclass(frozen=True)
 class Traction:
@@ -49,19 +47,6 @@ class MechanicalBC(BoundaryConditions):
 
     physics, kinds = "mechanical", (Traction,)
     constants = (FRICTIONLESS_CONTACT, TRACTION_FREE)
-
-
-def hydrostatic_traction(y, y_max: float):
-    """Magnitude of the molten-metal column load at heights y."""
-    if np.any(np.asarray(y) > y_max + 1e-12):
-        raise ValueError(f"y={np.max(y)} is above the metal surface y_max={y_max}")
-    return HYDROSTATIC_SLOPE * (y_max - y)
-
-
-def hydrostatic_bc(y_max: float) -> Traction:
-    """Compression -slope*(y_max - y)*n toward the wall."""
-    return Traction(lambda r, y, normal: -np.expand_dims(
-        hydrostatic_traction(y, y_max), -1) * normal)
 
 
 def _contact_constraints(mesh: Mesh, bc: MechanicalBC) -> dict:

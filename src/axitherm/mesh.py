@@ -71,19 +71,14 @@ class SubdomainPolygon:
         return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Even-odd point-in-polygon test, vectorized over ``points``."""
+        """Even-odd point-in-polygon test, vectorized over ``points``: a
+        rightward ray crosses only vertical edges, each at its own r."""
         x = points[:, 0]
         y = points[:, 1]
         inside = np.zeros(len(points), dtype=bool)
         v = np.asarray(self.vertices, float)
-        n = len(v)
-        for i in range(n):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % n]
-            cross = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= cross & (x < xi)
+        for (x1, y1), y2 in zip(v, np.roll(v[:, 1], -1)):
+            inside ^= ((y1 > y) != (y2 > y)) & (x < x1)
         return inside
 
 
@@ -347,15 +342,12 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
 
 
 def _collect_boundary_edges(triangles, tri_subdomain, n: int) -> list:
-    """The exterior and inter-subdomain edges of a mesh of ``n`` nodes,
-    exterior ones untagged."""
+    """The exterior and inter-subdomain edges of a conforming mesh of
+    ``n`` nodes, exterior ones untagged."""
     keys, tri = _sorted_edge_keys(triangles, n)
     start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[start, len(keys)])
     lo, hi = keys[start] // n, keys[start] % n
-    if np.any(counts > 2):
-        e = int(np.flatnonzero(counts > 2)[0])
-        raise ValueError(f"non-conforming edge ({lo[e]}, {hi[e]})")
     sub = tri_subdomain[tri]
     shared = counts == 2
     interface = np.zeros(len(start), dtype=bool)
@@ -500,8 +492,8 @@ _EDGE_ROW = re.compile(
 def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format written by :func:`save_mesh`; a
     file that is empty, truncated or malformed, that holds a non-finite
-    node coordinate, or that names a node id outside 0..N-1, raises
-    ValueError."""
+    node coordinate, that names a node id outside 0..N-1, or that has an
+    edge of more than two triangles, raises ValueError."""
     with open(path) as f:
         text = f.read()
     lines = list(filter(None, map(str.strip,
@@ -560,5 +552,11 @@ def load_mesh(path) -> Mesh:
         bad = ids[(ids < 0) | (ids >= n)]
         if bad.size:
             raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
+    # sorted, three equal keys in a row are an edge of three triangles
+    keys, _ = _sorted_edge_keys(tris, n)
+    over = np.flatnonzero(keys[2:] == keys[:-2])
+    if over.size:
+        lo, hi = divmod(int(keys[over[0]]), n)
+        raise ValueError(f"edge ({lo}, {hi}) lies on more than two triangles")
     return Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
                 boundary_edges=bedges)

@@ -23,6 +23,9 @@ from .mesh import BoundaryConditions, Mesh, checked_field
 # up and the current Jacobian is factored instead.
 GMRES_STEPS = 30
 
+# uniform temperature (K) every Newton solve starts from
+NEWTON_START = 300.0
+
 
 @dataclass(frozen=True)
 class Robin:
@@ -70,13 +73,10 @@ class NewtonConfig:
 
     abs_tol: float = 1e-4
     max_iter: int = 25
-    initial_guess: float = 300.0
     relative: bool = False
 
     def __post_init__(self):
         # each message starts with the field name it rejects
-        if not np.isfinite(self.initial_guess):
-            raise ValueError("initial_guess must be finite")
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError("abs_tol must be positive and finite")
         if self.max_iter < 1:
@@ -99,28 +99,11 @@ class SolveReport:
 class _ThermalWorkspace:
     """Material and Robin edge data shared by residual and Jacobian, on
     top of the mesh's assembly workspace; valid for the mesh, materials
-    and bc it was built with."""
+    and bc it was built with.
 
-    def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
-        self.mesh_ws = mesh.assembly_workspace
-        self.records = materials.by_subdomain(self.mesh_ws.subdomains)
-        self.robin = _RobinEdges.build(mesh, bc)
-        self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[self.robin.ij]
-
-    def conductivity(self, T_q, derivative=False):
-        """k, or dk/dT, at the temperatures T_q (M, Q)."""
-        k = np.empty_like(T_q)
-        for rec, idx in self.records:
-            k[idx] = (rec.k.derivative if derivative else rec.k)(T_q[idx])
-        return k
-
-
-@dataclass(frozen=True)
-class _RobinEdges:
-    """Convection edges under the vertex (trapezoid) rule.
-
-    ij (E, 2) end nodes, E >= 0; weight (E, 2) 0.5 * length * r * h at
-    each end node; ambient (E, 2) T_R at each end node. The rule's edge
+    Convection edges use the vertex (trapezoid) rule: robin_ij (E, 2)
+    end nodes, E >= 0; robin_weight (E, 2) 0.5 * length * r * h at each
+    end node; robin_ambient (E, 2) T_R at each end node. The rule's edge
     mass matrix is diagonal (lumped), which keeps the assembled system an
     M-matrix on meshes of right triangles and so preserves the discrete
     maximum principle (Ciarlet & Raviart, CMAME 2, 1973); a consistent
@@ -128,12 +111,9 @@ class _RobinEdges:
     overshoot the hottest ambient temperature.
     """
 
-    ij: np.ndarray
-    weight: np.ndarray
-    ambient: np.ndarray
-
-    @classmethod
-    def build(cls, mesh, bc):
+    def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
+        self.mesh_ws = mesh.assembly_workspace
+        self.records = materials.by_subdomain(self.mesh_ws.subdomains)
         table = mesh.boundary_edge_table
         rows, groups = table.condition_groups(bc.lookup, Robin)
         ij = np.column_stack([table.i[rows], table.j[rows]])
@@ -143,11 +123,15 @@ class _RobinEdges:
         for cond, ks in groups:
             weight[ks] = 0.5 * table.length[rows[ks], None] * r[ks] * cond.h
             ambient[ks] = cond.ambient(r[ks], y[ks])
-        return cls(ij, weight, ambient)
+        self.robin_ij, self.robin_weight, self.robin_ambient = ij, weight, ambient
+        self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[ij]
 
-    def residual(self, T):
-        """(E, 2) contributions of h (T - T_R) to the end-node rows."""
-        return self.weight * (T[self.ij] - self.ambient)
+    def conductivity(self, T_q, derivative=False):
+        """k, or dk/dT, at the temperatures T_q (M, Q)."""
+        k = np.empty_like(T_q)
+        for rec, idx in self.records:
+            k[idx] = (rec.k.derivative if derivative else rec.k)(T_q[idx])
+        return k
 
 
 def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
@@ -169,7 +153,9 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
         contrib -= (quad.w * source(quad.r, quad.y)) @ quad.rule.points
     R = np.bincount(geo.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.num_nodes)
-    R += np.bincount(ws.robin.ij.ravel(), weights=ws.robin.residual(T).ravel(),
+    # h (T - T_R) on the end-node rows of each convection edge
+    robin = ws.robin_weight * (T[ws.robin_ij] - ws.robin_ambient)
+    R += np.bincount(ws.robin_ij.ravel(), weights=robin.ravel(),
                      minlength=mesh.num_nodes)
     return R
 
@@ -193,7 +179,7 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     blocks = wk[:, None, None] * gg + flux[:, :, None] * wdk[:, None, :]
     J = assemble_csr(geo.scalar_pattern, blocks.ravel())
     # unbuffered, in edge order: a node on two Robin edges gets both
-    np.add.at(J.data, ws.robin_diagonal, ws.robin.weight)
+    np.add.at(J.data, ws.robin_diagonal, ws.robin_weight)
     return J
 
 
@@ -234,11 +220,12 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     iterates follow exact Newton's; near convergence eta is loosened to
     leave half the stopping tolerance. A step GMRES cannot take within
     GMRES_STEPS factors the current J instead, and that factor serves
-    the steps after it. Each step is taken in full, T + delta.
+    the steps after it. Each step is taken in full, T + delta, from the
+    uniform start NEWTON_START.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
-    T = np.full(mesh.num_nodes, float(config.initial_guess))
+    T = np.full(mesh.num_nodes, NEWTON_START)
     report = SolveReport()
     start = time.perf_counter()
 

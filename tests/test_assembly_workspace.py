@@ -63,10 +63,11 @@ def test_jacobian_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
     # element blocks (M, 3, 3) row-major, then the lumped Robin mass of
     # each edge on the diagonal entries of its two end nodes
     tris = mesh.triangles
-    robin = thermal._RobinEdges.build(mesh, hearth_thermal_bc())
-    rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), robin.ij.ravel()])
-    cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), robin.ij.ravel()])
-    ref = _fresh_csr(rows, cols, np.concatenate([vals, robin.weight.ravel()]),
+    ws = thermal._ThermalWorkspace(mesh, hearth_materials, hearth_thermal_bc())
+    ij = ws.robin_ij.ravel()
+    rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), ij])
+    cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), ij])
+    ref = _fresh_csr(rows, cols, np.concatenate([vals, ws.robin_weight.ravel()]),
                      mesh.num_nodes)
     _assert_same_matrix(J, ref)
 

@@ -6,12 +6,7 @@ import pytest
 
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.mechanical import MechanicalBC
-from axitherm.mesh import (
-    BoundaryTag,
-    _collect_boundary_edges,
-    load_mesh,
-    save_mesh,
-)
+from axitherm.mesh import BoundaryTag, Mesh, load_mesh, save_mesh
 from axitherm.thermal import Robin, ThermalBC
 
 
@@ -146,9 +141,12 @@ def test_edge_on_no_triangle_raises(unit_square_mesh):
         mesh.boundary_edge_table
 
 
-def test_edge_shared_by_three_triangles_raises():
+def test_edge_shared_by_three_triangles_raises(tmp_path):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                       [0.5, 2.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    with pytest.raises(ValueError, match=r"non-conforming edge \(0, 1\)"):
-        _collect_boundary_edges(tris, np.ones(3, int), len(nodes))
+    path = tmp_path / "mesh.txt"
+    save_mesh(Mesh(nodes, tris, np.ones(3, int)), path)
+    with pytest.raises(ValueError,
+                       match=r"edge \(0, 1\) lies on more than two triangles"):
+        load_mesh(path)

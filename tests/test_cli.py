@@ -19,6 +19,12 @@ from axitherm.mesh import BoundaryTag, load_mesh, save_mesh
 from axitherm.thermal import NewtonConfig
 
 
+def _with_t(row, value):
+    """A fields.csv row with its T column set to ``value``."""
+    node, r, y, _, *rest = row.split(",")
+    return ",".join([node, r, y, value, *rest])
+
+
 class TestRunConfig:
     def test_defaults(self):
         assert RunConfig().newton_config() == NewtonConfig()
@@ -255,11 +261,14 @@ class TestMain:
         (lambda rows: rows + [rows[-1]], ["1423"],
          r"has \d+ rows for \d+ nodes"),
         (lambda rows: rows, ["nan"], "level must be finite, not nan"),
+    (lambda rows: rows[:4] + [_with_t(rows[4], "nan")] + rows[5:], ["1423"],
+     "node 4 has a non-finite value: nan"),
         (lambda rows: rows, ["1423", "nan"], "level must be finite, not nan"),
         (lambda rows: rows, ["1423", "1423.0000001"],
          r"levels 1423\.0 and 1423\.0000001 would both be written to "
          r"isoline_1423K\.csv"),
-    ], ids=["too-few-rows", "too-many-rows", "nan-level", "1423-then-nan",
+    ], ids=["too-few-rows", "too-many-rows", "nan-level", "nan-value",
+            "1423-then-nan",
             "levels-sharing-a-file-name"])
     def test_isoline_rejects_foreign_input(self, coarse_run, tmp_path, capsys,
                                            edit, levels, match):
@@ -399,6 +408,25 @@ class TestMain:
         rc = main(["solve", "--mesh-file", str(path), "--out", str(out)])
         assert rc == 2
         assert f"boundary edge ({i}, {j}) {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_edge_of_three_triangles_exits_2(self, tmp_path, capsys):
+        # a repeated interior triangle, each of whose edges then lies on
+        # three triangles, was once solved
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        mesh = load_mesh(tmp_path / "mesh.txt")
+        k = mesh.triangles.tolist().index([1, 7, 8])
+        path = tmp_path / "bad.txt"
+        save_mesh(replace(mesh, triangles=np.insert(mesh.triangles, k,
+                                                    mesh.triangles[k], axis=0),
+                          tri_subdomain=np.insert(mesh.tri_subdomain, k,
+                                                  mesh.tri_subdomain[k])),
+                  path)
+        out = tmp_path / "run"
+        rc = main(["solve", "--mesh-file", str(path), "--out", str(out)])
+        assert rc == 2
+        assert ("edge (1, 7) lies on more than two triangles"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_case_flag_is_gone(self, tmp_path, capsys):

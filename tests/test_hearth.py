@@ -9,10 +9,12 @@ from axitherm import hearth
 from axitherm.hearth import (
     HEARTH_POLYGONS,
     HEARTH_Y_MAX,
+    HYDROSTATIC_SLOPE,
     build_hearth_materials,
+    hearth_mechanical_bc,
     hearth_mesh,
+    hydrostatic_traction,
 )
-from axitherm.mechanical import hydrostatic_traction
 from axitherm.mesh import BoundaryTag
 
 # the three walls of the notch between the upper subdomain-2 block and
@@ -29,7 +31,7 @@ NOTCH_WALLS = [
 def test_generic_modules_hold_no_hearth_data(name):
     module = importlib.import_module(f"axitherm.{name}")
     strays = [attr for attr, value in vars(module).items()
-              if "hearth" in attr.lower()
+              if ("hearth" in attr.lower() or "hydrostatic" in attr.lower())
               and getattr(value, "__module__", None) != "axitherm.hearth"]
     assert strays == []
 
@@ -53,7 +55,31 @@ def test_y_max_is_the_top_of_the_geometry():
 
 
 def test_metal_surface_carries_no_load():
-    assert hydrostatic_traction(HEARTH_Y_MAX, HEARTH_Y_MAX) == 0
+    assert hydrostatic_traction(HEARTH_Y_MAX) == 0
+
+
+class TestHydrostaticLoad:
+    def test_linear_in_depth(self):
+        assert hydrostatic_traction(7.4) == 0.0
+        assert hydrostatic_traction(0.0) == pytest.approx(
+            HYDROSTATIC_SLOPE * 7.4)
+
+    def test_above_surface_rejected(self):
+        with pytest.raises(ValueError):
+            hydrostatic_traction(8.0)
+
+    def test_array_matches_scalar_calls(self):
+        y = np.array([0.0, 1.3, 5.0, 7.4])
+        assert np.array_equal(hydrostatic_traction(y),
+                              [hydrostatic_traction(v) for v in y])
+        with pytest.raises(ValueError, match="above the metal surface"):
+            hydrostatic_traction(np.array([0.0, 8.0, 3.0]))
+
+    def test_traction_points_against_normal(self):
+        bc = hearth_mechanical_bc().conditions[BoundaryTag.INNER]
+        g = bc.evaluate(1.0, 3.4, np.array([1.0, 0.0]))
+        assert g[0] == pytest.approx(-HYDROSTATIC_SLOPE * 4.0)
+        assert g[1] == 0.0
 
 
 def test_notch_box_corners_are_polygon_vertices():

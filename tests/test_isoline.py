@@ -70,6 +70,16 @@ class TestExtractIsoline:
         with pytest.raises(ValueError, match="isoline level must be finite"):
             extract_isoline(mesh, mesh.nodes[:, 0], level)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, value):
+        # a NaN node once dropped the crossings of its edges unnoticed
+        mesh = _square()
+        T = mesh.nodes[:, 1].copy()
+        T[4] = value
+        with pytest.raises(ValueError,
+                           match=f"node 4 has a non-finite value: {value}"):
+            extract_isoline(mesh, T, 0.4)
+
     def test_closed_contour_around_hot_spot(self):
         mesh = _square(0.1)
         c = np.array([0.5, 0.5])

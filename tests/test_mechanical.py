@@ -22,13 +22,10 @@ from axitherm.materials import (
 )
 from axitherm.mechanical import (
     FRICTIONLESS_CONTACT,
-    HYDROSTATIC_SLOPE,
     MechanicalBC,
     TRACTION_FREE,
     Traction,
     assemble_mechanical_system,
-    hydrostatic_bc,
-    hydrostatic_traction,
     recover_stress,
     solve_mechanical,
 )
@@ -113,30 +110,6 @@ class TestElementStrain:
         assert self._strain(u)[3] == pytest.approx(0.005)
 
 
-class TestHydrostaticLoad:
-    def test_linear_in_depth(self):
-        assert hydrostatic_traction(7.4, 7.4) == 0.0
-        assert hydrostatic_traction(0.0, 7.4) == pytest.approx(
-            HYDROSTATIC_SLOPE * 7.4)
-
-    def test_above_surface_rejected(self):
-        with pytest.raises(ValueError):
-            hydrostatic_traction(8.0, 7.4)
-
-    def test_array_matches_scalar_calls(self):
-        y = np.array([0.0, 1.3, 5.0, 7.4])
-        assert np.array_equal(hydrostatic_traction(y, 7.4),
-                              [hydrostatic_traction(v, 7.4) for v in y])
-        with pytest.raises(ValueError, match="above the metal surface"):
-            hydrostatic_traction(np.array([0.0, 8.0, 3.0]), 7.4)
-
-    def test_traction_points_against_normal(self):
-        bc = hydrostatic_bc(7.4)
-        g = bc.evaluate(1.0, 3.4, np.array([1.0, 0.0]))
-        assert g[0] == pytest.approx(-HYDROSTATIC_SLOPE * 4.0)
-        assert g[1] == 0.0
-
-
 def _per_edge_traction_load(mesh, bc, f):
     """Reference: adds the traction loads to f in place, edge by edge
     and Gauss point by Gauss point, with one scalar evaluate call each."""
@@ -193,7 +166,9 @@ class TestTractionLoad:
         bc = MechanicalBC({
             BoundaryTag.BOTTOM: FRICTIONLESS_CONTACT,
             BoundaryTag.OUTER: TRACTION_FREE,
-            BoundaryTag.INNER: hydrostatic_bc(1.0),
+            # compression toward the wall, linear in depth below y = 1
+            BoundaryTag.INNER: Traction(lambda r, y, n: -np.expand_dims(
+                7e4 * (1.0 - y), -1) * n),
             BoundaryTag.TOP: Traction(lambda r, y, n: np.stack(
                 [1e5 * r, -2e5 - 1e4 * r * y], axis=-1)),
         })
