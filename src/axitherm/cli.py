@@ -20,10 +20,7 @@ from .hearth import (build_hearth_materials, hearth_mechanical_bc,
 from .isoline import extract_isoline, isoline_csv
 from .mechanical import recover_stress, solve_mechanical
 from .mesh import load_mesh, save_mesh
-from .thermal import NewtonConfig, newton_solve
-
-# RunConfig key of each NewtonConfig field whose name differs
-_NEWTON_KEYS = {"abs_tol": "newton_tol", "max_iter": "newton_max_iter"}
+from .thermal import newton_solve
 
 
 def _is_number(v) -> bool:
@@ -35,7 +32,6 @@ _JSON_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "float": ("a number", _is_number),
-    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "list": ("a list of numbers",
              lambda v: isinstance(v, list) and all(map(_is_number, v))),
 }
@@ -45,8 +41,6 @@ _JSON_TYPES = {
 class RunConfig:
     mesh_file: str | None = None
     target_h: float = 0.1
-    newton_tol: float = NewtonConfig.abs_tol
-    newton_max_iter: int = NewtonConfig.max_iter
     output_dir: str = "out"
     isoline_levels: list = field(default_factory=list)
 
@@ -67,17 +61,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
-
-    def newton_config(self) -> NewtonConfig:
-        """The Newton settings, checked by NewtonConfig; an error names
-        the key of this config."""
-        try:
-            return NewtonConfig(abs_tol=self.newton_tol,
-                                max_iter=self.newton_max_iter)
-        except ValueError as exc:
-            # NewtonConfig's messages start with the field name
-            name, _, rest = str(exc).partition(" ")
-            raise ValueError(f"{_NEWTON_KEYS.get(name, name)} {rest}") from None
 
 
 def _load_scenario_mesh(config: RunConfig):
@@ -114,10 +97,9 @@ def run_scenario(config: RunConfig) -> dict:
     """Mesh, thermal Newton solve, mechanical solve, stress recovery and
     isolines, all before the first artifact is written to the output dir,
     so a run that raises leaves that dir as it was. Returns a summary."""
-    newton = config.newton_config()
     mesh = _load_scenario_mesh(config)
     materials = build_hearth_materials()
-    T, thermal_report = newton_solve(mesh, materials, hearth_thermal_bc(), newton)
+    T, thermal_report = newton_solve(mesh, materials, hearth_thermal_bc())
     u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     stress = recover_stress(mesh, materials, T, u)
     isolines = _extract_isolines(mesh, T, config.isoline_levels)
@@ -258,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run a full scenario")
     common(p_solve)
-    p_solve.add_argument("--newton-tol", type=float)
-    p_solve.add_argument("--newton-max-iter", type=int)
     p_solve.add_argument("--isoline", dest="isoline_levels", metavar="ISOLINE",
                          type=float, action="append")
     p_solve.set_defaults(func=_cmd_solve)

@@ -150,9 +150,6 @@ class MaterialSet:
     records: dict  # subdomain id -> MaterialRecord
     T0: float = 300.0
 
-    def __getitem__(self, subdomain_id: int) -> MaterialRecord:
-        return self.records[subdomain_id]
-
     def by_subdomain(self, subdomains: dict) -> list:
         """(record, element indices) per entry of ``subdomains`` (subdomain
         id -> element indices, as in ``AssemblyWorkspace.subdomains``);

@@ -282,6 +282,8 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
     """
     if not (np.isfinite(target_h) and target_h > 0):
         raise ValueError(f"target_h must be finite and positive, not {target_h}")
+    if not polygons:
+        raise ValueError("generate_mesh needs at least one polygon")
     feature, fid = _min_feature(polygons)
     if target_h > feature + GEOM_TOL:
         raise ValueError(

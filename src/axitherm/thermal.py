@@ -26,6 +26,9 @@ GMRES_STEPS = 30
 # uniform temperature (K) every Newton solve starts from
 NEWTON_START = 300.0
 
+# Newton steps a solve may take before it gives up
+NEWTON_MAX_ITER = 25
+
 
 @dataclass(frozen=True)
 class Robin:
@@ -72,15 +75,11 @@ class NewtonConfig:
     """
 
     abs_tol: float = 1e-4
-    max_iter: int = 25
     relative: bool = False
 
     def __post_init__(self):
-        # each message starts with the field name it rejects
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError("abs_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -221,7 +220,8 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     leave half the stopping tolerance. A step GMRES cannot take within
     GMRES_STEPS factors the current J instead, and that factor serves
     the steps after it. Each step is taken in full, T + delta, from the
-    uniform start NEWTON_START.
+    uniform start NEWTON_START, and a solve not converged after
+    NEWTON_MAX_ITER steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
@@ -241,10 +241,10 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             raise ConvergenceError(
                 f"Newton residual is not finite ({norm}) after "
                 f"{report.iterations} iterations")
-        if report.iterations >= config.max_iter:
+        if report.iterations >= NEWTON_MAX_ITER:
             raise ConvergenceError(
                 f"Newton did not reach {config.abs_tol:g} in "
-                f"{config.max_iter} iterations (residual {norm:.3e})")
+                f"{NEWTON_MAX_ITER} iterations (residual {norm:.3e})")
         J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
         delta = None
         if factor is not None:

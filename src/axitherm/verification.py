@@ -25,6 +25,10 @@ from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 
 _r, _y, _T = sp.symbols("r y T", positive=True)
 
+# Newton settings of every thermal study; the test is relative, so one
+# tolerance serves each problem and mesh size
+_STUDY_NEWTON = NewtonConfig(abs_tol=1e-9, relative=True)
+
 
 def _field(expr):
     """``expr`` as a numpy function of (r, y) whose value has the shape
@@ -110,6 +114,18 @@ def _unit_square_mesh(h, r0=0.0, r1=1.0, y0=0.0, y1=1.0):
     return tag_boundaries(generate_mesh([poly], h))
 
 
+def _refinement_study(h_levels, error) -> ConvergenceRecord:
+    """The (L2, H1 seminorm) errors ``error(mesh)`` on the unit-square
+    mesh of each size in ``h_levels``; needs at least 3 levels."""
+    if len(h_levels) < 3:
+        raise ValueError("need at least 3 refinement levels")
+    rec = ConvergenceRecord()
+    for h in h_levels:
+        mesh = _unit_square_mesh(h)
+        rec.add(mesh.h, *error(mesh))
+    return rec
+
+
 @dataclass
 class ThermalManufacturedCase:
     """Exact temperature plus symbolically derived source and Robin data.
@@ -162,18 +178,14 @@ class ThermalManufacturedCase:
 def mms_thermal_study(case: ThermalManufacturedCase, h_levels) -> ConvergenceRecord:
     """Refinement study for the thermal solver against a manufactured
     solution; needs at least 3 levels."""
-    if len(h_levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
     mats = case.material_set()
     bc = case.boundary_conditions()
-    rec = ConvergenceRecord()
-    for h in h_levels:
-        mesh = _unit_square_mesh(h)
-        cfg = NewtonConfig(abs_tol=1e-9, max_iter=30, relative=True)
-        T, _ = newton_solve(mesh, mats, bc, cfg, source=case.source)
-        l2, h1 = weighted_l2_error(mesh, T, case.exact, case.gradient)
-        rec.add(mesh.h, l2, h1)
-    return rec
+
+    def error(mesh):
+        T, _ = newton_solve(mesh, mats, bc, _STUDY_NEWTON, source=case.source)
+        return weighted_l2_error(mesh, T, case.exact, case.gradient)
+
+    return _refinement_study(h_levels, error)
 
 
 @dataclass
@@ -237,20 +249,19 @@ class MechanicalManufacturedCase:
 
 
 def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> ConvergenceRecord:
-    if len(h_levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    """Refinement study for the mechanical solver against a manufactured
+    solution, in L2 only; needs at least 3 levels."""
     mats = case.material_set()
-    rec = ConvergenceRecord()
     bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
-    for h in h_levels:
-        mesh = _unit_square_mesh(h)
-        T = case.temperature(mesh)
-        u, _ = solve_mechanical(mesh, mats, bc, T,
+
+    def error(mesh):
+        u, _ = solve_mechanical(mesh, mats, bc, case.temperature(mesh),
                                 body_force=case.body_force,
                                 extra_constraints=case.dirichlet_constraints(mesh))
-        l2, _ = weighted_l2_error(mesh, u, case.exact)
-        rec.add(mesh.h, l2, 0.0)
-    return rec
+        # no gradient: the H1 seminorm entry is 0.0
+        return weighted_l2_error(mesh, u, case.exact)
+
+    return _refinement_study(h_levels, error)
 
 
 def annulus_study(subdivisions=(16, 32, 64)):
@@ -272,8 +283,7 @@ def annulus_study(subdivisions=(16, 32, 64)):
     for n in subdivisions:
         h = (r2 - r1) / n
         mesh = _unit_square_mesh(h, r1, r2, 0.0, 0.1)
-        cfg = NewtonConfig(abs_tol=1e-10, max_iter=5, relative=True)
-        T, _ = newton_solve(mesh, mats, bc, cfg)
+        T, _ = newton_solve(mesh, mats, bc, _STUDY_NEWTON)
         l2, _ = weighted_l2_error(mesh, T, lambda r, y: exact(r))
         norm, _ = weighted_l2_error(mesh, np.zeros_like(T),
                                     lambda r, y: exact(r))

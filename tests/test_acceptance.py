@@ -70,7 +70,7 @@ def hearth_solution():
     materials = build_hearth_materials()
     start = time.perf_counter()
     T, report = newton_solve(mesh, materials, hearth_thermal_bc(),
-                             NewtonConfig(abs_tol=1e-4, max_iter=25))
+                             NewtonConfig(abs_tol=1e-4))
     elapsed = time.perf_counter() - start
     return mesh, materials, T, report, elapsed
 

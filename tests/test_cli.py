@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import axitherm
-from axitherm import hearth
+from axitherm import cli, hearth
 from axitherm.cli import RunConfig, main, run_scenario
 from axitherm.fem_core import ConvergenceError
 from axitherm.hearth import CONDUCTIVITY_KNOTS
 from axitherm.mesh import BoundaryTag, load_mesh, save_mesh
-from axitherm.thermal import NewtonConfig
 
 
 def _with_t(row, value):
@@ -26,20 +25,16 @@ def _with_t(row, value):
 
 
 class TestRunConfig:
-    def test_defaults(self):
-        assert RunConfig().newton_config() == NewtonConfig()
-
-    def test_six_fields(self):
+    def test_four_fields(self):
         assert list(RunConfig.__dataclass_fields__) == [
-            "mesh_file", "target_h", "newton_tol", "newton_max_iter",
-            "output_dir", "isoline_levels"]
+            "mesh_file", "target_h", "output_dir", "isoline_levels"]
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"target_h": 0.5, "newton_max_iter": 7}))
+        path.write_text(json.dumps({"target_h": 0.5, "isoline_levels": [7]}))
         config = RunConfig.from_file(path)
         assert config.target_h == 0.5
-        assert config.newton_max_iter == 7
+        assert config.isoline_levels == [7]
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -79,7 +74,6 @@ class TestRunConfig:
         ("target_h", "0.1"),
         ("isoline_levels", 1423),
         ("isoline_levels", ["1423"]),
-        ("newton_max_iter", 2.5),
         ("mesh_file", 3),
     ])
     def test_from_file_rejects_wrong_types(self, tmp_path, key, value):
@@ -87,18 +81,6 @@ class TestRunConfig:
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match=f"^{key} must be"):
             RunConfig.from_file(path)
-
-    @pytest.mark.parametrize("field, value, match", [
-        ("newton_tol", 0.0, "newton_tol"),
-        ("newton_tol", -1e-4, "newton_tol"),
-        ("newton_max_iter", 0, "newton_max_iter"),
-    ])
-    def test_validate_rejects_bad_newton_settings(self, tmp_path, field,
-                                                  value, match):
-        out = tmp_path / "out"
-        with pytest.raises(ValueError, match=match):
-            run_scenario(RunConfig(**{field: value}, output_dir=str(out)))
-        assert not out.exists()
 
     def test_json_round_trip(self, tmp_path):
         config = RunConfig(target_h=0.3, isoline_levels=[1423.0])
@@ -172,15 +154,20 @@ class TestRunScenario:
             assert path.stat().st_mode == \
                 (path.parent / "by_open").stat().st_mode, path.name
 
-    def test_failed_run_leaves_output_dir_as_it_was(self, tmp_path):
+    def test_failed_run_leaves_output_dir_as_it_was(self, tmp_path,
+                                                    monkeypatch):
         # a run that fails after meshing must not leave a mesh.txt that
         # the fields.csv of the earlier run does not belong to
         run_scenario(RunConfig(target_h=0.5, output_dir=str(tmp_path),
                                isoline_levels=[1423.0]))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        with pytest.raises(ConvergenceError):
-            run_scenario(RunConfig(target_h=0.4, newton_max_iter=1,
-                                   output_dir=str(tmp_path)))
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("mechanical solve failed")
+
+        monkeypatch.setattr(cli, "solve_mechanical", fail)
+        with pytest.raises(ConvergenceError, match="mechanical solve failed"):
+            run_scenario(RunConfig(target_h=0.4, output_dir=str(tmp_path)))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -227,14 +214,12 @@ class TestMain:
     def test_flags_reach_config(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["solve", "--h", "0.5", "--out", str(out),
-                   "--isoline", "1423", "--newton-tol", "1e-5",
-                   "--newton-max-iter", "30"])
+                   "--isoline", "1423"])
         assert rc == 0
         config = json.loads((out / "config.json").read_text())
         assert config == dict(
             json.loads(RunConfig().to_json()), target_h=0.5,
-            output_dir=str(out), isoline_levels=[1423.0],
-            newton_tol=1e-5, newton_max_iter=30)
+            output_dir=str(out), isoline_levels=[1423.0])
         assert (out / "isoline_1423K.csv").exists()
         capsys.readouterr()
         with pytest.raises(SystemExit):
@@ -435,14 +420,28 @@ class TestMain:
         assert exc.value.code == 2
         assert "unrecognized arguments: --case" in capsys.readouterr().err
 
+    # the Newton settings live in axitherm.thermal alone
+    @pytest.mark.parametrize("flag, value", [("--newton-tol", "1e-5"),
+                                             ("--newton-max-iter", "30")])
+    def test_newton_flags_are_gone(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", flag, value, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("scenario", "hearth"),
-                                            ("initial_guess", 300.0)])
+                                            ("initial_guess", 300.0),
+                                            ("newton_tol", 1e-4),
+                                            ("newton_max_iter", 25)])
     def test_removed_config_keys_exit_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": 0.5, key: value}))
-        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mistyped_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -181,26 +181,26 @@ class TestHearthMaterials:
 
     def test_constant_conductivities(self):
         ms = build_hearth_materials()
-        assert ms[3].k(600.0) == pytest.approx(5.3)
-        assert ms[4].k(600.0) == pytest.approx(4.75)
-        assert ms[6].k(600.0) == pytest.approx(45.6)
+        assert ms.records[3].k(600.0) == pytest.approx(5.3)
+        assert ms.records[4].k(600.0) == pytest.approx(4.75)
+        assert ms.records[6].k(600.0) == pytest.approx(45.6)
 
     def test_constant_modulus_subdomain6(self):
         assert hearth_modulus(6)(1000.0) == pytest.approx(1.9e11)
 
     def test_poisson_and_expansion(self):
         ms = build_hearth_materials()
-        assert ms[1].nu == 0.3
-        assert ms[5].nu == 0.2
-        assert ms[1].alpha == pytest.approx(2.3e-6)
-        assert ms[6].alpha == pytest.approx(1.2e-5)
+        assert ms.records[1].nu == 0.3
+        assert ms.records[5].nu == 0.2
+        assert ms.records[1].alpha == pytest.approx(2.3e-6)
+        assert ms.records[6].alpha == pytest.approx(1.2e-5)
 
     def test_positive_properties_over_working_range(self):
         ms = build_hearth_materials()
         T = np.linspace(250.0, 1850.0, 400)
         for sid in sorted(ms.records):
-            assert np.all(ms[sid].k(T) > 0)
-            assert np.all(ms[sid].E(T) > 0)
+            assert np.all(ms.records[sid].k(T) > 0)
+            assert np.all(ms.records[sid].E(T) > 0)
 
     def test_record_validation(self):
         k = PiecewiseQuadratic.constant(1.0)
@@ -208,14 +208,6 @@ class TestHearthMaterials:
             MaterialRecord(k=k, E=k, nu=0.6, alpha=1e-5)
         with pytest.raises(ValueError):
             MaterialRecord(k=k, E=k, nu=0.3, alpha=-1e-5)
-
-    def test_material_set_lookup(self):
-        k = PiecewiseQuadratic.constant(1.0)
-        rec = MaterialRecord(k=k, E=k, nu=0.3, alpha=1e-5)
-        ms = MaterialSet(records={7: rec})
-        assert ms[7] is rec
-        with pytest.raises(KeyError):
-            ms[1]
 
     def test_by_subdomain_names_every_missing_record(self):
         k = PiecewiseQuadratic.constant(1.0)

@@ -250,8 +250,8 @@ class TestSolveMechanical:
         C = np.empty((len(tris), 4, 4))
         for sid in np.unique(mesh.tri_subdomain):
             on = mesh.tri_subdomain == sid
-            E_q[on] = hearth_materials[sid].E(T_q[on])
-            C[on] = elasticity_matrix(1.0, hearth_materials[sid].nu)
+            E_q[on] = hearth_materials.records[sid].E(T_q[on])
+            C[on] = elasticity_matrix(1.0, hearth_materials.records[sid].nu)
         B = np.zeros(T_q.shape + (4, 6))
         B[:, :, 0, 0::2] = grads[:, None, :, 0]
         B[:, :, 1, 1::2] = grads[:, None, :, 1]

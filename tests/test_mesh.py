@@ -106,6 +106,10 @@ class TestGenerateMesh:
         with pytest.raises(ValueError, match="target_h must be finite and positive"):
             generate_mesh([square], h)
 
+    def test_rejects_no_polygons(self):
+        with pytest.raises(ValueError, match="at least one polygon"):
+            generate_mesh([], 0.1)
+
     def test_rejects_overlapping_polygons(self):
         a = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
         b = SubdomainPolygon(2, ((0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)))

@@ -78,7 +78,7 @@ class TestResidual:
 
     def test_missing_material_raises(self):
         mesh = _strip_mesh()
-        record = _const_materials()[1]
+        record = _const_materials().records[1]
         mats = MaterialSet(records={9: record})
         with pytest.raises(ValueError, match="no material record"):
             assemble_thermal_residual(mesh, mats, ThermalBC(ALL_ROBIN),
@@ -169,11 +169,18 @@ class TestNewtonSolve:
         assert report.residuals[-1] <= 1e-8
         assert report.residuals[0] > report.residuals[-1]
 
-    def test_iteration_cap_raises(self):
+    def test_config_has_two_fields(self):
+        # the start and the step cap are the constants NEWTON_START and
+        # NEWTON_MAX_ITER
+        assert [f.name for f in dataclasses.fields(NewtonConfig)] == [
+            "abs_tol", "relative"]
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(thermal, "NEWTON_MAX_ITER", 2)
         mesh = _strip_mesh()
-        with pytest.raises(ConvergenceError, match="Newton"):
+        with pytest.raises(ConvergenceError, match="in 2 iterations"):
             newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
-                         NewtonConfig(abs_tol=1e-30, max_iter=2))
+                         NewtonConfig(abs_tol=1e-30))
 
     def test_non_finite_residual_raises(self):
         # a NaN residual norm used to compare as converged (nan > tol is
@@ -189,7 +196,6 @@ class TestNewtonSolve:
         ("abs_tol", -1e-4),
         ("abs_tol", float("nan")),
         ("abs_tol", float("inf")),
-        ("max_iter", 0),
     ])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
