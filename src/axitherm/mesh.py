@@ -89,7 +89,7 @@ class BoundaryEdgeTable:
 
     i, j     (E,) int arrays of the edge's node ids
     tags     tuple of BoundaryTag
-    owner    (E,) lowest-numbered triangle containing the edge
+    owner    (E,) the one triangle containing the edge
     normal   (E, 2) unit normal pointing away from the owner's third node
     length   (E,) edge length
     """
@@ -102,10 +102,8 @@ class BoundaryEdgeTable:
     length: np.ndarray
 
     def conditions(self, lookup) -> list:
-        """``lookup(tag)`` for every row in table order: the boundary
-        condition of each exterior edge, None on interface rows."""
-        return [None if tag is BoundaryTag.INTERFACE else lookup(tag)
-                for tag in self.tags]
+        """``lookup(tag)`` of every row in table order: its edge's condition."""
+        return [lookup(tag) for tag in self.tags]
 
     def condition_groups(self, lookup, kind) -> tuple:
         """(rows, groups): the rows whose condition is a ``kind``, in table
@@ -146,7 +144,7 @@ class Mesh:
     nodes            (N, 2) float array of (r, y) coordinates
     triangles        (M, 3) int64 array, positively oriented
     tri_subdomain    (M,) int array of subdomain ids
-    boundary_edges   tuple of (i, j, BoundaryTag) with i < j
+    boundary_edges   tuple of (i, j, BoundaryTag), i < j, per exterior edge
 
     A mesh cannot change: its fields cannot be reassigned and its arrays
     are read-only (a writable input is copied once, a read-only one is
@@ -211,32 +209,46 @@ def _sorted_edge_keys(triangles: np.ndarray, num_nodes: int):
     return keys[order], order // 3
 
 
+def _exterior_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys found once in the sorted ``keys``: edges of one triangle."""
+    # keys are >= 0, so the -1 ends differ from every key
+    step = np.diff(keys, prepend=-1, append=-1) != 0
+    return keys[step[:-1] & step[1:]]
+
+
 def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
+    """The table of ``mesh.boundary_edges``: each exterior edge once, tagged."""
     n_edges = len(mesh.boundary_edges)
     i = np.fromiter((e[0] for e in mesh.boundary_edges), np.int64, n_edges)
     j = np.fromiter((e[1] for e in mesh.boundary_edges), np.int64, n_edges)
     tags = tuple(e[2] for e in mesh.boundary_edges)
     n = mesh.num_nodes
     keys, tri = _sorted_edge_keys(mesh.triangles, n)
+    # sorted, three equal keys in a row are an edge of three triangles
+    over = np.flatnonzero(keys[2:] == keys[:-2])
+    if over.size:
+        lo, hi = divmod(int(keys[over[0]]), n)
+        raise ValueError(f"edge ({lo}, {hi}) lies on more than two triangles")
     want = np.minimum(i, j) * n + np.maximum(i, j)
     pos = np.searchsorted(keys, want)
     # a row that would change the answer unnoticed is rejected: one with
-    # no tag, a repeat, or a tag on the wrong side of the wall
+    # no tag, a repeat, or one inside the wall
     count = np.searchsorted(keys, want, side="right") - pos
     repeat = np.ones(n_edges, dtype=bool)
     repeat[np.unique(want, return_index=True)[1]] = False
     untagged = np.array([t is None for t in tags], bool)
-    interface = np.array([t is BoundaryTag.INTERFACE for t in tags], bool)
     for bad, why in ((count == 0, "lies on no triangle"),
                      (untagged, "has no tag"),
                      (repeat, "is listed twice"),
-                     ((count == 2) & ~interface,
-                      "is shared by two triangles but not tagged interface"),
-                     ((count == 1) & interface,
-                      "lies on one triangle but is tagged interface")):
+                     (count == 2, "is shared by two triangles")):
         if np.any(bad):
             e = int(np.flatnonzero(bad)[0])
             raise ValueError(f"boundary edge ({i[e]}, {j[e]}) {why}")
+    # the rows are distinct exterior edges, so any left out are missing
+    exterior = _exterior_keys(keys)
+    if n_edges < len(exterior):
+        lo, hi = divmod(int(np.setdiff1d(exterior, want)[0]), n)
+        raise ValueError(f"missing exterior edge ({lo}, {hi})")
     owner = tri[pos]
     third = mesh.triangles[owner].sum(axis=1) - i - j
     p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]
@@ -338,28 +350,15 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
         [r_lines[used // ny], y_lines[used % ny]]
     )
 
-    edges = _collect_boundary_edges(tris, tri_sub, len(nodes))
+    edges = _collect_boundary_edges(tris, len(nodes))
     return Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
                 boundary_edges=edges)
 
 
-def _collect_boundary_edges(triangles, tri_subdomain, n: int) -> list:
-    """The exterior and inter-subdomain edges of a conforming mesh of
-    ``n`` nodes, exterior ones untagged."""
-    keys, tri = _sorted_edge_keys(triangles, n)
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    counts = np.diff(np.r_[start, len(keys)])
-    lo, hi = keys[start] // n, keys[start] % n
-    sub = tri_subdomain[tri]
-    shared = counts == 2
-    interface = np.zeros(len(start), dtype=bool)
-    interface[shared] = sub[start[shared]] != sub[start[shared] + 1]
-    keep = (counts == 1) | interface
-    return [
-        (i, j, BoundaryTag.INTERFACE if iface else None)
-        for i, j, iface in zip(lo[keep].tolist(), hi[keep].tolist(),
-                               interface[keep].tolist())
-    ]
+def _collect_boundary_edges(triangles, n: int) -> list:
+    """The exterior edges of a mesh of ``n`` nodes, untagged, in key order."""
+    lo, hi = np.divmod(_exterior_keys(_sorted_edge_keys(triangles, n)[0]), n)
+    return [(i, j, None) for i, j in zip(lo.tolist(), hi.tolist())]
 
 
 def tag_boundaries(mesh: Mesh) -> Mesh:
@@ -374,10 +373,7 @@ def tag_boundaries(mesh: Mesh) -> Mesh:
     r_max, y_max = mesh.nodes.max(axis=0).tolist()
 
     tagged = []
-    for (i, j, tag) in mesh.boundary_edges:
-        if tag is BoundaryTag.INTERFACE:
-            tagged.append((i, j, tag))
-            continue
+    for (i, j, _) in mesh.boundary_edges:
         p, q = mesh.nodes[i], mesh.nodes[j]
         if abs(p[0]) < GEOM_TOL and abs(q[0]) < GEOM_TOL:
             t = BoundaryTag.AXIS
@@ -492,10 +488,11 @@ _EDGE_ROW = re.compile(
 
 
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`; a
-    file that is empty, truncated or malformed, that holds a non-finite
-    node coordinate, that names a node id outside 0..N-1, or that has an
-    edge of more than two triangles, raises ValueError."""
+    """Read the plain-text mesh format written by :func:`save_mesh` and
+    build its boundary-edge table, dropping the ``interface`` rows of
+    older files. A file that is empty, truncated, malformed or longer
+    than its sections, a non-finite coordinate, a node id outside 0..N-1,
+    a node on no triangle or a table that cannot be built raises."""
     with open(path) as f:
         text = f.read()
     lines = list(filter(None, map(str.strip,
@@ -538,6 +535,9 @@ def load_mesh(path) -> Mesh:
     tris = tri_rows[:, :3]
     sub = tri_rows[:, 3]
     rows = section("boundary_edges")
+    if pos < len(lines):
+        raise ValueError(f"content after the boundary_edges section: "
+                         f"'{lines[pos]}'")
     fields = _EDGE_ROW.findall("\n".join(rows))
     if len(fields) < len(rows):
         k = next(k for k, row in enumerate(rows, 1)
@@ -545,7 +545,8 @@ def load_mesh(path) -> Mesh:
         raise ValueError(
             f"boundary_edges row {k}: expected 'i j tag' with integer node "
             f"ids and tag one of {', '.join(_TAG_NAMES)}, got '{rows[k - 1]}'")
-    bedges = [(int(a), int(c), _TAG_NAMES[name]) for a, c, name in fields]
+    bedges = [(int(a), int(c), _TAG_NAMES[name]) for a, c, name in fields
+              if _TAG_NAMES[name] is not BoundaryTag.INTERFACE]
     n = len(nodes)
     if len(tris) == 0:
         raise ValueError("mesh file has no triangles")
@@ -554,11 +555,10 @@ def load_mesh(path) -> Mesh:
         bad = ids[(ids < 0) | (ids >= n)]
         if bad.size:
             raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
-    # sorted, three equal keys in a row are an edge of three triangles
-    keys, _ = _sorted_edge_keys(tris, n)
-    over = np.flatnonzero(keys[2:] == keys[:-2])
-    if over.size:
-        lo, hi = divmod(int(keys[over[0]]), n)
-        raise ValueError(f"edge ({lo}, {hi}) lies on more than two triangles")
-    return Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
+    unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n) == 0)
+    if unused.size:
+        raise ValueError(f"node {unused[0]} lies on no triangle")
+    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
                 boundary_edges=bedges)
+    mesh.boundary_edge_table  # checks the rows; every later use reuses it
+    return mesh

@@ -62,18 +62,6 @@ def test_loaded_mesh(tmp_path, coarse_hearth_mesh):
         assert np.array_equal(getattr(table, name), getattr(ref, name))
 
 
-def test_interface_owner_is_lowest_numbered_triangle(coarse_hearth_mesh):
-    table = coarse_hearth_mesh.boundary_edge_table
-    rows = np.flatnonzero([t is BoundaryTag.INTERFACE for t in table.tags])
-    assert len(rows) > 0
-    tris = coarse_hearth_mesh.triangles
-    for e in rows:
-        both = np.flatnonzero(np.any(tris == table.i[e], axis=1)
-                              & np.any(tris == table.j[e], axis=1))
-        assert len(both) == 2
-        assert table.owner[e] == both.min()
-
-
 def test_table_is_built_once_and_read_only(unit_square_mesh):
     table = unit_square_mesh.boundary_edge_table
     assert unit_square_mesh.boundary_edge_table is table
@@ -81,14 +69,11 @@ def test_table_is_built_once_and_read_only(unit_square_mesh):
         table.normal[0, 0] = 0.0
 
 
-def test_conditions_skip_interface_and_untagged_rows():
+def test_conditions_reject_untagged_rows():
     tagged = hearth_mesh(0.4)
     table = tagged.boundary_edge_table
     conds = table.conditions(lambda tag: tag.value)
-    assert len(conds) == len(table.tags)
-    for tag, cond in zip(table.tags, conds):
-        assert cond == (None if tag is BoundaryTag.INTERFACE else tag.value)
-    assert BoundaryTag.INTERFACE in table.tags
+    assert conds == [tag.value for tag in table.tags]
     # an untagged row would drop its edge's condition unnoticed, so the
     # table of a mesh with one is never built
     (i, j, _), *rest = tagged.boundary_edges

@@ -361,16 +361,17 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("defect, message", [
-        ("untagged", "has no tag"),
-        ("repeated", "is listed twice"),
-        ("interior", "is shared by two triangles but not tagged interface"),
-        ("exterior", "lies on one triangle but is tagged interface"),
-    ], ids=["untagged", "repeated", "interior", "exterior"])
+        ("untagged", "boundary edge ({i}, {j}) has no tag"),
+        ("repeated", "boundary edge ({i}, {j}) is listed twice"),
+        ("interior", "boundary edge ({i}, {j}) is shared by two triangles"),
+        ("exterior", "missing exterior edge ({i}, {j})"),
+        ("dropped", "missing exterior edge ({i}, {j})"),
+    ], ids=["untagged", "repeated", "interior", "exterior", "dropped"])
     def test_boundary_rows_that_change_the_answer_exit_2(
             self, tmp_path, capsys, defect, message):
         # each file was once solved: without the hot face, with one edge's
-        # load counted twice, with a load inside the wall, or with the hot
-        # face declared an interface
+        # load counted twice, with a load inside the wall, with the hot
+        # face declared an interface, or with one hot edge left out
         assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
         mesh = load_mesh(tmp_path / "mesh.txt")
         edges = list(mesh.boundary_edges)
@@ -383,16 +384,18 @@ class TestMain:
             # in the other orientation, which names the edge as listed
             i, j = j, i
             edges.append((i, j, BoundaryTag.INNER))
-        else:
+        elif defect == "interior":
             # the diagonal of the first cell, shared by its two triangles
             i, _, j = sorted(mesh.triangles[0].tolist())
             edges.append((i, j, BoundaryTag.INNER))
+        else:
+            edges.remove((i, j, BoundaryTag.INNER))
         path = tmp_path / "bad.txt"
         save_mesh(replace(mesh, boundary_edges=edges), path)
         out = tmp_path / "run"
         rc = main(["solve", "--mesh-file", str(path), "--out", str(out)])
         assert rc == 2
-        assert f"boundary edge ({i}, {j}) {message}" in capsys.readouterr().err
+        assert message.format(i=i, j=j) in capsys.readouterr().err
         assert not out.exists()
 
     def test_edge_of_three_triangles_exits_2(self, tmp_path, capsys):
@@ -413,6 +416,75 @@ class TestMain:
         assert ("edge (1, 7) lies on more than two triangles"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "mesh", "isoline"])
+    @pytest.mark.parametrize("defect, message", [
+        ("short", "content after the boundary_edges section: '{row}'"),
+        ("trailing", "content after the boundary_edges section: 'hello world'"),
+        ("unused", "node {n} lies on no triangle"),
+        ("dropped", "missing exterior edge ({i}, {j})"),
+    ], ids=["short", "trailing", "unused", "dropped"])
+    def test_every_reader_of_a_mesh_file_rejects_it(self, tmp_path, capsys,
+                                                    command, defect, message):
+        # each file was once read without a word: a boundary_edges count
+        # one short ignored its last row, trailing text was ignored, and
+        # a node on no triangle gave an empty, singular matrix row
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        mesh = load_mesh(tmp_path / "mesh.txt")
+        n, edges = mesh.num_nodes, list(mesh.boundary_edges)
+        i, j, _ = edges[0]
+        if defect == "dropped":
+            save_mesh(replace(mesh, boundary_edges=edges[1:]),
+                      tmp_path / "mesh.txt")
+        lines = (tmp_path / "mesh.txt").read_text().splitlines()
+        if defect == "short":
+            lines[-len(edges) - 1] = f"boundary_edges {len(edges) - 1}"
+        elif defect == "trailing":
+            lines.append("hello world")
+        elif defect == "unused":
+            lines[1] = f"nodes {n + 1}"
+            lines.insert(2 + n, "9.0 9.0")
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        files = {"solve": [], "mesh": [],
+                 "isoline": ["--csv", str(path), "--isoline", "1423"]}
+        rc = main([command, "--mesh-file", str(path), *files[command],
+                   "--out", str(out)])
+        assert rc == 2
+        assert (message.format(row=lines[-1], n=n, i=i, j=j)
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_interface_rows_of_older_files_are_dropped(self, tmp_path):
+        # files written before the interface rows were dropped list, in
+        # key order, an extra row for each edge between two subdomains
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        mesh = load_mesh(tmp_path / "mesh.txt")
+        sides = {}
+        for tri, sub in zip(mesh.triangles.tolist(),
+                            mesh.tri_subdomain.tolist()):
+            for a, b in zip(tri, tri[1:] + tri[:1]):
+                sides.setdefault((min(a, b), max(a, b)), set()).add(sub)
+        interface = [(a, b, BoundaryTag.INTERFACE)
+                     for (a, b), subs in sides.items() if len(subs) == 2]
+        assert interface
+        old = tmp_path / "old.txt"
+        save_mesh(replace(mesh, boundary_edges=sorted(
+            [*mesh.boundary_edges, *interface])), old)
+        back = load_mesh(old)
+        assert back.boundary_edges == mesh.boundary_edges
+        for path, out in ((tmp_path / "mesh.txt", "new"), (old, "old")):
+            assert main(["solve", "--mesh-file", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+        for name in ("fields.csv", "solution.vtk"):
+            assert ((tmp_path / "old" / name).read_bytes()
+                    == (tmp_path / "new" / name).read_bytes())
+        # the mesh command rewrites an older file without them
+        assert main(["mesh", "--mesh-file", str(old),
+                     "--out", str(tmp_path / "rewritten")]) == 0
+        assert ((tmp_path / "rewritten" / "mesh.txt").read_bytes()
+                == (tmp_path / "mesh.txt").read_bytes())
 
     def test_case_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

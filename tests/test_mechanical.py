@@ -325,8 +325,6 @@ class TestSolveMechanical:
         # the rule edge by edge: u_r on the axis and on vertical contact
         # edges, u_y on horizontal ones
         for i, j, tag in mesh.boundary_edges:
-            if tag is None or tag is BoundaryTag.INTERFACE:
-                continue
             axis = tag is BoundaryTag.AXIS
             if not (axis or bc.lookup(tag) == FRICTIONLESS_CONTACT):
                 continue

@@ -84,11 +84,16 @@ class TestGenerateMesh:
         lower = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
         upper = SubdomainPolygon(2, ((0, 1), (1, 1), (1, 2), (0, 2)))
         mesh = generate_mesh([lower, upper], 0.5)
-        iface = [e for e in mesh.boundary_edges if e[2] is BoundaryTag.INTERFACE]
-        assert len(iface) > 0
-        for (i, j, _) in iface:
-            assert mesh.nodes[i][1] == pytest.approx(1.0)
-            assert mesh.nodes[j][1] == pytest.approx(1.0)
+        # the edges where the subdomains meet get no row: the conforming
+        # mesh carries T and flux across them with no boundary term
+        assert all(t is None for (_, _, t) in mesh.boundary_edges)
+        on_interface = [(i, j) for (i, j, _) in mesh.boundary_edges
+                        if mesh.nodes[i][1] == mesh.nodes[j][1] == 1.0]
+        assert on_interface == []
+        # and the rows that are left run once round the outline
+        length = sum(np.linalg.norm(mesh.nodes[j] - mesh.nodes[i])
+                     for (i, j, _) in mesh.boundary_edges)
+        assert length == pytest.approx(2 * (1 + 2))
 
     def test_rejects_target_h_above_feature_size(self):
         small = SubdomainPolygon(1, ((0, 0), (0.2, 0), (0.2, 0.2), (0, 0.2)))
@@ -275,10 +280,11 @@ class TestHearthGeometry:
                     on_any = True
             assert on_any, f"inner edge off the cavity wall at {mid}"
 
-    def test_all_six_tags_present(self):
+    def test_every_exterior_tag_present(self):
         mesh = hearth_mesh(0.1)
         tags = {t for (_, _, t) in mesh.boundary_edges}
-        assert tags == set(BoundaryTag)
+        assert tags == {BoundaryTag.AXIS, BoundaryTag.BOTTOM, BoundaryTag.OUTER,
+                        BoundaryTag.TOP, BoundaryTag.INNER}
 
 
 class TestMeshIO:

@@ -39,8 +39,7 @@ def _const_materials(k=2.0):
                              nu=0.3, alpha=1e-5)
 
 
-ALL_ROBIN = {tag: Robin(100.0, 400.0) for tag in BoundaryTag
-             if tag is not BoundaryTag.INTERFACE}
+ALL_ROBIN = {tag: Robin(100.0, 400.0) for tag in BoundaryTag}
 
 
 class TestResidual:
@@ -50,8 +49,10 @@ class TestResidual:
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 2]]),
                     tri_subdomain=np.array([1]),
-                    boundary_edges=[])
-        bc = ThermalBC({})
+                    boundary_edges=[(0, 1, BoundaryTag.BOTTOM),
+                                    (1, 2, BoundaryTag.OUTER),
+                                    (0, 2, BoundaryTag.AXIS)])
+        bc = ThermalBC(dict.fromkeys(BoundaryTag, ADIABATIC))
         T = np.array([0.0, 1.0, 0.0])
         R = assemble_thermal_residual(mesh, _const_materials(2.0), bc, T)
         assert R == pytest.approx([-1 / 3, 1 / 3, 0.0], abs=1e-14)
