@@ -15,7 +15,6 @@ from .mesh import (
     generate_mesh,
     load_mesh,
     save_mesh,
-    tag_boundaries,
 )
 from .thermal import NewtonConfig, Robin, SolveReport, ThermalBC, newton_solve
 from .mechanical import (
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryTag", "Mesh", "SubdomainPolygon", "generate_mesh",
-    "hearth_mesh", "load_mesh", "save_mesh", "tag_boundaries",
+    "hearth_mesh", "load_mesh", "save_mesh",
     "MaterialRecord", "MaterialSet", "PiecewiseQuadratic",
     "build_hearth_materials", "elasticity_matrix", "fit_piecewise_quadratic",
     "thermal_stress_term", "NewtonConfig", "Robin", "SolveReport",

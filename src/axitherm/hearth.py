@@ -15,8 +15,7 @@ from .materials import (MaterialRecord, MaterialSet, PiecewiseQuadratic,
                         fit_piecewise_quadratic)
 from .mechanical import (FRICTIONLESS_CONTACT, TRACTION_FREE, MechanicalBC,
                          Traction)
-from .mesh import (GEOM_TOL, BoundaryTag, Mesh, SubdomainPolygon,
-                   generate_mesh, tag_boundaries)
+from .mesh import GEOM_TOL, BoundaryTag, Mesh, SubdomainPolygon, generate_mesh
 from .thermal import ADIABATIC, Robin, ThermalBC
 
 # Cross-section, vertex coordinates in meters. Subdomain 2 consists of
@@ -54,9 +53,10 @@ _NOTCH_BOX = ((5.5188, 7.35), (5.9501, HEARTH_Y_MAX))
 
 
 def hearth_mesh(target_h: float) -> Mesh:
-    """Generate and fully tag the hearth mesh: the generic rule of
-    :func:`tag_boundaries`, then the notch's INNER edges as TOP."""
-    mesh = tag_boundaries(generate_mesh(HEARTH_POLYGONS, target_h))
+    """Generate the hearth mesh, tagged by the generic rule of
+    :func:`~axitherm.mesh.tag_boundaries`, and retag the notch's INNER
+    edges as TOP."""
+    mesh = generate_mesh(HEARTH_POLYGONS, target_h)
     i, j, tags = zip(*mesh.boundary_edges)
     lo, hi = np.asarray(_NOTCH_BOX)
     ends = mesh.nodes[[i, j]]                       # (2, E, 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import checked_field
+from .mesh import checked_field, format_table
 
 # the next vertex of each triangle vertex: edge e runs from e to _NEXT[e]
 _NEXT = [1, 2, 0]
@@ -129,8 +129,9 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
 
 
 def isoline_csv(iso: IsoLine) -> str:
-    lines = ["polyline,r,y"]
-    for pid, poly in enumerate(iso.polylines):
-        for r, y in poly:
-            lines.append(f"{pid},{float(r)!r},{float(y)!r}")
-    return "\n".join(lines) + "\n"
+    pid = np.repeat(np.arange(len(iso.polylines)),
+                    [len(poly) for poly in iso.polylines])
+    points = np.array([p for poly in iso.polylines for p in poly],
+                      float).reshape(-1, 2)
+    return "polyline,r,y\n" + format_table("%d,%r,%r\n", pid, points[:, 0],
+                                            points[:, 1])

@@ -3,8 +3,9 @@
 Subdomains are simple, axis-aligned polygons. The mesher overlays a grid
 whose lines contain every distinct r- and y-coordinate of the polygons,
 so every subdomain interface is resolved exactly, then splits each cell
-into two triangles along the lower-left to upper-right diagonal. The
-result is deterministic and conforming by construction.
+into two triangles along the lower-left to upper-right diagonal, and
+tags every exterior edge. The result is deterministic and conforming by
+construction.
 
 The module also reads and writes the plain-text mesh format, and holds
 :func:`format_table` and :func:`atomic_write_text`, the text formatter
@@ -144,7 +145,8 @@ class Mesh:
     nodes            (N, 2) float array of (r, y) coordinates
     triangles        (M, 3) int64 array, positively oriented
     tri_subdomain    (M,) int array of subdomain ids
-    boundary_edges   tuple of (i, j, BoundaryTag), i < j, per exterior edge
+    boundary_edges   tuple of (i, j, BoundaryTag), i < j, per exterior edge;
+                     a row without a BoundaryTag raises
 
     A mesh cannot change: its fields cannot be reassigned and its arrays
     are read-only (a writable input is copied once, a read-only one is
@@ -163,6 +165,9 @@ class Mesh:
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         object.__setattr__(self, "boundary_edges",
                            tuple(map(tuple, self.boundary_edges)))
+        for i, j, tag in self.boundary_edges:
+            if not isinstance(tag, BoundaryTag):
+                raise ValueError(f"boundary edge ({i}, {j}) has no tag")
 
     @property
     def num_nodes(self) -> int:
@@ -231,14 +236,12 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
         raise ValueError(f"edge ({lo}, {hi}) lies on more than two triangles")
     want = np.minimum(i, j) * n + np.maximum(i, j)
     pos = np.searchsorted(keys, want)
-    # a row that would change the answer unnoticed is rejected: one with
-    # no tag, a repeat, or one inside the wall
+    # a row that would change the answer unnoticed is rejected: a
+    # repeat, or one inside the wall
     count = np.searchsorted(keys, want, side="right") - pos
     repeat = np.ones(n_edges, dtype=bool)
     repeat[np.unique(want, return_index=True)[1]] = False
-    untagged = np.array([t is None for t in tags], bool)
     for bad, why in ((count == 0, "lies on no triangle"),
-                     (untagged, "has no tag"),
                      (repeat, "is listed twice"),
                      (count == 2, "is shared by two triangles")):
         if np.any(bad):
@@ -287,7 +290,8 @@ def _min_feature(polygons) -> tuple[float, int]:
 
 
 def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
-    """Generate a conforming triangle mesh covering the given polygons.
+    """Generate a conforming triangle mesh covering the given polygons,
+    its exterior edges tagged by :func:`tag_boundaries`.
 
     Cells whose centroid falls in no polygon are dropped, so hollow
     regions (such as the hearth cavity) stay unmeshed.
@@ -350,20 +354,13 @@ def generate_mesh(polygons: list[SubdomainPolygon], target_h: float) -> Mesh:
         [r_lines[used // ny], y_lines[used % ny]]
     )
 
-    edges = _collect_boundary_edges(tris, len(nodes))
-    return Mesh(nodes=nodes, triangles=tris, tri_subdomain=tri_sub,
-                boundary_edges=edges)
-
-
-def _collect_boundary_edges(triangles, n: int) -> list:
-    """The exterior edges of a mesh of ``n`` nodes, untagged, in key order."""
-    lo, hi = np.divmod(_exterior_keys(_sorted_edge_keys(triangles, n)[0]), n)
-    return [(i, j, None) for i, j in zip(lo.tolist(), hi.tolist())]
+    return tag_boundaries(Mesh(nodes=nodes, triangles=tris,
+                               tri_subdomain=tri_sub))
 
 
 def tag_boundaries(mesh: Mesh) -> Mesh:
-    """A copy of ``mesh`` with physical tags on its exterior boundary
-    edges; it shares the mesh's arrays.
+    """A copy of ``mesh`` with one tagged row per exterior edge, in edge
+    key order, in place of its rows; it shares the mesh's arrays.
 
     Exterior edges on r=0 become AXIS, y=0 BOTTOM, r=r_max OUTER and
     y=y_max TOP, where r_max and y_max are the largest node coordinates.
@@ -371,9 +368,11 @@ def tag_boundaries(mesh: Mesh) -> Mesh:
     wall, INNER; any edge left over raises.
     """
     r_max, y_max = mesh.nodes.max(axis=0).tolist()
+    n = mesh.num_nodes
+    lo, hi = np.divmod(_exterior_keys(_sorted_edge_keys(mesh.triangles, n)[0]), n)
 
     tagged = []
-    for (i, j, _) in mesh.boundary_edges:
+    for i, j in zip(lo.tolist(), hi.tolist()):
         p, q = mesh.nodes[i], mesh.nodes[j]
         if abs(p[0]) < GEOM_TOL and abs(q[0]) < GEOM_TOL:
             t = BoundaryTag.AXIS
@@ -470,15 +469,14 @@ def save_mesh(mesh: Mesh, path) -> None:
         format_table("%s %s %s %s\n", tris[:, 0], tris[:, 1], tris[:, 2],
                      mesh.tri_subdomain),
         f"boundary_edges {len(edges)}\n",
-        format_table("%s %s %s\n", i, j,
-                     [t.value if t is not None else "untagged" for t in tags]),
+        format_table("%s %s %s\n", i, j, [t.value for t in tags]),
     ])
     atomic_write_text(path, text)
 
 
 _COMMENT = re.compile(r"#[^\n]*")
 # boundary-edge tag by its text in the mesh file
-_TAG_NAMES = {t.value: t for t in BoundaryTag} | {"untagged": None}
+_TAG_NAMES = {t.value: t for t in BoundaryTag}
 # one boundary-edge row, matched on its own or as a line of the
 # section: two integers as int() reads them, then a tag name
 _INT = r"[+-]?\d(?:_?\d)*"

@@ -19,7 +19,7 @@ import sympy as sp
 from . import hearth
 from .materials import (MaterialSet, PiecewiseQuadratic, elasticity_matrix,
                         uniform_materials)
-from .mesh import BoundaryTag, Mesh, SubdomainPolygon, generate_mesh, tag_boundaries
+from .mesh import BoundaryTag, Mesh, SubdomainPolygon, generate_mesh
 from .mechanical import MechanicalBC, TRACTION_FREE, solve_mechanical
 from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 
@@ -41,18 +41,18 @@ def _field(expr):
 class ConvergenceRecord:
     """Refinement history with the least-squares observed order."""
 
-    levels: list = field(default_factory=list)  # (h, L2, H1 seminorm)
+    levels: list = field(default_factory=list)  # (h, L2)
 
-    def add(self, h, l2, h1):
+    def add(self, h, l2):
         if self.levels and h >= self.levels[-1][0]:
             raise ValueError("mesh sizes must decrease strictly")
-        if l2 < 0 or h1 < 0:
+        if l2 < 0:
             raise ValueError("errors must be nonnegative")
-        self.levels.append((float(h), float(l2), float(h1)))
+        self.levels.append((float(h), float(l2)))
 
     def observed_order(self) -> float:
-        hs = np.log([h for h, _, _ in self.levels])
-        es = np.log([e for _, e, _ in self.levels])
+        hs = np.log([h for h, _ in self.levels])
+        es = np.log([e for _, e in self.levels])
         slope, _ = np.polyfit(hs, es, 1)
         return float(slope)
 
@@ -82,9 +82,9 @@ def annulus_analytic(r1, r2, k, h1, T_R1, h2, T_R2):
     return T
 
 
-def weighted_l2_error(mesh: Mesh, nodal, exact, gradient=None):
-    """r-weighted L2 (and H1 seminorm) distance between a P1 field and a
-    callable exact solution, via a degree-5 rule."""
+def weighted_l2_error(mesh: Mesh, nodal, exact) -> float:
+    """r-weighted L2 distance between a P1 field and a callable exact
+    solution, via a degree-5 rule."""
     geo = mesh.assembly_workspace
     quad = geo.quadrature(5)
     M = len(geo.triangles)
@@ -92,37 +92,24 @@ def weighted_l2_error(mesh: Mesh, nodal, exact, gradient=None):
     v_el = np.asarray(nodal, float)[geo.triangles].reshape(M, 3, -1)
     u_h = quad.rule.points @ v_el                            # (M, Q, C)
     diff = u_h - np.asarray(exact(quad.r, quad.y), float).reshape(u_h.shape)
-    l2 = _weighted_sum(quad.w, diff)
-    h1 = 0.0
-    if gradient is not None:
-        grad_h = v_el.transpose(0, 2, 1) @ geo.grads         # (M, C, 2)
-        g_ex = np.asarray(gradient(quad.r, quad.y), float)
-        h1 = _weighted_sum(quad.w, grad_h[:, None]
-                           - g_ex.reshape((M, -1) + grad_h.shape[1:]))
-    return math.sqrt(l2), math.sqrt(h1)
-
-
-def _weighted_sum(w, values):
-    """sum over elements and points of w (M, Q) times |values|^2, with
-    any trailing component axes of ``values`` (M, Q, ...) summed."""
-    sq = (values * values).reshape(w.shape + (-1,)).sum(axis=2)
-    return float(np.sum(w * sq))
+    sq = (diff * diff).sum(axis=2)                           # (M, Q)
+    return math.sqrt(float(np.sum(quad.w * sq)))
 
 
 def _unit_square_mesh(h, r0=0.0, r1=1.0, y0=0.0, y1=1.0):
     poly = SubdomainPolygon(1, ((r0, y0), (r1, y0), (r1, y1), (r0, y1)))
-    return tag_boundaries(generate_mesh([poly], h))
+    return generate_mesh([poly], h)
 
 
 def _refinement_study(h_levels, error) -> ConvergenceRecord:
-    """The (L2, H1 seminorm) errors ``error(mesh)`` on the unit-square
-    mesh of each size in ``h_levels``; needs at least 3 levels."""
+    """The L2 errors ``error(mesh)`` on the unit-square mesh of each
+    size in ``h_levels``; needs at least 3 levels."""
     if len(h_levels) < 3:
         raise ValueError("need at least 3 refinement levels")
     rec = ConvergenceRecord()
     for h in h_levels:
         mesh = _unit_square_mesh(h)
-        rec.add(mesh.h, *error(mesh))
+        rec.add(mesh.h, error(mesh))
     return rec
 
 
@@ -145,8 +132,6 @@ class ThermalManufacturedCase:
         source = -(sp.diff(flux_r, _r) / _r + sp.diff(k_of_T * sp.diff(Te, _y), _y))
         self.exact = _field(Te)
         self.source = _field(source)
-        gr, gy = _field(sp.diff(Te, _r)), _field(sp.diff(Te, _y))
-        self.gradient = lambda r, y: np.stack([gr(r, y), gy(r, y)], axis=-1)
         # Robin ambient temperature realizing the exact solution on each
         # outward normal: T_R = T + k dT/dn / h
         self._k_of_T = k_of_T
@@ -183,7 +168,7 @@ def mms_thermal_study(case: ThermalManufacturedCase, h_levels) -> ConvergenceRec
 
     def error(mesh):
         T, _ = newton_solve(mesh, mats, bc, _STUDY_NEWTON, source=case.source)
-        return weighted_l2_error(mesh, T, case.exact, case.gradient)
+        return weighted_l2_error(mesh, T, case.exact)
 
     return _refinement_study(h_levels, error)
 
@@ -249,7 +234,7 @@ class MechanicalManufacturedCase:
 
 def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> ConvergenceRecord:
     """Refinement study for the mechanical solver against a manufactured
-    solution, in L2 only; needs at least 3 levels."""
+    solution; needs at least 3 levels."""
     mats = case.material_set()
     bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
 
@@ -257,7 +242,6 @@ def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> Converge
         u, _ = solve_mechanical(mesh, mats, bc, case.temperature(mesh),
                                 body_force=case.body_force,
                                 extra_constraints=case.dirichlet_constraints(mesh))
-        # no gradient: the H1 seminorm entry is 0.0
         return weighted_l2_error(mesh, u, case.exact)
 
     return _refinement_study(h_levels, error)
@@ -283,10 +267,9 @@ def annulus_study(subdivisions=(16, 32, 64)):
         h = (r2 - r1) / n
         mesh = _unit_square_mesh(h, r1, r2, 0.0, 0.1)
         T, _ = newton_solve(mesh, mats, bc, _STUDY_NEWTON)
-        l2, _ = weighted_l2_error(mesh, T, lambda r, y: exact(r))
-        norm, _ = weighted_l2_error(mesh, np.zeros_like(T),
-                                    lambda r, y: exact(r))
-        rec.add(mesh.h, l2, 0.0)
+        l2 = weighted_l2_error(mesh, T, lambda r, y: exact(r))
+        norm = weighted_l2_error(mesh, np.zeros_like(T), lambda r, y: exact(r))
+        rec.add(mesh.h, l2)
         rel_errors.append(l2 / norm)
     return rec, rel_errors
 

@@ -4,14 +4,13 @@ import pytest
 import scipy.sparse as sp
 
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
-from axitherm.mesh import SubdomainPolygon, generate_mesh, tag_boundaries
+from axitherm.mesh import SubdomainPolygon, generate_mesh
 
 
 @pytest.fixture(scope="session")
 def unit_square_mesh():
     poly = SubdomainPolygon(1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    mesh = generate_mesh([poly], 0.25)
-    return tag_boundaries(mesh)
+    return generate_mesh([poly], 0.25)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,6 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    tag_boundaries,
 )
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.thermal import (
@@ -220,7 +219,7 @@ def test_criterion_6_jacobian_consistency():
 
 def test_criterion_7_free_expansion():
     poly = SubdomainPolygon(1, ((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0)))
-    mesh = tag_boundaries(generate_mesh([poly], 0.25))
+    mesh = generate_mesh([poly], 0.25)
     E, alpha, dT = 2e9, 1e-5, 500.0
     materials = uniform_materials(PiecewiseQuadratic.constant(10.0),
                                   PiecewiseQuadratic.constant(E),
@@ -264,8 +263,8 @@ def test_criterion_8_structural_invariants(hearth_solution, tmp_path):
                    and abs(areas.sum() - 20.454675) < 1e-9))
 
     # exact stiffness symmetry and positive definiteness on free dofs
-    cyl = tag_boundaries(generate_mesh([SubdomainPolygon(
-        1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))], 0.25))
+    cyl = generate_mesh([SubdomainPolygon(
+        1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))], 0.25)
     simple = uniform_materials(PiecewiseQuadratic.constant(10.0),
                                PiecewiseQuadratic.constant(2e9),
                                nu=0.3, alpha=1e-5, T0=300.0)

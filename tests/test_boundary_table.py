@@ -74,13 +74,12 @@ def test_conditions_reject_untagged_rows():
     table = tagged.boundary_edge_table
     conds = table.conditions(lambda tag: tag.value)
     assert conds == [tag.value for tag in table.tags]
-    # an untagged row would drop its edge's condition unnoticed, so the
-    # table of a mesh with one is never built
+    # an untagged row would drop its edge's condition unnoticed, so a
+    # mesh with one is never made
     (i, j, _), *rest = tagged.boundary_edges
-    mesh = replace(tagged, boundary_edges=[(i, j, None), *rest])
     with pytest.raises(ValueError,
                        match=rf"boundary edge \({i}, {j}\) has no tag"):
-        mesh.boundary_edge_table
+        replace(tagged, boundary_edges=[(i, j, None), *rest])
     # the mesh it was made from keeps its own table and tags
     assert tagged.boundary_edge_table is table
 
@@ -120,8 +119,8 @@ def test_conditions_of_the_wrong_kind_are_rejected(make, value):
 
 def test_edge_on_no_triangle_raises(unit_square_mesh):
     # (0, 0) and (1, 1) are opposite corners, not an edge
-    mesh = replace(unit_square_mesh,
-                   boundary_edges=[(0, unit_square_mesh.num_nodes - 1, None)])
+    mesh = replace(unit_square_mesh, boundary_edges=[
+        (0, unit_square_mesh.num_nodes - 1, BoundaryTag.AXIS)])
     with pytest.raises(ValueError, match="lies on no triangle"):
         mesh.boundary_edge_table
 

@@ -361,7 +361,8 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("defect, message", [
-        ("untagged", "boundary edge ({i}, {j}) has no tag"),
+        ("untagged", "tag one of bottom, outer, top, inner, axis, "
+                     "interface, got '{i} {j} untagged'"),
         ("repeated", "boundary edge ({i}, {j}) is listed twice"),
         ("interior", "boundary edge ({i}, {j}) is shared by two triangles"),
         ("exterior", "missing exterior edge ({i}, {j})"),
@@ -369,17 +370,16 @@ class TestMain:
     ], ids=["untagged", "repeated", "interior", "exterior", "dropped"])
     def test_boundary_rows_that_change_the_answer_exit_2(
             self, tmp_path, capsys, defect, message):
-        # each file was once solved: without the hot face, with one edge's
-        # load counted twice, with a load inside the wall, with the hot
-        # face declared an interface, or with one hot edge left out
+        # each file was once solved: with a hot edge untagged, with one
+        # edge's load counted twice, with a load inside the wall, with the
+        # hot face declared an interface, or with one hot edge left out
         assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
         mesh = load_mesh(tmp_path / "mesh.txt")
         edges = list(mesh.boundary_edges)
         i, j, _ = next(e for e in edges if e[2] is BoundaryTag.INNER)
-        if defect in ("untagged", "exterior"):
-            retag = None if defect == "untagged" else BoundaryTag.INTERFACE
-            edges = [(a, b, retag if t is BoundaryTag.INNER else t)
-                     for a, b, t in edges]
+        if defect == "exterior":
+            edges = [(a, b, BoundaryTag.INTERFACE if t is BoundaryTag.INNER
+                      else t) for a, b, t in edges]
         elif defect == "repeated":
             # in the other orientation, which names the edge as listed
             i, j = j, i
@@ -388,10 +388,14 @@ class TestMain:
             # the diagonal of the first cell, shared by its two triangles
             i, _, j = sorted(mesh.triangles[0].tolist())
             edges.append((i, j, BoundaryTag.INNER))
-        else:
+        elif defect == "dropped":
             edges.remove((i, j, BoundaryTag.INNER))
         path = tmp_path / "bad.txt"
         save_mesh(replace(mesh, boundary_edges=edges), path)
+        if defect == "untagged":
+            # no Mesh holds an untagged row, so it is written as text
+            path.write_text(path.read_text().replace(
+                f"\n{i} {j} inner\n", f"\n{i} {j} untagged\n"))
         out = tmp_path / "run"
         rc = main(["solve", "--mesh-file", str(path), "--out", str(out)])
         assert rc == 2

@@ -206,8 +206,7 @@ def _reference_mesh_text(mesh):
     lines += [f"{i} {j} {k} {s}"
               for (i, j, k), s in zip(mesh.triangles, mesh.tri_subdomain)]
     lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    lines += [f"{i} {j} {t.value if t is not None else 'untagged'}"
-              for i, j, t in mesh.boundary_edges]
+    lines += [f"{i} {j} {t.value}" for i, j, t in mesh.boundary_edges]
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +268,7 @@ def _mesh_and_fields(draw):
 
     node_ids = (rng.choice([0, 255, 256, 257, n - 1], (m, 3))
                 if draw(st.booleans()) else rng.integers(0, n, (m, 3)))
-    tags = [*BoundaryTag, None]
+    tags = list(BoundaryTag)
     edges = [(int(i), int(j), tags[k]) for i, j, k in zip(
         rng.integers(0, n, 40), rng.integers(0, n, 40),
         rng.integers(0, len(tags), 40))]

@@ -10,13 +10,12 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    tag_boundaries,
 )
 
 
 def _square(h=0.25):
     poly = SubdomainPolygon(1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    return tag_boundaries(generate_mesh([poly], h))
+    return generate_mesh([poly], h)
 
 
 class TestExtractIsoline:
@@ -232,6 +231,10 @@ class TestIsolineCsv:
         assert lines[0] == "polyline,r,y"
         assert lines[1] == "0,0.0,1.0"
         assert len(lines) == 3
+
+    def test_no_polylines_writes_the_header_only(self):
+        assert isoline_csv(IsoLine(level=5000.0, polylines=[])) == \
+            "polyline,r,y\n"
 
     def test_plain_floats(self):
         mesh = _square(0.25)

@@ -34,7 +34,6 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
-    tag_boundaries,
 )
 from axitherm.thermal import (
     ThermalBC,
@@ -47,7 +46,7 @@ from axitherm.verification import MechanicalManufacturedCase
 
 def _cylinder_mesh(h=0.25, r1=1.0, y1=2.0):
     poly = SubdomainPolygon(1, ((0.0, 0.0), (r1, 0.0), (r1, y1), (0.0, y1)))
-    return tag_boundaries(generate_mesh([poly], h))
+    return generate_mesh([poly], h)
 
 
 def _materials(E=2e9, nu=0.3, alpha=1e-5):
@@ -162,7 +161,7 @@ class TestTractionLoad:
     def test_two_conditions_sharing_a_corner(self, monkeypatch):
         poly = SubdomainPolygon(1, ((0.5, 0.0), (1.5, 0.0), (1.5, 1.0),
                                     (0.5, 1.0)))
-        mesh = tag_boundaries(generate_mesh([poly], 0.125))
+        mesh = generate_mesh([poly], 0.125)
         bc = MechanicalBC({
             BoundaryTag.BOTTOM: FRICTIONLESS_CONTACT,
             BoundaryTag.OUTER: TRACTION_FREE,

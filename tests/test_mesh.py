@@ -86,7 +86,9 @@ class TestGenerateMesh:
         mesh = generate_mesh([lower, upper], 0.5)
         # the edges where the subdomains meet get no row: the conforming
         # mesh carries T and flux across them with no boundary term
-        assert all(t is None for (_, _, t) in mesh.boundary_edges)
+        assert {t for (_, _, t) in mesh.boundary_edges} == {
+            BoundaryTag.AXIS, BoundaryTag.BOTTOM, BoundaryTag.OUTER,
+            BoundaryTag.TOP}
         on_interface = [(i, j) for (i, j, _) in mesh.boundary_edges
                         if mesh.nodes[i][1] == mesh.nodes[j][1] == 1.0]
         assert on_interface == []
@@ -94,6 +96,23 @@ class TestGenerateMesh:
         length = sum(np.linalg.norm(mesh.nodes[j] - mesh.nodes[i])
                      for (i, j, _) in mesh.boundary_edges)
         assert length == pytest.approx(2 * (1 + 2))
+
+    _OUTLINES = pytest.mark.parametrize("polygons, h", [
+        (HEARTH_POLYGONS, 0.5),
+        ([SubdomainPolygon(1, ((0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)))], 0.25),
+    ], ids=["hearth", "annulus"])
+
+    @_OUTLINES
+    def test_every_row_is_tagged(self, polygons, h):
+        mesh = generate_mesh(polygons, h)
+        assert mesh.boundary_edges
+        assert all(isinstance(t, BoundaryTag)
+                   for (_, _, t) in mesh.boundary_edges)
+
+    @_OUTLINES
+    def test_tagging_again_finds_the_same_rows(self, polygons, h):
+        mesh = generate_mesh(polygons, h)
+        assert tag_boundaries(mesh).boundary_edges == mesh.boundary_edges
 
     def test_rejects_target_h_above_feature_size(self):
         small = SubdomainPolygon(1, ((0, 0), (0.2, 0), (0.2, 0.2), (0, 0.2)))
@@ -163,9 +182,8 @@ class TestTagBoundaries:
         # r_max without lying on it, so it is neither OUTER nor INNER
         step = SubdomainPolygon(1, ((0, 0), (3, 0), (3, 1), (2, 1), (2, 3),
                                     (0, 3)))
-        mesh = generate_mesh([step], 0.5)
         with pytest.raises(ValueError, match="untaggable"):
-            tag_boundaries(mesh)
+            generate_mesh([step], 0.5)
 
     def test_tag_multiset_stable_under_refinement(self):
         tags = []
@@ -207,15 +225,22 @@ class TestImmutableMesh:
 
     def test_tag_boundaries_returns_a_new_mesh(self):
         poly = SubdomainPolygon(1, ((0, 0), (1, 0), (1, 1), (0, 1)))
-        plain = generate_mesh([poly], 0.25)
+        mesh = generate_mesh([poly], 0.25)
+        # the rows come from the triangles, not from the mesh's own rows
+        plain = dataclasses.replace(mesh, boundary_edges=())
         tagged = tag_boundaries(plain)
         assert tagged is not plain
+        assert plain.boundary_edges == ()
         for name in ("nodes", "triangles", "tri_subdomain"):
             assert getattr(tagged, name) is getattr(plain, name)
-        assert all(t is None for (_, _, t) in plain.boundary_edges)
-        assert all(t is not None for (_, _, t) in tagged.boundary_edges)
-        assert [e[:2] for e in tagged.boundary_edges] == \
-            [e[:2] for e in plain.boundary_edges]
+        assert tagged.boundary_edges == mesh.boundary_edges
+
+    @pytest.mark.parametrize("tag", [None, "axis"])
+    def test_row_without_a_tag_is_rejected(self, tag):
+        with pytest.raises(ValueError,
+                           match=r"^boundary edge \(0, 1\) has no tag$"):
+            Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                 np.array([[0, 1, 2]]), np.array([1]), [(0, 1, tag)])
 
     def test_h_is_the_longest_edge(self, tmp_path):
         mesh = hearth_mesh(0.4)
@@ -298,6 +323,13 @@ class TestMeshIO:
                               unit_square_mesh.tri_subdomain)
         assert back.boundary_edges == unit_square_mesh.boundary_edges
         assert back.h == pytest.approx(unit_square_mesh.h)
+
+    def test_generated_mesh_loads_back(self, tmp_path):
+        # every mesh save_mesh writes, load_mesh reads back
+        mesh = generate_mesh(HEARTH_POLYGONS, 0.5)
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        back = load_mesh(tmp_path / "mesh.txt")
+        assert back.boundary_edges == mesh.boundary_edges
 
     def test_round_trip_exact_hearth(self, tmp_path):
         mesh = hearth_mesh(0.1)
@@ -386,7 +418,8 @@ class TestMeshIO:
         with pytest.raises(ValueError, match=r"node id -?\d+ outside 0\.\."):
             load_mesh(path)
 
-    @pytest.mark.parametrize("row", ["0 1", "0 1 sideways", "0 one axis"])
+    @pytest.mark.parametrize("row", ["0 1", "0 1 sideways", "0 one axis",
+                                     "0 1 untagged"])
     def test_malformed_boundary_edge_row_rejected(self, tmp_path,
                                                   unit_square_mesh, row):
         path = tmp_path / "mesh.txt"
@@ -401,7 +434,7 @@ class TestMeshIO:
         assert str(err.value) == (
             "boundary_edges row 2: expected 'i j tag' with integer node ids "
             "and tag one of bottom, outer, top, inner, axis, interface, "
-            f"untagged, got '{row}'")
+            f"got '{row}'")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_node_rejected(self, tmp_path, unit_square_mesh,
