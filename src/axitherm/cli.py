@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as axio
-from .hearth import (build_hearth_materials, hearth_mechanical_bc,
+from .hearth import (COARSE_H, build_hearth_materials, hearth_mechanical_bc,
                      hearth_mesh, hearth_thermal_bc)
 from .isoline import extract_isoline, isoline_csv
 from .mechanical import recover_stress, solve_mechanical
-from .mesh import load_mesh, save_mesh
+from .mesh import interpolate, load_mesh, save_mesh
 from .thermal import newton_solve
 
 
@@ -96,10 +96,18 @@ def _write_isolines(isolines, out):
 def run_scenario(config: RunConfig) -> dict:
     """Mesh, thermal Newton solve, mechanical solve, stress recovery and
     isolines, all before the first artifact is written to the output dir,
-    so a run that raises leaves that dir as it was. Returns a summary."""
+    so a run that raises leaves that dir as it was. Returns a summary.
+    A hearth finer than COARSE_H starts Newton from the COARSE_H solution,
+    interpolated; the thermal report is the fine solve's."""
     mesh = _load_scenario_mesh(config)
     materials = build_hearth_materials()
-    T, thermal_report = newton_solve(mesh, materials, hearth_thermal_bc())
+    bc = hearth_thermal_bc()
+    start = None
+    if config.mesh_file is None and config.target_h < COARSE_H:
+        coarse = hearth_mesh(COARSE_H)
+        start = interpolate(coarse, newton_solve(coarse, materials, bc)[0],
+                            mesh.nodes)
+    T, thermal_report = newton_solve(mesh, materials, bc, start=start)
     u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     stress = recover_stress(mesh, materials, T, u)
     isolines = _extract_isolines(mesh, T, config.isoline_levels)

@@ -51,6 +51,10 @@ HEARTH_Y_MAX = max(y for p in HEARTH_POLYGONS for _, y in p.vertices)
 # INNER; they are stepped upper surface, in contact like the top.
 _NOTCH_BOX = ((5.5188, 7.35), (5.9501, HEARTH_Y_MAX))
 
+# Mesh size of the coarse solve that starts a finer hearth run's Newton
+# solve; at most 0.6, the smallest polygon extent (subdomain 3's block).
+COARSE_H = 0.4
+
 
 def hearth_mesh(target_h: float) -> Mesh:
     """Generate the hearth mesh, tagged by the generic rule of

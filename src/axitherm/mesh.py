@@ -392,6 +392,49 @@ def tag_boundaries(mesh: Mesh) -> Mesh:
     return replace(mesh, boundary_edges=tagged)
 
 
+def _cells(lines: np.ndarray, x: np.ndarray):
+    """(2, P) first and last grid cell holding each of ``x`` within
+    GEOM_TOL (they differ on a grid line), and whether x is on the grid."""
+    first = np.searchsorted(lines, x - GEOM_TOL) - 1
+    last = np.searchsorted(lines, x + GEOM_TOL, "right") - 1
+    return (np.clip([first, last], 0, len(lines) - 2),
+            (last >= 0) & (first <= len(lines) - 2))
+
+
+def interpolate(mesh: Mesh, values, points) -> np.ndarray:
+    """The piecewise-linear field ``values`` (one per node) of a mesh made
+    by :func:`generate_mesh`, at ``points`` (P, 2): barycentric in the
+    lower or upper triangle of the point's grid cell. A point on the edge
+    of an unmeshed cell (the cavity) takes the meshed neighbour; a point
+    in no triangle raises."""
+    values = checked_field("values", values, mesh.num_nodes, "nodes")
+    points = np.asarray(points, float).reshape(-1, 2)
+    lines = [np.unique(x) for x in mesh.nodes.T]
+    at = [np.searchsorted(ls, x) for ls, x in zip(lines, mesh.nodes.T)]
+    grid = np.zeros([len(ls) for ls in lines], dtype=np.int64)
+    grid[tuple(at)] = np.arange(mesh.num_nodes)
+    # a cell is meshed where its lower-left corner is a triangle's
+    meshed = np.zeros([len(ls) - 1 for ls in lines], dtype=bool)
+    meshed[tuple(a[mesh.triangles].min(axis=1) for a in at)] = True
+    (ci, r_ok), (cj, y_ok) = map(_cells, lines, points.T)
+    # the first meshed one of the (up to) four cells holding a point
+    hit = meshed[ci[:, None], cj[None, :]].reshape(4, -1)
+    k, p = hit.argmax(axis=0), np.arange(len(points))
+    inside = hit[k, p] & r_ok & y_ok
+    if not inside.all():
+        bad = int(np.flatnonzero(~inside)[0])
+        raise ValueError(f"point {bad} (r={points[bad, 0]:g}, "
+                         f"y={points[bad, 1]:g}) lies in no triangle")
+    i, j = ci[k // 2, p], cj[k % 2, p]
+    s, t = ((x - ls[c]) / (ls[c + 1] - ls[c])
+            for x, ls, c in zip(points.T, lines, (i, j)))
+    # lower triangle (ll, lr, ur) where t <= s, upper (ll, ur, ul) else
+    mid = np.where(t <= s, grid[i + 1, j], grid[i, j + 1])
+    return (np.minimum(1 - s, 1 - t) * values[grid[i, j]]
+            + np.abs(s - t) * values[mid]
+            + np.minimum(s, t) * values[grid[i + 1, j + 1]])
+
+
 # one %-conversion of a format line: flags, width and precision, then
 # the conversion letter
 _CONVERSION = re.compile(r"%[^%a-zA-Z]*[a-zA-Z]")

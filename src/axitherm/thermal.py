@@ -5,7 +5,7 @@ Weak form: sum_i int k(T) grad T . grad psi r + int_R h T psi r ds
 only for manufactured-solution verification). Solved by inexact Newton:
 the first step of a solve factors the Jacobian, later steps are taken by
 GMRES preconditioned with that factor to a tight forcing term. Every
-step is a full one.
+step is a full one, from a given start or the uniform NEWTON_START.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .mesh import BoundaryConditions, Mesh, checked_field
 # up and the current Jacobian is factored instead.
 GMRES_STEPS = 30
 
-# uniform temperature (K) every Newton solve starts from
+# uniform temperature (K) a Newton solve starts from unless given a start
 NEWTON_START = 300.0
 
 # Newton steps a solve may take before it gives up
@@ -55,15 +55,15 @@ class ThermalBC(BoundaryConditions):
     physics, kinds, constants = "thermal", (Robin,), (ADIABATIC,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
-    """Newton settings.
+    """Newton settings, checked when made and fixed after.
 
-    Convergence is ``|R| / ref <= abs_tol``: ``ref`` is 1, or the first
-    residual norm when ``relative``. R holds one entry per node, that
-    node's heat imbalance in the r-weighted weak form (W per radian), so
-    the absolute test bounds the Euclidean norm of the nodal imbalances,
-    not an error in T, and its meaning changes with h. An entry
+    Convergence is ``|R| / ref <= abs_tol``: ``ref`` is 1, or with
+    ``relative`` the residual norm of the start. R holds one entry per
+    node, that node's heat imbalance in the r-weighted weak form (W per
+    radian), so the absolute test bounds the Euclidean norm of the nodal
+    imbalances, not an error in T, and its meaning changes with h. An entry
     integrates over a patch of area about h^2 (h on a Robin edge) while
     the number of nodes grows like h^-2 (h^-1 on the boundary), so the
     norm left by a smooth error in T shrinks like h^(1/2) to h as the
@@ -208,7 +208,8 @@ def _krylov_step(J, R, factor, eta, report):
 
 
 def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
-                 config: NewtonConfig | None = None, source=None):
+                 config: NewtonConfig | None = None, source=None,
+                 start=None):
     """Solve the nonlinear thermal problem; returns (T, SolveReport).
 
     Inexact Newton with one LU per solve: the first step factors J, and
@@ -219,15 +220,23 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     iterates follow exact Newton's; near convergence eta is loosened to
     leave half the stopping tolerance. A step GMRES cannot take within
     GMRES_STEPS factors the current J instead, and that factor serves
-    the steps after it. Each step is taken in full, T + delta, from the
-    uniform start NEWTON_START, and a solve not converged after
+    the steps after it. Each step is taken in full, T + delta, from
+    ``start``, one finite value per node (copied, never written), or
+    the uniform NEWTON_START without one; with ``config.relative`` the
+    reference residual is the start's. A solve not converged after
     NEWTON_MAX_ITER steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
-    T = np.full(mesh.num_nodes, NEWTON_START)
+    if start is None:
+        start = np.full(mesh.num_nodes, NEWTON_START)
+    T = np.array(checked_field("start", np.ravel(start), mesh.num_nodes,
+                               "nodes"))
+    bad = np.flatnonzero(~np.isfinite(T))
+    if bad.size:
+        raise ValueError(f"start is not finite at node {bad[0]}: {T[bad[0]]}")
     report = SolveReport()
-    start = time.perf_counter()
+    began = time.perf_counter()
 
     R = assemble_thermal_residual(mesh, materials, bc, T, source, ws)
     norm = np.linalg.norm(R)
@@ -260,5 +269,5 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
         report.residuals.append(norm)
 
     report.converged = True
-    report.wall_time = time.perf_counter() - start
+    report.wall_time = time.perf_counter() - began
     return T, report

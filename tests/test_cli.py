@@ -15,7 +15,9 @@ from axitherm import cli, hearth
 from axitherm.cli import RunConfig, main, run_scenario
 from axitherm.fem_core import ConvergenceError
 from axitherm.hearth import CONDUCTIVITY_KNOTS
+from axitherm.mechanical import solve_mechanical
 from axitherm.mesh import BoundaryTag, load_mesh, save_mesh
+from axitherm.thermal import newton_solve
 
 
 def _with_t(row, value):
@@ -169,6 +171,50 @@ class TestRunScenario:
         with pytest.raises(ConvergenceError, match="mechanical solve failed"):
             run_scenario(RunConfig(target_h=0.4, output_dir=str(tmp_path)))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.fixture(scope="module")
+def cold_solve():
+    """The h = 0.1 hearth solved from the uniform start, and its max |u|."""
+    mesh = hearth.hearth_mesh(0.1)
+    materials = hearth.build_hearth_materials()
+    T, report = newton_solve(mesh, materials, hearth.hearth_thermal_bc())
+    u, _ = solve_mechanical(mesh, materials, hearth.hearth_mechanical_bc(), T)
+    return mesh, T, report, float(np.linalg.norm(u, axis=1).max())
+
+
+class TestCoarseStart:
+    def test_fine_run_starts_from_the_coarse_solution(self, cold_solve,
+                                                      tmp_path, monkeypatch):
+        mesh, T_cold, _, u_cold = cold_solve
+        solves = []
+
+        def recording(mesh, *args, **kwargs):
+            result = newton_solve(mesh, *args, **kwargs)
+            solves.append((mesh, kwargs.get("start"), result[0]))
+            return result
+
+        monkeypatch.setattr(cli, "newton_solve", recording)
+        summary = run_scenario(RunConfig(target_h=0.1, output_dir=str(tmp_path)))
+        (coarse, cold_start, _), (fine, start, T) = solves
+        assert np.array_equal(coarse.nodes,
+                              hearth.hearth_mesh(hearth.COARSE_H).nodes)
+        assert cold_start is None and start is not None
+        assert np.array_equal(fine.nodes, mesh.nodes)
+        assert np.abs(T - T_cold).max() <= 1e-6
+        assert summary["max_displacement"] == pytest.approx(u_cold, rel=1e-8)
+        report = json.loads((tmp_path / "thermal_report.json").read_text())
+        assert report["iterations"] <= 3
+        assert report["factorizations"] == 1
+
+    def test_mesh_file_run_starts_cold(self, cold_solve, tmp_path):
+        mesh, _, cold_report, _ = cold_solve
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        run_scenario(RunConfig(mesh_file=str(tmp_path / "mesh.txt"),
+                               output_dir=str(tmp_path / "out")))
+        report = json.loads((tmp_path / "out" / "thermal_report.json").read_text())
+        assert report["residuals"][0] == cold_report.residuals[0]
+        assert report["iterations"] == cold_report.iterations
 
 
 def test_cli_import_leaves_out_sympy():

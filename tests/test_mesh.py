@@ -11,6 +11,7 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
+    interpolate,
     load_mesh,
     save_mesh,
     tag_boundaries,
@@ -310,6 +311,57 @@ class TestHearthGeometry:
         tags = {t for (_, _, t) in mesh.boundary_edges}
         assert tags == {BoundaryTag.AXIS, BoundaryTag.BOTTOM, BoundaryTag.OUTER,
                         BoundaryTag.TOP, BoundaryTag.INNER}
+
+
+@pytest.fixture(scope="module")
+def fine_hearth_mesh():
+    return hearth_mesh(0.05)
+
+
+class TestInterpolate:
+    """From the h = 0.4 hearth mesh (COARSE_H) onto the h = 0.05 one, as a
+    hearth run finer than COARSE_H starts its Newton solve."""
+
+    @staticmethod
+    def _linear(points):
+        return 700.0 + 90.0 * points[:, 0] - 40.0 * points[:, 1]
+
+    def test_linear_field_is_reproduced_at_every_fine_node(
+            self, coarse_hearth_mesh, fine_hearth_mesh):
+        coarse, fine = coarse_hearth_mesh, fine_hearth_mesh
+        got = interpolate(coarse, self._linear(coarse.nodes), fine.nodes)
+        want = self._linear(fine.nodes)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        # the nodes next to the unmeshed cavity and notch are among them
+        r, y = fine.nodes.T
+        wall = np.unique(_edges_with_tag(fine, BoundaryTag.INNER))
+        notch = (r >= 5.5188 - 1e-9) & (r <= 5.9501 + 1e-9) & (y >= 7.35 - 1e-9)
+        on_6 = r >= 5.9501 - 1e-9
+        for nodes in (r == 0.0, wall, notch & ~on_6, on_6):
+            assert len(fine.nodes[nodes]) > 0
+
+    def test_coarse_nodes_keep_their_values(self, coarse_hearth_mesh, rng):
+        values = rng.uniform(300.0, 1800.0, coarse_hearth_mesh.num_nodes)
+        got = interpolate(coarse_hearth_mesh, values, coarse_hearth_mesh.nodes)
+        assert np.array_equal(got, values)
+
+    def test_centroids_take_their_triangle_s_mean(self, coarse_hearth_mesh,
+                                                  rng):
+        # a linear field cannot tell the two triangles of a cell apart
+        values = rng.uniform(300.0, 1800.0, coarse_hearth_mesh.num_nodes)
+        tris = coarse_hearth_mesh.triangles
+        centroids = coarse_hearth_mesh.nodes[tris].mean(axis=1)
+        got = interpolate(coarse_hearth_mesh, values, centroids)
+        assert got == pytest.approx(values[tris].mean(axis=1), rel=1e-13)
+
+    @pytest.mark.parametrize("point", [(2.0, 4.0), (6.5, 1.0)],
+                             ids=["cavity", "beyond_r_max"])
+    def test_point_in_no_triangle_raises(self, coarse_hearth_mesh, point):
+        values = np.zeros(coarse_hearth_mesh.num_nodes)
+        points = np.array([(1.0, 0.5), point])
+        with pytest.raises(ValueError, match=rf"^point 1 \(r={point[0]:g}, "
+                           rf"y={point[1]:g}\) lies in no triangle"):
+            interpolate(coarse_hearth_mesh, values, points)
 
 
 class TestMeshIO:

@@ -170,10 +170,62 @@ class TestNewtonSolve:
         assert report.residuals[0] > report.residuals[-1]
 
     def test_config_has_two_fields(self):
-        # the start and the step cap are the constants NEWTON_START and
+        # the start is newton_solve's ``start`` argument, the uniform
+        # NEWTON_START without one, and the step cap the constant
         # NEWTON_MAX_ITER
         assert [f.name for f in dataclasses.fields(NewtonConfig)] == [
             "abs_tol", "relative"]
+
+    def test_config_is_frozen(self):
+        # an assignment would skip __post_init__'s check, and one config
+        # is shared by every verification study
+        config = NewtonConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.abs_tol = -1.0
+
+    @pytest.mark.parametrize("columns", [None, 2], ids=["short", "2d"])
+    def test_start_of_the_wrong_length_raises(self, columns):
+        # a start with two columns is rejected here, not by an einsum of
+        # the assembly
+        mesh = _strip_mesh()
+        n = mesh.num_nodes
+        shape, rows = ((3,), 3) if columns is None else ((n, columns), 2 * n)
+        with pytest.raises(ValueError, match=rf"^start has {rows} rows, the "
+                           rf"mesh has {n} nodes"):
+            newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
+                         start=np.full(shape, 400.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_start_names_its_first_node(self, bad):
+        mesh = _strip_mesh()
+        start = np.full(mesh.num_nodes, 400.0)
+        start[[5, 7]] = bad
+        with pytest.raises(ValueError, match=rf"^start is not finite at node 5: "
+                           rf"{bad}"):
+            newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
+                         start=start)
+
+    def test_start_is_copied(self):
+        # the solution itself as the start: no step is taken, and the
+        # field returned is still not the caller's array
+        mesh = _strip_mesh()
+        start = np.full(mesh.num_nodes, 400.0)
+        T, report = newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
+                                 start=start)
+        assert report.iterations == 0
+        assert not np.shares_memory(T, start)
+        T[:] = 0.0
+        assert np.all(start == 400.0)
+
+    def test_start_is_not_written(self):
+        mesh = _strip_mesh()
+        start = np.full(mesh.num_nodes, 350.0)
+        start.setflags(write=False)
+        T, report = newton_solve(mesh, _const_materials(), ThermalBC(ALL_ROBIN),
+                                 NewtonConfig(abs_tol=1e-10), start=start)
+        assert report.iterations == 1
+        assert np.allclose(T, 400.0, atol=1e-8)
+        assert np.all(start == 350.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(thermal, "NEWTON_MAX_ITER", 2)
