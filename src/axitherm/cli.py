@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as axio
-from .hearth import (COARSE_H, build_hearth_materials, hearth_mechanical_bc,
-                     hearth_mesh, hearth_thermal_bc)
+from .hearth import (COARSE_H, COARSE_START_H, build_hearth_materials,
+                     hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc)
 from .isoline import extract_isoline, isoline_csv
 from .mechanical import recover_stress, solve_mechanical
 from .mesh import interpolate, load_mesh, save_mesh
@@ -97,17 +97,18 @@ def run_scenario(config: RunConfig) -> dict:
     """Mesh, thermal Newton solve, mechanical solve, stress recovery and
     isolines, all before the first artifact is written to the output dir,
     so a run that raises leaves that dir as it was. Returns a summary.
-    A hearth finer than COARSE_H starts Newton from the COARSE_H solution,
-    interpolated; the thermal report is the fine solve's."""
+    A hearth finer than COARSE_START_H starts Newton from the COARSE_H
+    solution, interpolated; the thermal report nests that solve's."""
     mesh = _load_scenario_mesh(config)
     materials = build_hearth_materials()
     bc = hearth_thermal_bc()
-    start = None
-    if config.mesh_file is None and config.target_h < COARSE_H:
+    start = coarse_report = None
+    if config.mesh_file is None and config.target_h < COARSE_START_H:
         coarse = hearth_mesh(COARSE_H)
-        start = interpolate(coarse, newton_solve(coarse, materials, bc)[0],
-                            mesh.nodes)
+        T, coarse_report = newton_solve(coarse, materials, bc)
+        start = interpolate(coarse, T, mesh.nodes)
     T, thermal_report = newton_solve(mesh, materials, bc, start=start)
+    thermal_report.coarse_start = coarse_report
     u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     stress = recover_stress(mesh, materials, T, u)
     isolines = _extract_isolines(mesh, T, config.isoline_levels)

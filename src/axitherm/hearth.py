@@ -51,9 +51,13 @@ HEARTH_Y_MAX = max(y for p in HEARTH_POLYGONS for _, y in p.vertices)
 # INNER; they are stepped upper surface, in contact like the top.
 _NOTCH_BOX = ((5.5188, 7.35), (5.9501, HEARTH_Y_MAX))
 
-# Mesh size of the coarse solve that starts a finer hearth run's Newton
-# solve; at most 0.6, the smallest polygon extent (subdomain 3's block).
+# A hearth run meshed finer than COARSE_START_H starts its Newton solve
+# from the solution on the COARSE_H mesh; COARSE_H is at most 0.6, the
+# smallest polygon extent (subdomain 3's block). The coarse mesh and
+# solve cost about what the two Newton steps they save cost at h = 0.14,
+# less below it and more above it.
 COARSE_H = 0.4
+COARSE_START_H = 0.14
 
 
 def hearth_mesh(target_h: float) -> Mesh:

@@ -85,7 +85,9 @@ class NewtonConfig:
 @dataclass
 class SolveReport:
     """What a solve did: Newton iterations (one linear solve each) and
-    residual norms, LU factorizations and GMRES steps in total."""
+    residual norms, LU factorizations and GMRES steps in total. A caller
+    that computed the start by another solve may keep its report in
+    ``coarse_start``."""
 
     iterations: int = 0
     residuals: list = field(default_factory=list)
@@ -93,6 +95,7 @@ class SolveReport:
     factorizations: int = 0
     gmres_steps: int = 0
     wall_time: float = 0.0
+    coarse_start: SolveReport | None = None
 
 
 class _ThermalWorkspace:

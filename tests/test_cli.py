@@ -206,6 +206,24 @@ class TestCoarseStart:
         report = json.loads((tmp_path / "thermal_report.json").read_text())
         assert report["iterations"] <= 3
         assert report["factorizations"] == 1
+        # the coarse solve that gave the start is kept in the same file
+        assert report["coarse_start"]["converged"] is True
+        assert report["coarse_start"]["iterations"] >= 1
+        assert report["coarse_start"]["coarse_start"] is None
+
+    def test_run_at_the_cutover_starts_cold(self, tmp_path, monkeypatch):
+        starts = []
+
+        def recording(mesh, *args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return newton_solve(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "newton_solve", recording)
+        run_scenario(RunConfig(target_h=hearth.COARSE_START_H,
+                               output_dir=str(tmp_path)))
+        assert starts == [None]
+        report = json.loads((tmp_path / "thermal_report.json").read_text())
+        assert report["coarse_start"] is None
 
     def test_mesh_file_run_starts_cold(self, cold_solve, tmp_path):
         mesh, _, cold_report, _ = cold_solve
@@ -215,6 +233,7 @@ class TestCoarseStart:
         report = json.loads((tmp_path / "out" / "thermal_report.json").read_text())
         assert report["residuals"][0] == cold_report.residuals[0]
         assert report["iterations"] == cold_report.iterations
+        assert report["coarse_start"] is None
 
 
 def test_cli_import_leaves_out_sympy():

@@ -299,8 +299,10 @@ class TestNewtonSolve:
         d = dataclasses.asdict(report)
         # the order of the keys in the report files
         assert list(d) == ["iterations", "residuals", "converged",
-                           "factorizations", "gmres_steps", "wall_time"]
+                           "factorizations", "gmres_steps", "wall_time",
+                           "coarse_start"]
         assert d["converged"] is True
+        assert d["coarse_start"] is None
 
 
 def _stiff_strip():
