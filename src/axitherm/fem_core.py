@@ -5,7 +5,7 @@ workspace with its cached scalar sparsity pattern, on which scalar and
 two-dof-per-node matrices are assembled, symmetric elimination of fixed
 dofs, the per-mesh fill-reducing node ordering and the sparse LU
 solvers: :func:`solve_lu`, whose double-precision factor can be reused
-(Newton's Jacobian preconditions GMRES with it), and
+(Newton's chord steps are taken on the Jacobian's), and
 :func:`solve_refined` for one-shot solves (the stiffness), which
 factors in single precision and refines in double to the same residual
 bound.

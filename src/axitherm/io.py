@@ -23,9 +23,9 @@ def vtk_text(mesh: Mesh, temperature, displacement, stress) -> str:
     n = mesh.num_nodes
     m = len(mesh.triangles)
     tris = mesh.triangles
-    T = checked_field("temperature", temperature, n, "nodes")
-    u = checked_field("displacement", displacement, n, "nodes")
-    stress = checked_field("stress", stress, m, "triangles")
+    T = checked_field("temperature", temperature, (n,), "nodes")
+    u = checked_field("displacement", displacement, (n, 2), "nodes")
+    stress = checked_field("stress", stress, (m, 4), "triangles")
     parts = [
         "# vtk DataFile Version 3.0\n"
         "axitherm fields\n"
@@ -66,8 +66,8 @@ def export_csv(mesh: Mesh, path, temperature, displacement) -> None:
     A field with the wrong number of rows raises ValueError.
     """
     n = mesh.num_nodes
-    T = checked_field("temperature", temperature, n, "nodes")
-    u = checked_field("displacement", displacement, n, "nodes")
+    T = checked_field("temperature", temperature, (n,), "nodes")
+    u = checked_field("displacement", displacement, (n, 2), "nodes")
     text = "node_id,r,y,T,u_r,u_y\n" + format_table(
         "%d,%.12g,%.12g,%.17g,%.12g,%.12g\n", np.arange(n),
         mesh.nodes[:, 0], mesh.nodes[:, 1], T, u[:, 0], u[:, 1])

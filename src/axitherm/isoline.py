@@ -107,7 +107,7 @@ def extract_isoline(mesh, values, level: float) -> IsoLine:
     if not np.isfinite(level):
         raise ValueError(f"isoline level must be finite, not {level}")
     n = mesh.num_nodes
-    values = checked_field("values", values, n, "nodes")
+    values = checked_field("values", values, (n,), "nodes")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"node {bad[0]} has a non-finite value: "

@@ -154,7 +154,7 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     (2,)-vector density; ``extra_constraints`` maps (node, component) to
     prescribed displacement values, which override the contact ones.
     """
-    T = checked_field("T", T, mesh.num_nodes, "nodes")
+    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
     geo = mesh.assembly_workspace
     quad = geo.quadrature(3)
     M = len(geo.triangles)
@@ -235,8 +235,8 @@ def recover_stress(mesh: Mesh, materials: MaterialSet, T: np.ndarray,
                    u: np.ndarray) -> np.ndarray:
     """Piecewise-constant element stresses (M, 4), (s_rr, s_yy, s_tt,
     s_ry), from centroid strain and quadrature-averaged temperature."""
-    T = checked_field("T", T, mesh.num_nodes, "nodes")
-    u = checked_field("u", u, mesh.num_nodes, "nodes")
+    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
+    u = checked_field("u", u, (mesh.num_nodes, 2), "nodes")
     geo = mesh.assembly_workspace
     rule = geo.quadrature(3).rule
     tris = geo.triangles

@@ -191,13 +191,16 @@ class Mesh:
         return AssemblyWorkspace(self)
 
 
-def checked_field(name: str, values, rows: int, what: str) -> np.ndarray:
-    """``values`` as a float array, which must have one row per ``what``
-    (nodes or triangles) of a mesh that has ``rows`` of them."""
+def checked_field(name: str, values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a float array of ``shape``, whose first entry is the
+    number of ``what`` (nodes or triangles) of a mesh: ``(n,)`` for one
+    value per node, ``(n, 2)`` for one vector per node."""
     values = np.asarray(values, float)
-    if len(values) != rows:
+    if values.ndim and len(values) != shape[0]:
         raise ValueError(f"{name} has {len(values)} rows, the mesh has "
-                         f"{rows} {what}")
+                         f"{shape[0]} {what}")
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, not {shape}")
     return values
 
 
@@ -407,7 +410,7 @@ def interpolate(mesh: Mesh, values, points) -> np.ndarray:
     lower or upper triangle of the point's grid cell. A point on the edge
     of an unmeshed cell (the cavity) takes the meshed neighbour; a point
     in no triangle raises."""
-    values = checked_field("values", values, mesh.num_nodes, "nodes")
+    values = checked_field("values", values, (mesh.num_nodes,), "nodes")
     points = np.asarray(points, float).reshape(-1, 2)
     lines = [np.unique(x) for x in mesh.nodes.T]
     at = [np.searchsorted(ls, x) for ls, x in zip(lines, mesh.nodes.T)]

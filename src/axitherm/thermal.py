@@ -2,10 +2,11 @@
 
 Weak form: sum_i int k(T) grad T . grad psi r + int_R h T psi r ds
          = int_R h T_R psi r ds (+ an optional volumetric source used
-only for manufactured-solution verification). Solved by inexact Newton:
-the first step of a solve factors the Jacobian, later steps are taken by
-GMRES preconditioned with that factor to a tight forcing term. Every
-step is a full one, from a given start or the uniform NEWTON_START.
+only for manufactured-solution verification). Solved by the chord
+method: steps are taken on the LU factor of an earlier Jacobian, and
+the Jacobian is factored afresh when a step stops cutting the residual
+CHORD_CONTRACTION-fold. Every step is a full one, from a given start or
+the uniform NEWTON_START.
 """
 from __future__ import annotations
 
@@ -13,15 +14,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
-from .fem_core import LU_RTOL, ConvergenceError, assemble_csr, solve_lu
+from .fem_core import ConvergenceError, assemble_csr, solve_lu
 from .materials import MaterialSet
 from .mesh import BoundaryConditions, Mesh, checked_field
 
-# Krylov steps (one restart cycle) before an inexact Newton step gives
-# up and the current Jacobian is factored instead.
-GMRES_STEPS = 30
+# A step on an old factor is kept only if it cuts the residual norm to
+# this fraction or less; otherwise the Jacobian is factored afresh.
+CHORD_CONTRACTION = 0.1
 
 # uniform temperature (K) a Newton solve starts from unless given a start
 NEWTON_START = 300.0
@@ -84,16 +84,15 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """What a solve did: Newton iterations (one linear solve each) and
-    residual norms, LU factorizations and GMRES steps in total. A caller
-    that computed the start by another solve may keep its report in
-    ``coarse_start``."""
+    """What a solve did: the Newton steps it took, the residual norms of
+    its start and after each step (a dropped chord step is in neither)
+    and the LU factorizations. A caller that computed the start by
+    another solve may keep its report in ``coarse_start``."""
 
     iterations: int = 0
     residuals: list = field(default_factory=list)
     converged: bool = False
     factorizations: int = 0
-    gmres_steps: int = 0
     wall_time: float = 0.0
     coarse_start: SolveReport | None = None
 
@@ -142,7 +141,7 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None
                               ) -> np.ndarray:
     """Residual vector of the weak form tested with every hat function."""
-    T = checked_field("T", T, mesh.num_nodes, "nodes")
+    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geo = ws.mesh_ws
     quad = geo.quadrature(3)
@@ -167,7 +166,7 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
                               workspace: _ThermalWorkspace | None = None):
     """Exact Jacobian: k-stiffness + dk/dT secondary term + the lumped
     Robin mass on the diagonal."""
-    T = checked_field("T", T, mesh.num_nodes, "nodes")
+    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
     ws = workspace or _ThermalWorkspace(mesh, materials, bc)
     geo = ws.mesh_ws
     quad = geo.quadrature(3)
@@ -185,55 +184,30 @@ def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
     return J
 
 
-def _krylov_step(J, R, factor, eta, report):
-    """Newton step delta with |J delta + R| <= eta |R|, or None.
-
-    GMRES runs on J M^-1 z = -R with M^-1 the LU of an earlier Jacobian
-    (right preconditioning, so its residual is the Newton residual
-    J delta + R), then delta = M^-1 z. scipy's ``M=`` would precondition
-    on the left and stop on the preconditioned residual instead. The
-    residual is checked explicitly, not taken from GMRES's estimate.
-    """
-    n = len(R)
-    op = LinearOperator((n, n), dtype=float,
-                        matvec=lambda v: J @ factor.solve(v))
-
-    def count(_):
-        report.gmres_steps += 1
-
-    z, _ = gmres(op, -R, rtol=eta, restart=GMRES_STEPS, maxiter=1,
-                 callback=count, callback_type="pr_norm")
-    delta = factor.solve(z)
-    if (np.all(np.isfinite(delta))
-            and np.linalg.norm(J @ delta + R) <= eta * np.linalg.norm(R)):
-        return delta
-    return None
-
-
 def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
                  config: NewtonConfig | None = None, source=None,
                  start=None):
     """Solve the nonlinear thermal problem; returns (T, SolveReport).
 
-    Inexact Newton with one LU per solve: the first step factors J, and
-    later steps are taken by GMRES preconditioned with that factor, a
-    lagged Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004). A
-    step must leave |J delta + R| <= eta |R| with the forcing term eta
-    = LU_RTOL, the bound an exact LU step is checked against, so the
-    iterates follow exact Newton's; near convergence eta is loosened to
-    leave half the stopping tolerance. A step GMRES cannot take within
-    GMRES_STEPS factors the current J instead, and that factor serves
-    the steps after it. Each step is taken in full, T + delta, from
-    ``start``, one finite value per node (copied, never written), or
-    the uniform NEWTON_START without one; with ``config.relative`` the
-    reference residual is the start's. A solve not converged after
-    NEWTON_MAX_ITER steps raises ConvergenceError.
+    The chord method (Kelley, Solving Nonlinear Equations with Newton's
+    Method, SIAM 2003, ch. 5): with no factor in hand, J is assembled
+    at the current T and factored by :func:`solve_lu`, and that exact
+    Newton step is always taken. Later steps solve with that factor, a
+    lagged Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004), and
+    one is kept only if it cuts the residual norm to CHORD_CONTRACTION
+    of the last one or less; a step that does not (a NaN norm among
+    them) is dropped, with its factor, so the next step factors J at
+    the same T. Each step is taken in full, T + delta, from ``start``,
+    one finite value per node (copied, never written), or the uniform
+    NEWTON_START without one; with ``config.relative`` the reference
+    residual is the start's. A solve not converged after
+    NEWTON_MAX_ITER kept steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
     ws = _ThermalWorkspace(mesh, materials, bc)
     if start is None:
         start = np.full(mesh.num_nodes, NEWTON_START)
-    T = np.array(checked_field("start", np.ravel(start), mesh.num_nodes,
+    T = np.array(checked_field("start", np.ravel(start), (mesh.num_nodes,),
                                "nodes"))
     bad = np.flatnonzero(~np.isfinite(T))
     if bad.size:
@@ -257,17 +231,22 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             raise ConvergenceError(
                 f"Newton did not reach {config.abs_tol:g} in "
                 f"{NEWTON_MAX_ITER} iterations (residual {norm:.3e})")
-        J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
-        delta = None
-        if factor is not None:
-            eta = max(LU_RTOL, 0.5 * config.abs_tol * ref / norm)
-            delta = _krylov_step(J, R, factor, eta, report)
-        if delta is None:
+        chord = factor is not None
+        if chord:
+            delta = -factor.solve(R)
+        else:
+            J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
             delta, factor = solve_lu(J, -R, ws.mesh_ws.node_order)
             report.factorizations += 1
-        T = T + delta
-        R = assemble_thermal_residual(mesh, materials, bc, T, source, ws)
-        norm = np.linalg.norm(R)
+        T_next = T + delta
+        R_next = assemble_thermal_residual(mesh, materials, bc, T_next,
+                                           source, ws)
+        norm_next = np.linalg.norm(R_next)
+        # negated so that a chord step leaving a NaN norm is dropped too
+        if chord and not norm_next <= CHORD_CONTRACTION * norm:
+            factor = None
+            continue
+        T, R, norm = T_next, R_next, norm_next
         report.iterations += 1
         report.residuals.append(norm)
 

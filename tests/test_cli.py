@@ -186,7 +186,7 @@ def cold_solve():
 class TestCoarseStart:
     def test_fine_run_starts_from_the_coarse_solution(self, cold_solve,
                                                       tmp_path, monkeypatch):
-        mesh, T_cold, _, u_cold = cold_solve
+        mesh, T_cold, cold_report, u_cold = cold_solve
         solves = []
 
         def recording(mesh, *args, **kwargs):
@@ -204,8 +204,8 @@ class TestCoarseStart:
         assert np.abs(T - T_cold).max() <= 1e-6
         assert summary["max_displacement"] == pytest.approx(u_cold, rel=1e-8)
         report = json.loads((tmp_path / "thermal_report.json").read_text())
-        assert report["iterations"] <= 3
-        assert report["factorizations"] == 1
+        # the warm start spares the LUs the cold solve re-factors for
+        assert report["factorizations"] == 1 < cold_report.factorizations
         # the coarse solve that gave the start is kept in the same file
         assert report["coarse_start"]["converged"] is True
         assert report["coarse_start"]["iterations"] >= 1

@@ -85,6 +85,18 @@ class TestVtk:
                                              f"mesh has {expected} {what}$"):
             vtk_text(_single_triangle(), **fields)
 
+    @pytest.mark.parametrize("name, shape, expected", [
+        ("temperature", (3, 1), r"\(3,\)"),
+        ("displacement", (3, 3), r"\(3, 2\)"),
+        ("stress", (1, 3), r"\(1, 4\)"),
+    ])
+    def test_field_of_wrong_columns_rejected(self, name, shape, expected):
+        fields = dict(GOLDEN_FIELDS, **{name: np.ones(shape)})
+        with pytest.raises(ValueError, match=rf"^{name} has shape "
+                                             rf"\({shape[0]}, {shape[1]}\), "
+                                             rf"not {expected}$"):
+            vtk_text(_single_triangle(), **fields)
+
 
 class TestCsvAndReports:
     def test_csv_fields(self, tmp_path):

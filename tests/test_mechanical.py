@@ -463,22 +463,9 @@ def test_missing_material_record_named(solve):
         solve(mesh, _materials(), np.full(3, 300.0))
 
 
-@pytest.mark.parametrize("extra", [7, -1], ids=["long", "short"])
-@pytest.mark.parametrize("entry, name", [
-    ("assemble_thermal_residual", "T"), ("assemble_thermal_jacobian", "T"),
-    ("solve_mechanical", "T"), ("recover_stress", "T"),
-    ("recover_stress", "u"), ("extract_isoline", "values"),
-])
-def test_field_of_wrong_length_rejected(entry, name, extra, coarse_hearth_mesh,
-                                        hearth_materials):
-    mesh, mats = coarse_hearth_mesh, hearth_materials
-    n = mesh.num_nodes
-    T, u = np.full(n, 300.0), np.zeros((n, 2))
-    if name == "u":
-        u = np.zeros((n + extra, 2))
-    else:
-        T = np.full(n + extra, 300.0)
-    call = {
+def _field_call(entry, mesh, mats, T, u):
+    """The call of ``entry`` that checks the fields T and u."""
+    return {
         "assemble_thermal_residual": lambda: assemble_thermal_residual(
             mesh, mats, hearth_thermal_bc(), T),
         "assemble_thermal_jacobian": lambda: assemble_thermal_jacobian(
@@ -488,6 +475,43 @@ def test_field_of_wrong_length_rejected(entry, name, extra, coarse_hearth_mesh,
         "recover_stress": lambda: recover_stress(mesh, mats, T, u),
         "extract_isoline": lambda: extract_isoline(mesh, T, 1000.0),
     }[entry]
+
+
+_FIELD_ENTRIES = [
+    ("assemble_thermal_residual", "T"), ("assemble_thermal_jacobian", "T"),
+    ("solve_mechanical", "T"), ("recover_stress", "T"),
+    ("recover_stress", "u"), ("extract_isoline", "values"),
+]
+
+
+@pytest.mark.parametrize("extra", [7, -1], ids=["long", "short"])
+@pytest.mark.parametrize("entry, name", _FIELD_ENTRIES)
+def test_field_of_wrong_length_rejected(entry, name, extra, coarse_hearth_mesh,
+                                        hearth_materials):
+    mesh, mats = coarse_hearth_mesh, hearth_materials
+    n = mesh.num_nodes
+    T, u = np.full(n, 300.0), np.zeros((n, 2))
+    if name == "u":
+        u = np.zeros((n + extra, 2))
+    else:
+        T = np.full(n + extra, 300.0)
     with pytest.raises(ValueError, match=f"^{name} has {n + extra} rows, "
                                          f"the mesh has {n} nodes$"):
-        call()
+        _field_call(entry, mesh, mats, T, u)()
+
+
+@pytest.mark.parametrize("entry, name", _FIELD_ENTRIES)
+def test_field_of_wrong_columns_rejected(entry, name, coarse_hearth_mesh,
+                                         hearth_materials):
+    # one row per node but the wrong columns: rejected by name, not by an
+    # einsum or a broadcast of the assembly
+    mesh, mats = coarse_hearth_mesh, hearth_materials
+    n = mesh.num_nodes
+    T, u = np.full(n, 300.0), np.zeros((n, 2))
+    if name == "u":
+        u, shape, want = np.zeros(n), rf"\({n},\)", rf"\({n}, 2\)"
+    else:
+        T, shape, want = np.full((n, 2), 300.0), rf"\({n}, 2\)", rf"\({n},\)"
+    with pytest.raises(ValueError,
+                       match=rf"^{name} has shape {shape}, not {want}$"):
+        _field_call(entry, mesh, mats, T, u)()
