@@ -19,8 +19,8 @@ from .hearth import (COARSE_H, COARSE_START_H, build_hearth_materials,
                      hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc)
 from .isoline import extract_isoline, isoline_csv
 from .mechanical import recover_stress, solve_mechanical
-from .mesh import interpolate, load_mesh, save_mesh
-from .thermal import newton_solve
+from .mesh import Mesh, interpolate, load_mesh, save_mesh
+from .thermal import SolveReport, newton_solve
 
 
 def _is_number(v) -> bool:
@@ -93,12 +93,26 @@ def _write_isolines(isolines, out):
         axio.atomic_write_text(os.path.join(out, name), isoline_csv(iso))
 
 
-def run_scenario(config: RunConfig) -> dict:
+@dataclass(frozen=True)
+class ScenarioRun:
+    """What a scenario run computed, all that ``write_artifacts`` writes
+    and ``run_scenario`` summarizes; ``isolines`` is by file name."""
+
+    config: RunConfig
+    mesh: Mesh
+    T: np.ndarray
+    u: np.ndarray
+    stress: np.ndarray
+    isolines: dict
+    thermal_report: SolveReport
+    mechanical_report: SolveReport
+
+
+def solve_scenario(config: RunConfig) -> ScenarioRun:
     """Mesh, thermal Newton solve, mechanical solve, stress recovery and
-    isolines, all before the first artifact is written to the output dir,
-    so a run that raises leaves that dir as it was. Returns a summary.
-    A hearth finer than COARSE_START_H starts Newton from the COARSE_H
-    solution, interpolated; the thermal report nests that solve's."""
+    isolines; writes nothing. A hearth finer than COARSE_START_H starts
+    Newton from the COARSE_H solution, interpolated; the thermal report
+    nests that solve's."""
     mesh = _load_scenario_mesh(config)
     materials = build_hearth_materials()
     bc = hearth_thermal_bc()
@@ -112,27 +126,42 @@ def run_scenario(config: RunConfig) -> dict:
     u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     stress = recover_stress(mesh, materials, T, u)
     isolines = _extract_isolines(mesh, T, config.isoline_levels)
+    return ScenarioRun(config, mesh, T, u, stress, isolines, thermal_report,
+                       mech_report)
 
-    out = config.output_dir
+
+def write_artifacts(run: ScenarioRun) -> None:
+    """Write the files of ``run`` to its config's output dir."""
+    out = run.config.output_dir
     os.makedirs(out, exist_ok=True)
-    save_mesh(mesh, os.path.join(out, "mesh.txt"))
-    axio.export_report(thermal_report,
+    save_mesh(run.mesh, os.path.join(out, "mesh.txt"))
+    axio.export_report(run.thermal_report,
                        os.path.join(out, "thermal_report.json"))
-    axio.export_report(mech_report,
+    axio.export_report(run.mechanical_report,
                        os.path.join(out, "mechanical_report.json"))
-    axio.export_vtk(mesh, os.path.join(out, "solution.vtk"),
-                    temperature=T, displacement=u, stress=stress)
-    axio.export_csv(mesh, os.path.join(out, "fields.csv"), T, u)
-    _write_isolines(isolines, out)
-    axio.atomic_write_text(os.path.join(out, "config.json"), config.to_json())
+    axio.export_vtk(run.mesh, os.path.join(out, "solution.vtk"),
+                    temperature=run.T, displacement=run.u, stress=run.stress)
+    axio.export_csv(run.mesh, os.path.join(out, "fields.csv"), run.T, run.u)
+    _write_isolines(run.isolines, out)
+    axio.atomic_write_text(os.path.join(out, "config.json"),
+                           run.config.to_json())
+
+
+def run_scenario(config: RunConfig) -> dict:
+    """Solve, then write: every result is computed before the first
+    artifact is written, so a run that raises leaves the output dir as
+    it was. Returns a summary."""
+    run = solve_scenario(config)
+    write_artifacts(run)
+    n, report = run.mesh.num_nodes, run.thermal_report
     return {
-        "nodes": mesh.num_nodes,
-        "temperature_dofs": mesh.num_nodes,
-        "displacement_dofs": 2 * mesh.num_nodes,
-        "newton_iterations": thermal_report.iterations,
-        "final_residual": thermal_report.residuals[-1],
-        "T_range": (float(T.min()), float(T.max())),
-        "max_displacement": float(np.linalg.norm(u, axis=1).max()),
+        "nodes": n,
+        "temperature_dofs": n,
+        "displacement_dofs": 2 * n,
+        "newton_iterations": report.iterations,
+        "final_residual": report.residuals[-1],
+        "T_range": (float(run.T.min()), float(run.T.max())),
+        "max_displacement": float(np.linalg.norm(run.u, axis=1).max()),
     }
 
 

@@ -53,12 +53,13 @@ _NOTCH_BOX = ((5.5188, 7.35), (5.9501, HEARTH_Y_MAX))
 
 # A hearth run meshed finer than COARSE_START_H starts its Newton solve
 # from the solution on the COARSE_H mesh; COARSE_H is at most 0.6, the
-# smallest polygon extent (subdomain 3's block). The coarse mesh and
-# solve spare the fine solve two of its three LUs. Timed over the whole
-# Newton stage on 2 CPUs, the coarse start takes 1.1 times a cold
-# solve's time at h = 0.2 and 0.18, 0.91-0.96 times at 0.16 and 0.15,
-# and 0.84-0.87 times at 0.14 (faster in 23 of 24 runs); 0.14 keeps it
-# to the sizes where the gain is clear.
+# smallest polygon extent (subdomain 3's block). From that start the
+# fine solve factors one LU at h = 0.1 and 0.05 and two at 0.025, where
+# a cold solve factors three at each. Timed over the whole Newton stage
+# on 2 CPUs, the coarse start takes 1.1 times a cold solve's time at
+# h = 0.2 and 0.18, 0.91-0.96 times at 0.16 and 0.15, and 0.84-0.87
+# times at 0.14 (faster in 23 of 24 runs); 0.14 keeps it to the sizes
+# where the gain is clear.
 COARSE_H = 0.4
 COARSE_START_H = 0.14
 

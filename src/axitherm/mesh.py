@@ -231,6 +231,11 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     j = np.fromiter((e[1] for e in mesh.boundary_edges), np.int64, n_edges)
     tags = tuple(e[2] for e in mesh.boundary_edges)
     n = mesh.num_nodes
+    # the axisymmetric forms weight by r, so the domain lies in r >= 0
+    left = np.flatnonzero(mesh.nodes[:, 0] < -GEOM_TOL)
+    if left.size:
+        raise ValueError(f"node {left[0]} lies left of the axis, at r = "
+                         f"{mesh.nodes[left[0], 0]:g}")
     keys, tri = _sorted_edge_keys(mesh.triangles, n)
     # sorted, three equal keys in a row are an edge of three triangles
     over = np.flatnonzero(keys[2:] == keys[:-2])
@@ -258,6 +263,14 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     owner = tri[pos]
     third = mesh.triangles[owner].sum(axis=1) - i - j
     p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]
+    # a row is AXIS exactly when both its ends lie on r = 0
+    on_axis = (np.abs(p[:, 0]) < GEOM_TOL) & (np.abs(q[:, 0]) < GEOM_TOL)
+    tagged_axis = np.array([t is BoundaryTag.AXIS for t in tags], dtype=bool)
+    if np.any(on_axis != tagged_axis):
+        e = int(np.flatnonzero(on_axis != tagged_axis)[0])
+        where = "lies" if on_axis[e] else "does not lie"
+        raise ValueError(f"boundary edge ({i[e]}, {j[e]}) is tagged "
+                         f"{tags[e].value} but {where} on the axis r = 0")
     t = q - p
     normal = np.column_stack([t[:, 1], -t[:, 0]])
     inward = np.einsum("ed,ed->e", normal, o - p) > 0

@@ -134,3 +134,17 @@ def test_edge_shared_by_three_triangles_raises(tmp_path):
     with pytest.raises(ValueError,
                        match=r"edge \(0, 1\) lies on more than two triangles"):
         load_mesh(path)
+
+
+def test_hand_built_mesh_off_the_axis_raises(unit_square_mesh):
+    nodes = unit_square_mesh.nodes
+    # the r-weighted forms take negative weights left of r = 0
+    left = replace(unit_square_mesh, nodes=nodes - [0.5, 0.0])
+    with pytest.raises(ValueError,
+                       match=r"node 0 lies left of the axis, at r = -0\.5"):
+        left.boundary_edge_table
+    # the whole square moved to r >= 1, its AXIS rows with it
+    moved = replace(unit_square_mesh, nodes=nodes + [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"is tagged axis but does not lie "
+                                         r"on the axis r = 0"):
+        moved.boundary_edge_table

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,8 @@ import pytest
 
 import axitherm
 from axitherm import cli, hearth
-from axitherm.cli import RunConfig, main, run_scenario
+from axitherm.cli import (RunConfig, main, run_scenario, solve_scenario,
+                          write_artifacts)
 from axitherm.fem_core import ConvergenceError
 from axitherm.hearth import CONDUCTIVITY_KNOTS
 from axitherm.mechanical import solve_mechanical
@@ -156,6 +158,30 @@ class TestRunScenario:
             assert path.stat().st_mode == \
                 (path.parent / "by_open").stat().st_mode, path.name
 
+    def test_solve_writes_nothing(self, tmp_path):
+        run = solve_scenario(RunConfig(target_h=0.5,
+                                       output_dir=str(tmp_path / "out"),
+                                       isoline_levels=[1423.0]))
+        assert not (tmp_path / "out").exists()
+        assert list(run.isolines) == ["isoline_1423K.csv"]
+
+    def test_solve_then_write_is_the_run(self, tmp_path):
+        def files():
+            # the solve reports differ in their wall times only
+            out = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            for name in ("thermal_report.json", "mechanical_report.json"):
+                out[name] = json.loads(out[name])
+                out[name].pop("wall_time")
+            return out
+
+        config = RunConfig(target_h=0.5, output_dir=str(tmp_path),
+                           isoline_levels=[1423.0])
+        run_scenario(config)
+        by_run = files()
+        shutil.rmtree(tmp_path)
+        write_artifacts(solve_scenario(config))
+        assert files() == by_run
+
     def test_failed_run_leaves_output_dir_as_it_was(self, tmp_path,
                                                     monkeypatch):
         # a run that fails after meshing must not leave a mesh.txt that
@@ -211,29 +237,23 @@ class TestCoarseStart:
         assert report["coarse_start"]["iterations"] >= 1
         assert report["coarse_start"]["coarse_start"] is None
 
-    def test_run_at_the_cutover_starts_cold(self, tmp_path, monkeypatch):
-        starts = []
-
-        def recording(mesh, *args, **kwargs):
-            starts.append(kwargs.get("start"))
-            return newton_solve(mesh, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "newton_solve", recording)
-        run_scenario(RunConfig(target_h=hearth.COARSE_START_H,
-                               output_dir=str(tmp_path)))
-        assert starts == [None]
-        report = json.loads((tmp_path / "thermal_report.json").read_text())
-        assert report["coarse_start"] is None
+    def test_run_at_the_cutover_starts_cold(self):
+        run = solve_scenario(RunConfig(target_h=hearth.COARSE_START_H))
+        _, cold_report = newton_solve(run.mesh, hearth.build_hearth_materials(),
+                                      hearth.hearth_thermal_bc())
+        report = run.thermal_report
+        assert report.residuals[0] == cold_report.residuals[0]
+        assert report.iterations == cold_report.iterations
+        assert report.coarse_start is None
 
     def test_mesh_file_run_starts_cold(self, cold_solve, tmp_path):
         mesh, _, cold_report, _ = cold_solve
         save_mesh(mesh, tmp_path / "mesh.txt")
-        run_scenario(RunConfig(mesh_file=str(tmp_path / "mesh.txt"),
-                               output_dir=str(tmp_path / "out")))
-        report = json.loads((tmp_path / "out" / "thermal_report.json").read_text())
-        assert report["residuals"][0] == cold_report.residuals[0]
-        assert report["iterations"] == cold_report.iterations
-        assert report["coarse_start"] is None
+        report = solve_scenario(
+            RunConfig(mesh_file=str(tmp_path / "mesh.txt"))).thermal_report
+        assert report.residuals[0] == cold_report.residuals[0]
+        assert report.iterations == cold_report.iterations
+        assert report.coarse_start is None
 
 
 def test_cli_import_leaves_out_sympy():

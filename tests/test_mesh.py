@@ -1,12 +1,16 @@
 """Mesh generation, tagging and serialization tests."""
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axitherm.hearth import HEARTH_POLYGONS, hearth_mesh
 from axitherm.mesh import (
+    GEOM_TOL,
     BoundaryTag,
     Mesh,
     SubdomainPolygon,
@@ -501,8 +505,91 @@ class TestMeshIO:
                                  rf"\({value}, 0\.0\)"):
             load_mesh(path)
 
+    @pytest.mark.parametrize("pattern, new, message", [
+        (r"^0\.0 ", "-0.05 ",
+         r"node \d+ lies left of the axis, at r = -0\.05"),
+        (r" outer$", " axis", r"boundary edge \(\d+, \d+\) is tagged axis "
+                              r"but does not lie on the axis r = 0"),
+        (r" axis$", " outer", r"boundary edge \(\d+, \d+\) is tagged outer "
+                              r"but lies on the axis r = 0"),
+    ], ids=["node-left-of-axis", "outer-tagged-axis", "axis-tagged-outer"])
+    def test_domain_off_the_axis_rejected(self, tmp_path, pattern, new,
+                                          message):
+        # an axis node moved to r < 0, an OUTER row retagged AXIS and an
+        # AXIS row retagged OUTER each changed the answer with no message
+        save_mesh(hearth_mesh(0.4), tmp_path / "mesh.txt")
+        text = (tmp_path / "mesh.txt").read_text()
+        bad = re.sub(pattern, new, text, count=1, flags=re.MULTILINE)
+        assert bad != text
+        (tmp_path / "mesh.txt").write_text(bad)
+        with pytest.raises(ValueError, match=message):
+            load_mesh(tmp_path / "mesh.txt")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text("not-a-mesh\n")
         with pytest.raises(ValueError):
             load_mesh(path)
+
+
+@pytest.fixture(scope="module")
+def saved_coarse_hearth(tmp_path_factory):
+    """The lines of the h = 0.4 hearth's mesh file, the (start, stop)
+    line range of each section, its header first, and a path to write a
+    mutation of it to."""
+    path = tmp_path_factory.mktemp("mutations") / "mesh.txt"
+    save_mesh(hearth_mesh(0.4), path)
+    lines = path.read_text().splitlines()
+    heads = [k for k, line in enumerate(lines) if line[0].isalpha()]
+    return lines, list(zip(heads, heads[1:] + [len(lines)])), path
+
+
+def _replacements(token):
+    """What one token may become: a NaN, a tag, or the number negated,
+    shifted or scaled by 1e6 (an integer stays an integer)."""
+    out = ["nan", *(t.value for t in BoundaryTag)]
+    if token.lstrip("-").isdigit():
+        x = int(token)
+        return out + [str(v) for v in (-x, x - 1, x + 1, x * 10**6)]
+    try:
+        x = float(token)
+    except ValueError:  # a tag, a section name or the format name
+        return out
+    return out + [repr(v) for v in (-x, x - 0.05, x + 0.05, x * 1e6)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_single_line_mutations_raise_or_keep_the_axisymmetric_domain(
+        saved_coarse_hearth, data):
+    # a mutated file either fails to load with a ValueError or describes
+    # a domain the axisymmetric forms accept: r >= 0 everywhere, and a
+    # row tagged AXIS exactly when both its ends lie on r = 0
+    lines, sections, path = saved_coarse_hearth
+    # a section first, so that the short boundary_edges section is
+    # mutated as often as the long ones
+    start, stop = data.draw(st.sampled_from(sections))
+    k = data.draw(st.integers(start, stop - 1))
+    tokens = lines[k].split()
+    kind = data.draw(st.sampled_from(["delete", "repeat", "swap", "replace"]))
+    if kind == "delete":
+        mutated = []
+    elif kind == "repeat":
+        mutated = [lines[k]] * 2
+    else:
+        a, b = data.draw(st.lists(st.integers(0, len(tokens) - 1),
+                                  min_size=2, max_size=2))
+        if kind == "swap":
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+        else:
+            tokens[a] = data.draw(st.sampled_from(_replacements(tokens[a])))
+        mutated = [" ".join(tokens)]
+    path.write_text("\n".join(lines[:k] + mutated + lines[k + 1:]) + "\n")
+    try:
+        mesh = load_mesh(path)
+    except ValueError:
+        return
+    assert mesh.nodes[:, 0].min() >= -GEOM_TOL
+    for i, j, tag in mesh.boundary_edges:
+        on_axis = max(abs(mesh.nodes[i, 0]), abs(mesh.nodes[j, 0])) < GEOM_TOL
+        assert (tag is BoundaryTag.AXIS) == on_axis, (i, j, tag)
