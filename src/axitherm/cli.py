@@ -7,6 +7,7 @@ file can preload any option; command-line flags win over file values.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -96,7 +97,9 @@ def _write_isolines(isolines, out):
 @dataclass(frozen=True)
 class ScenarioRun:
     """What a scenario run computed, all that ``write_artifacts`` writes
-    and ``run_scenario`` summarizes; ``isolines`` is by file name."""
+    and ``run_scenario`` summarizes; ``isolines`` is by file name. The
+    run holds its own copy of the config it was solved with, and T, u
+    and stress are read-only."""
 
     config: RunConfig
     mesh: Mesh
@@ -113,6 +116,7 @@ def solve_scenario(config: RunConfig) -> ScenarioRun:
     isolines; writes nothing. A hearth finer than COARSE_START_H starts
     Newton from the COARSE_H solution, interpolated; the thermal report
     nests that solve's."""
+    config = copy.deepcopy(config)
     mesh = _load_scenario_mesh(config)
     materials = build_hearth_materials()
     bc = hearth_thermal_bc()
@@ -126,6 +130,8 @@ def solve_scenario(config: RunConfig) -> ScenarioRun:
     u, mech_report = solve_mechanical(mesh, materials, hearth_mechanical_bc(), T)
     stress = recover_stress(mesh, materials, T, u)
     isolines = _extract_isolines(mesh, T, config.isoline_levels)
+    for a in (T, u, stress):
+        a.setflags(write=False)
     return ScenarioRun(config, mesh, T, u, stress, isolines, thermal_report,
                        mech_report)
 

@@ -3,12 +3,12 @@
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
 workspace with its cached scalar sparsity pattern, on which scalar and
 two-dof-per-node matrices are assembled, symmetric elimination of fixed
-dofs, the per-mesh fill-reducing node ordering and the sparse LU
-solvers: :func:`solve_lu`, whose double-precision factor can be reused
-(Newton's chord steps are taken on the Jacobian's), and
-:func:`solve_refined` for one-shot solves (the stiffness), which
-factors in single precision and refines in double to the same residual
-bound.
+dofs that keeps the stored pattern, and the sparse LU solvers:
+:func:`solve_lu`, whose double-precision factor can be reused (Newton's
+chord steps are taken on the Jacobian's), and :func:`solve_refined` for
+one-shot solves (the stiffness), which factors in single precision and
+refines in double to the same residual bound. SuperLU orders every
+factorization itself, by minimum degree on A^T + A's stored pattern.
 """
 from __future__ import annotations
 
@@ -165,8 +165,10 @@ class AssemblyWorkspace:
     points mapped onto the elements, per-subdomain triangle indices,
     and the CSR pattern of the scalar matrices with its element scatter
     map. The mechanical matrix, two dofs per node, is assembled on that
-    same pattern as 2x2 blocks (see :func:`assemble_csr`). Parts other
-    than the geometry are computed on first use.
+    same pattern as 2x2 blocks that store every entry, zeros included
+    (see :func:`assemble_csr`): the solvers' minimum degree ordering of
+    that block pattern fills far less than one of the nonzeros alone.
+    Parts other than the geometry are computed on first use.
     """
 
     def __init__(self, mesh):
@@ -221,32 +223,6 @@ class AssemblyWorkspace:
         return CsrPattern.from_coo(np.repeat(tris, 3, axis=1),
                                    np.tile(tris, (1, 3)), len(self.nodes))
 
-    @cached_property
-    def node_order(self) -> np.ndarray:
-        """Fill-reducing node numbering for every factorization on this
-        mesh (node k of it is node ``node_order[k]``): SuperLU's minimum
-        degree ordering of the scalar pattern. Matrices with two dofs
-        per node are factored in it expanded to the pairs (2n, 2n + 1),
-        which fills less than ordering their own pattern.
-
-        It is read off an incomplete factorization that drops every
-        entry: the same permutation as a full LU's, at a fraction of its
-        cost. The matrix must have exactly the pattern (-1 off the
-        diagonal, row degree + 1 on it): a P1 stiffness has exact zeros
-        on right triangles that a sum such as ``K + I`` would drop, and
-        the ordering of that smaller graph fills far more.
-        """
-        pat = self.scalar_pattern
-        _reject_empty_rows(pat.indptr)
-        length = np.diff(pat.indptr)
-        rows = np.repeat(np.arange(pat.n), length)
-        data = np.where(rows == pat.indices, length[rows], -1.0)
-        S = sp.csr_matrix((data, pat.indices, pat.indptr),
-                          shape=(pat.n, pat.n)).tocsc()
-        ilu = spla.spilu(S, permc_spec="MMD_AT_PLUS_A", drop_tol=1e30,
-                         fill_factor=1)
-        return _readonly(np.argsort(ilu.perm_c))
-
 
 def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     """Symmetric elimination of the dofs in ``fixed`` (dof -> value).
@@ -254,7 +230,11 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     Rows and columns of fixed dofs are zeroed, the diagonal set to
     one and the right-hand side adjusted so the solution takes the
     prescribed values exactly. Symmetric input stays symmetric. The
-    result is a new sorted CSR matrix that stores no zeros.
+    result is a new sorted CSR matrix with A's stored pattern, plus any
+    diagonal entry of a fixed dof that A lacks: the zeroed entries stay
+    stored. The minimum degree ordering of the solvers reads that
+    pattern, and on a P1 stiffness, which holds exact zeros on right
+    triangles, the pattern without its zeros fills far more.
     """
     n = A.shape[0]
     idx = np.fromiter(fixed.keys(), dtype=int)
@@ -273,7 +253,6 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
     is_fixed[idx] = True
     A.data[np.repeat(is_fixed, np.diff(A.indptr)) | is_fixed[A.indices]] = 0.0
     A[idx, idx] = 1.0
-    A.eliminate_zeros()
     return A, b
 
 
@@ -281,49 +260,23 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
 LU_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LuFactor:
-    """SuperLU factor of ``A[order][:, order]`` that solves in A's own
-    numbering."""
-
-    superlu: spla.SuperLU
-    order: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[self.order] = self.superlu.solve(b[self.order])
-        return x
+def _splu(A: sp.csr_matrix, dtype=None) -> spla.SuperLU:
+    """SuperLU factor of A, in ``dtype`` if given, with the minimum
+    degree column ordering of A^T + A's stored pattern."""
+    C = A.tocsc() if dtype is None else A.astype(dtype).tocsc()
+    return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
 
 
-def _permuted_csc(A: sp.csr_matrix, order, dtype=None) -> sp.csc_matrix:
-    """``A[order][:, order]`` in CSC form, entry for entry, built with
-    one copy of A: its column ids renumbered, one CSR -> CSC pass, then
-    the row ids renumbered and sorted within each column. With a
-    ``dtype``, that one copy holds the values cast to it."""
-    rank = np.empty(A.shape[0], dtype=A.indices.dtype)
-    rank[order] = np.arange(A.shape[0], dtype=rank.dtype)
-    data = A.data if dtype is None else A.data.astype(dtype)
-    C = sp.csr_matrix((data, rank[A.indices], A.indptr),
-                      shape=A.shape).tocsc()
-    C.indices = rank[C.indices]
-    C.has_sorted_indices = False
-    C.sort_indices()
-    return C
-
-
-def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
+def solve_lu(A: sp.spmatrix, b: np.ndarray):
     """Sparse LU solve with a residual check (<= LU_RTOL relative).
 
-    Returns (x, factor); the :class:`LuFactor` solves further systems
-    with the same matrix. ``order`` is a fill-reducing numbering of the
-    unknowns, such as :attr:`AssemblyWorkspace.node_order`; A is
-    factored in that numbering with no further column ordering.
+    Returns (x, factor); the factor, a ``scipy.sparse.linalg.SuperLU``,
+    solves further systems with the same matrix.
     """
     A = A.tocsr()
     _reject_empty_rows(A.indptr)
     try:
-        factor = LuFactor(
-            spla.splu(_permuted_csc(A, order), permc_spec="NATURAL"), order)
+        factor = _splu(A)
         x = factor.solve(b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
@@ -344,28 +297,27 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray, order):
 REFINE_MIN_REDUCTION = 10.0
 
 
-def solve_refined(A: sp.spmatrix, b: np.ndarray, order) -> np.ndarray:
+def solve_refined(A: sp.spmatrix, b: np.ndarray):
     """One-shot solve of A x = b to the residual bound of :func:`solve_lu`
     (<= LU_RTOL relative) from a single-precision factor, which holds
-    about 60% of the memory of a double-precision one.
+    about 60% of the memory of a double-precision one. Returns
+    (x, factorizations): 1, or 2 when the system went to solve_lu.
 
-    A is factored in float32 in the numbering ``order``, then x is
-    refined in float64: r = b - A x, x += M^-1 (r / |r|) |r|, where the
-    scaling by |r| keeps each correction inside float32's range
-    (Carson & Higham, SIAM J. Sci. Comput. 40, 2018). The system goes
-    to :func:`solve_lu` instead, with its checks and messages, if the
-    float32 factorization fails or a step cuts the residual less than
-    REFINE_MIN_REDUCTION times, as one whose correction is not finite
-    does.
+    A is factored in float32, then x is refined in float64:
+    r = b - A x, x += M^-1 (r / |r|) |r|, where the scaling by |r| keeps
+    each correction inside float32's range (Carson & Higham, SIAM J.
+    Sci. Comput. 40, 2018). The system goes to :func:`solve_lu` instead,
+    with its checks and messages, if the float32 factorization fails or
+    a step cuts the residual less than REFINE_MIN_REDUCTION times, as
+    one whose correction is not finite does.
     """
     A = A.tocsr()
     _reject_empty_rows(A.indptr)
     try:
         with np.errstate(over="ignore"):   # too large for float32: inf
-            factor = LuFactor(spla.splu(_permuted_csc(A, order, np.float32),
-                                        permc_spec="NATURAL"), order)
+            factor = _splu(A, np.float32)
     except RuntimeError:
-        return solve_lu(A, b, order)[0]
+        return solve_lu(A, b)[0], 2
     x = np.zeros(len(b))
     r = np.asarray(b, float)
     rnorm = np.linalg.norm(r)
@@ -378,8 +330,8 @@ def solve_refined(A: sp.spmatrix, b: np.ndarray, order) -> np.ndarray:
         r = b - A @ x
         previous, rnorm = rnorm, np.linalg.norm(r)
         if not rnorm * REFINE_MIN_REDUCTION <= previous:
-            return solve_lu(A, b, order)[0]
-    return x
+            return solve_lu(A, b)[0], 2
+    return x, 1
 
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:

@@ -208,17 +208,19 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
                      T: np.ndarray, body_force=None, extra_constraints=None):
     """Solve for the displacement field; returns (u (N,2), SolveReport).
 
-    K is factored once, in single precision, and the solution refined in
-    double (:func:`solve_refined`), in the mesh's node order expanded to
-    the dof pairs (u_r, u_y) of each node. Fixed dofs take their
-    prescribed values exactly. The report's one residual is the relative
-    residual |K u - f| / |f| of the constrained system (0 for f = 0).
+    K, which keeps the stored 2x2 block pattern of its assembly through
+    the constraints, is factored in single precision, in SuperLU's
+    minimum degree ordering of that pattern, and the solution refined in
+    double (:func:`solve_refined`); the report counts a second
+    factorization when that falls back to a double-precision LU. Fixed
+    dofs take their prescribed values exactly. The report's one residual
+    is the relative residual |K u - f| / |f| of the constrained system
+    (0 for f = 0).
     """
     start = time.perf_counter()
     K, f, fixed = assemble_mechanical_system(mesh, materials, bc, T,
                                              body_force, extra_constraints)
-    order = 2 * mesh.assembly_workspace.node_order[:, None] + np.arange(2)
-    x = solve_refined(K, f, order.ravel())
+    x, factorizations = solve_refined(K, f)
     # refined values of fixed dofs can miss the prescribed ones in the
     # last bits
     x[np.fromiter(fixed, int)] = np.fromiter(fixed.values(), float)
@@ -226,7 +228,7 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     res = np.linalg.norm(K @ x - f)
     report = SolveReport(iterations=1,
                          residuals=[float(res / fnorm if fnorm > 0 else res)],
-                         converged=True, factorizations=1,
+                         converged=True, factorizations=factorizations,
                          wall_time=time.perf_counter() - start)
     return x.reshape(-1, 2), report
 

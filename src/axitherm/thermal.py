@@ -110,9 +110,14 @@ class _ThermalWorkspace:
     maximum principle (Ciarlet & Raviart, CMAME 2, 1973); a consistent
     Gauss rule produces positive off-diagonals that let corner nodes
     overshoot the hottest ambient temperature.
+
+    A volumetric ``source`` is evaluated once, on the quadrature points:
+    source_load (M, 3) is its r-weighted integral against each hat
+    function, or None without a source.
     """
 
-    def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC):
+    def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
+                 source=None):
         self.mesh_ws = mesh.assembly_workspace
         self.records = materials.by_subdomain(self.mesh_ws.subdomains)
         table = mesh.boundary_edge_table
@@ -126,6 +131,11 @@ class _ThermalWorkspace:
             ambient[ks] = cond.ambient(r[ks], y[ks])
         self.robin_ij, self.robin_weight, self.robin_ambient = ij, weight, ambient
         self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[ij]
+        self.source, self.source_load = source, None
+        if source is not None:
+            quad = self.mesh_ws.quadrature(3)
+            self.source_load = ((quad.w * source(quad.r, quad.y))
+                                @ quad.rule.points)
 
     def conductivity(self, T_q, derivative=False):
         """k, or dk/dT, at the temperatures T_q (M, Q)."""
@@ -140,9 +150,12 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
                               source=None,
                               workspace: _ThermalWorkspace | None = None
                               ) -> np.ndarray:
-    """Residual vector of the weak form tested with every hat function."""
+    """Residual vector of the weak form tested with every hat function.
+    A ``workspace`` must have been built with the same ``source``."""
     T = checked_field("T", T, (mesh.num_nodes,), "nodes")
-    ws = workspace or _ThermalWorkspace(mesh, materials, bc)
+    ws = workspace or _ThermalWorkspace(mesh, materials, bc, source)
+    if ws.source is not source:
+        raise ValueError("the workspace was built for another source")
     geo = ws.mesh_ws
     quad = geo.quadrature(3)
     T_el = T[geo.triangles]                                  # (M, 3)
@@ -150,8 +163,8 @@ def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
     flux = np.einsum("mij,mj->mi", geo.grad_products, T_el)
     k_q = ws.conductivity(T_el @ quad.rule.points.T)         # (M, Q)
     contrib = (quad.w * k_q).sum(axis=1)[:, None] * flux
-    if source is not None:
-        contrib -= (quad.w * source(quad.r, quad.y)) @ quad.rule.points
+    if ws.source_load is not None:
+        contrib -= ws.source_load
     R = np.bincount(geo.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.num_nodes)
     # h (T - T_R) on the end-node rows of each convection edge
@@ -204,7 +217,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     NEWTON_MAX_ITER kept steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
-    ws = _ThermalWorkspace(mesh, materials, bc)
+    ws = _ThermalWorkspace(mesh, materials, bc, source)
     if start is None:
         start = np.full(mesh.num_nodes, NEWTON_START)
     T = np.array(checked_field("start", np.ravel(start), (mesh.num_nodes,),
@@ -236,7 +249,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             delta = -factor.solve(R)
         else:
             J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
-            delta, factor = solve_lu(J, -R, ws.mesh_ws.node_order)
+            delta, factor = solve_lu(J, -R)
             report.factorizations += 1
         T_next = T + delta
         R_next = assemble_thermal_residual(mesh, materials, bc, T_next,

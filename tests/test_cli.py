@@ -182,6 +182,22 @@ class TestRunScenario:
         write_artifacts(solve_scenario(config))
         assert files() == by_run
 
+    def test_run_owns_its_config(self, tmp_path):
+        # the caller's config changing between solve and write does not
+        # reach the files of the run
+        config = RunConfig(target_h=0.5, output_dir=str(tmp_path),
+                           isoline_levels=[1423.0])
+        run = solve_scenario(config)
+        config.isoline_levels.append(1000.0)
+        write_artifacts(run)
+        written = json.loads((tmp_path / "config.json").read_text())
+        assert written["isoline_levels"] == [1423.0]
+        assert sorted(p.name for p in tmp_path.glob("isoline_*")) == \
+            ["isoline_1423K.csv"]
+        for field in (run.T, run.u, run.stress):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
+
     def test_failed_run_leaves_output_dir_as_it_was(self, tmp_path,
                                                     monkeypatch):
         # a run that fails after meshing must not leave a mesh.txt that

@@ -12,7 +12,6 @@ from axitherm.fem_core import (
     EDGE_GAUSS_WEIGHTS,
     LU_RTOL,
     SingularSystemError,
-    _permuted_csc,
     apply_constraints,
     assemble_csr,
     solve_lu,
@@ -121,7 +120,7 @@ class TestDofMapAndConstraints:
         Ac, bc = apply_constraints(A, b, {0: 2.5, 3: -1.0})
         dense = Ac.toarray()
         assert np.allclose(dense, dense.T)
-        x, _ = solve_lu(Ac, bc, np.arange(n))
+        x, _ = solve_lu(Ac, bc)
         assert x[0] == 2.5
         assert x[3] == -1.0
         # unconstrained equations hold with the prescribed values in place
@@ -159,11 +158,20 @@ class TestDofMapAndConstraints:
 
         Ac, bc = apply_constraints(A, b, fixed)
         ref, ref_b = eliminate_by_products(A, b, fixed)
-        assert np.array_equal(Ac.indptr, ref.indptr)
-        assert np.array_equal(Ac.indices, ref.indices)
-        assert np.array_equal(Ac.data, ref.data)
+        assert np.array_equal(Ac.toarray(), ref.toarray())
         assert np.array_equal(bc, ref_b)
         assert Ac.has_sorted_indices
+        # A's stored pattern, zeros included, plus the one diagonal entry
+        # the dropped case lacks
+        kept = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                             shape=(n, n))
+        if drop_diagonal:
+            kept = (kept + sp.csr_matrix(([1.0], ([dofs[0]], [dofs[0]])),
+                                         shape=(n, n))).tocsr()
+            kept.sort_indices()
+        assert kept.nnz == A.nnz + drop_diagonal
+        assert np.array_equal(Ac.indptr, kept.indptr)
+        assert np.array_equal(Ac.indices, kept.indices)
         for a, copy in zip((A.indptr, A.indices, A.data, b), before):
             assert np.array_equal(a, copy)
 
@@ -174,19 +182,24 @@ class TestDofMapAndConstraints:
         assert np.allclose(Ac.toarray(), np.eye(3))
         assert np.allclose(bc, b)
 
-    def test_no_constraints_returns_a_new_matrix(self):
-        # a stored zero, which the result must not keep
+    def test_no_constraints_returns_a_new_matrix(self, eliminate_by_products):
+        # a stored zero, which the result keeps
         A = sp.csr_matrix((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]),
                            np.array([0, 2, 3])), shape=(2, 2))
         b = np.array([1.0, -1.0])
         before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
         Ac, bc = apply_constraints(A, b, {})
+        ref, ref_b = eliminate_by_products(A, b, {})
         assert Ac is not A
         assert bc is not b
-        assert Ac.nnz == 2
-        assert not np.any(Ac.data == 0)
-        assert (Ac != A).nnz == 0
-        assert np.array_equal(bc, b)
+        assert np.array_equal(Ac.toarray(), ref.toarray())
+        assert np.array_equal(bc, ref_b)
+        assert np.array_equal(Ac.indptr, A.indptr)
+        assert np.array_equal(Ac.indices, A.indices)
+        assert np.array_equal(Ac.data, A.data)
+        for a in (Ac.indptr, Ac.indices, Ac.data, bc):
+            assert not any(np.shares_memory(a, c) for c in
+                           (A.indptr, A.indices, A.data, b))
         for a, copy in zip((A.indptr, A.indices, A.data, b), before):
             assert np.array_equal(a, copy)
 
@@ -198,47 +211,26 @@ class TestSolvers:
         B = rng.standard_normal((n, n))
         return sp.csr_matrix(B @ B.T + n * np.eye(n))
 
-    @staticmethod
-    def _reversed(n):
-        return np.arange(n)[::-1].copy()
-
     def test_lu_solves(self):
-        # nonsymmetric, factored in a scrambled order; the solution and
-        # the factor's later solves are in the matrix's own numbering
+        # nonsymmetric; the factor solves further systems with A
         A = sp.csr_matrix(self._spd(20).toarray() + np.triu(np.ones((20, 20))))
-        order = np.random.default_rng(1).permutation(20)
         x_ref = np.arange(20, dtype=float)
-        x, factor = solve_lu(A, A @ x_ref, order)
+        x, factor = solve_lu(A, A @ x_ref)
         assert np.allclose(x, x_ref)
         b2 = np.ones(20)
         assert np.allclose(A @ factor.solve(b2), b2)
-
-    def test_permuted_csc_matches_row_then_column_slicing(self):
-        # nonsymmetric, with explicit zeros: every stored entry, in
-        # sorted order within each column, as A[order][:, order]
-        rng = np.random.default_rng(3)
-        A = sp.random(60, 60, density=0.1, random_state=4, format="csr")
-        A = (A + sp.eye(60, format="csr")).tocsr()
-        A.data[::7] = 0.0
-        order = rng.permutation(60)
-        ref = A[order].tocsc()[:, order]
-        got = _permuted_csc(A, order)
-        assert got.format == "csc"
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
-            assert getattr(got, name).dtype == getattr(ref, name).dtype
 
     def test_lu_detects_empty_row(self):
         A = sp.csr_matrix((5, 5))
         A = A.tolil()
         A[range(4), range(4)] = 1.0
         with pytest.raises(SingularSystemError, match="row"):
-            solve_lu(A.tocsr(), np.ones(5), self._reversed(5))
+            solve_lu(A.tocsr(), np.ones(5))
 
     def test_lu_detects_singular(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularSystemError):
-            solve_lu(A, np.array([1.0, 1.0]), self._reversed(2))
+            solve_lu(A, np.array([1.0, 1.0]))
 
     def test_lu_detects_near_singular(self):
         # the 12 x 12 Hilbert matrix factors, but the solve misses the
@@ -246,19 +238,17 @@ class TestSolvers:
         n = 12
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         with pytest.raises(SingularSystemError, match="near-singular"):
-            solve_lu(A, np.ones(n), self._reversed(n))
+            solve_lu(A, np.ones(n))
 
 
 @pytest.fixture(scope="module")
 def hearth_stiffness(hearth_materials):
-    """Constrained hearth K and f at h = 0.2 under a uniform 1000 K, with
-    the dof-pair expansion of the mesh's node order."""
+    """Constrained hearth K and f at h = 0.2 under a uniform 1000 K."""
     mesh = hearth_mesh(0.2)
     T = np.full(mesh.num_nodes, 1000.0)
     K, f, _ = assemble_mechanical_system(mesh, hearth_materials,
                                          hearth_mechanical_bc(), T)
-    order = 2 * mesh.assembly_workspace.node_order[:, None] + np.arange(2)
-    return K, f, order.ravel()
+    return K, f
 
 
 def _relative_residual(A, x, b):
@@ -279,22 +269,25 @@ class TestSolveRefined:
         return calls
 
     def test_matches_lu_on_hearth_stiffness(self, hearth_stiffness):
-        K, f, order = hearth_stiffness
-        x = solve_refined(K, f, order)
-        x_lu, _ = solve_lu(K, f, order)
+        K, f = hearth_stiffness
+        x, factorizations = solve_refined(K, f)
+        x_lu, _ = solve_lu(K, f)
+        assert factorizations == 1
         assert x.dtype == np.float64
         assert _relative_residual(K, x, f) <= LU_RTOL
         assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()
 
     def test_hearth_stiffness_factored_in_single_precision(
             self, hearth_stiffness, monkeypatch):
-        K, f, order = hearth_stiffness
+        K, f = hearth_stiffness
 
         def refuse(*args):
             raise AssertionError("fell back to the double-precision LU")
 
         monkeypatch.setattr(fem_core, "solve_lu", refuse)
-        assert _relative_residual(K, solve_refined(K, f, order), f) <= LU_RTOL
+        x, factorizations = solve_refined(K, f)
+        assert factorizations == 1
+        assert _relative_residual(K, x, f) <= LU_RTOL
 
     def test_falls_back_beyond_float32_range(self, monkeypatch):
         # entries about 1e41 are inf in float32, which SuperLU cannot
@@ -302,8 +295,9 @@ class TestSolveRefined:
         A = 1e40 * TestSolvers._spd(20)
         b = A @ np.arange(20.0)
         calls = self._count_lu_calls(monkeypatch)
-        x = solve_refined(A, b, np.arange(20))
+        x, factorizations = solve_refined(A, b)
         assert len(calls) == 1
+        assert factorizations == 2
         assert _relative_residual(A, x, b) <= LU_RTOL
 
     def test_falls_back_on_non_finite_correction(self, monkeypatch):
@@ -312,18 +306,20 @@ class TestSolveRefined:
         A = sp.csr_matrix(np.diag([1e-40, 1.0]))
         b = np.ones(2)
         calls = self._count_lu_calls(monkeypatch)
-        x = solve_refined(A, b, np.arange(2))
+        x, factorizations = solve_refined(A, b)
         assert len(calls) == 1
+        assert factorizations == 2
         assert np.array_equal(x, [1e40, 1.0])
 
     def test_falls_back_on_stall(self, hearth_stiffness, monkeypatch):
         # no step can cut the residual 1e30 times
-        K, f, order = hearth_stiffness
+        K, f = hearth_stiffness
         monkeypatch.setattr(fem_core, "REFINE_MIN_REDUCTION", 1e30)
         calls = self._count_lu_calls(monkeypatch)
-        x = solve_refined(K, f, order)
+        x, factorizations = solve_refined(K, f)
         assert len(calls) == 1
-        assert np.array_equal(x, solve_lu(K, f, order)[0])
+        assert factorizations == 2
+        assert np.array_equal(x, solve_lu(K, f)[0])
 
     def test_falls_back_on_ill_conditioned_matrix(self, monkeypatch):
         # the 8 x 8 Hilbert matrix (condition about 1.5e10) is beyond
@@ -331,42 +327,33 @@ class TestSolveRefined:
         n = 8
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         calls = self._count_lu_calls(monkeypatch)
-        x = solve_refined(A, np.ones(n), TestSolvers._reversed(n))
+        x, factorizations = solve_refined(A, np.ones(n))
         assert len(calls) == 1
+        assert factorizations == 2
         assert _relative_residual(A, x, np.ones(n)) <= LU_RTOL
 
     def test_singular_raises_lu_message(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularSystemError, match="LU factorization failed"):
-            solve_refined(A, np.array([1.0, 1.0]), TestSolvers._reversed(2))
+            solve_refined(A, np.array([1.0, 1.0]))
 
     def test_near_singular_raises_lu_message(self):
         n = 12
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         with pytest.raises(SingularSystemError, match="near-singular"):
-            solve_refined(A, np.ones(n), TestSolvers._reversed(n))
+            solve_refined(A, np.ones(n))
 
     def test_empty_row_raises_lu_message(self):
         A = sp.lil_matrix((5, 5))
         A[range(4), range(4)] = 1.0
         with pytest.raises(SingularSystemError, match="row 4 is empty"):
-            solve_refined(A.tocsr(), np.ones(5), TestSolvers._reversed(5))
+            solve_refined(A.tocsr(), np.ones(5))
 
     def test_zero_right_hand_side_gives_zeros(self, hearth_stiffness):
-        K, f, order = hearth_stiffness
-        x = solve_refined(K, np.zeros_like(f), order)
+        K, f = hearth_stiffness
+        x, factorizations = solve_refined(K, np.zeros_like(f))
+        assert factorizations == 1
         assert np.array_equal(x, np.zeros_like(f))
-
-    def test_permuted_csc_in_single_precision(self):
-        # the same structure as the float64 copy, values rounded once
-        A = sp.random(40, 40, density=0.2, random_state=5, format="csr")
-        order = np.random.default_rng(6).permutation(40)
-        ref = _permuted_csc(A, order)
-        got = _permuted_csc(A, order, np.float32)
-        assert got.dtype == np.float32
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data.astype(np.float32))
 
 
 class TestAssembleCsr:

@@ -84,6 +84,32 @@ class TestResidual:
             assemble_thermal_residual(mesh, mats, ThermalBC(ALL_ROBIN),
                                       np.full(mesh.num_nodes, 300.0))
 
+    def test_source_evaluated_once_per_workspace(self, rng):
+        # the workspace's load gives the residual, bit for bit, that a
+        # fresh evaluation of the source gives
+        mesh = _strip_mesh(h=0.2)
+        mats, bc = _const_materials(), ThermalBC(ALL_ROBIN)
+        calls = []
+
+        def source(r, y):
+            calls.append(r.shape)
+            return 1e3 * (1.0 + r * np.sin(3.0 * y))
+
+        ws = thermal._ThermalWorkspace(mesh, mats, bc, source)
+        assert len(calls) == 1
+        for _ in range(3):
+            T = 300.0 + 100.0 * rng.random(mesh.num_nodes)
+            cached = assemble_thermal_residual(mesh, mats, bc, T, source, ws)
+            fresh = assemble_thermal_residual(mesh, mats, bc, T, source)
+            assert np.array_equal(cached, fresh)
+        # one evaluation for the workspace, one for each fresh residual
+        assert len(calls) == 1 + 3
+        calls.clear()
+        newton_solve(mesh, mats, bc, source=source)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="another source"):
+            assemble_thermal_residual(mesh, mats, bc, T, None, ws)
+
 
 def _per_edge_ambient(mesh, bc):
     """Reference: T_R at the end nodes of each Robin edge, one ambient
