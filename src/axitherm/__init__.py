@@ -16,7 +16,8 @@ from .mesh import (
     load_mesh,
     save_mesh,
 )
-from .thermal import NewtonConfig, Robin, SolveReport, ThermalBC, newton_solve
+from .fem_core import SolveReport
+from .thermal import NewtonConfig, Robin, ThermalBC, newton_solve
 from .mechanical import (
     MechanicalBC,
     Traction,

@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import io as axio
+from .fem_core import SolveReport
 from .hearth import (COARSE_H, COARSE_START_H, build_hearth_materials,
                      hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc)
 from .isoline import extract_isoline, isoline_csv
 from .mechanical import recover_stress, solve_mechanical
 from .mesh import Mesh, interpolate, load_mesh, save_mesh
-from .thermal import SolveReport, newton_solve
+from .thermal import newton_solve
 
 
 def _is_number(v) -> bool:

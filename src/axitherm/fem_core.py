@@ -2,8 +2,9 @@
 
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
 workspace with its cached scalar sparsity pattern, on which scalar and
-two-dof-per-node matrices are assembled, symmetric elimination of fixed
-dofs that keeps the stored pattern, and the sparse LU solvers:
+two-dof-per-node matrices are assembled, the restriction of a system to
+the dofs that are not fixed, the report of a solve, and the sparse LU
+solvers:
 :func:`solve_lu`, whose double-precision factor can be reused (Newton's
 chord steps are taken on the Jacobian's), and :func:`solve_refined` for
 one-shot solves (the stiffness), which factors in single precision and
@@ -12,7 +13,7 @@ factorization itself, by minimum degree on A^T + A's stored pattern.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,21 @@ class SingularSystemError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+@dataclass
+class SolveReport:
+    """What a solve did: the Newton steps it took, the residual norms of
+    its start and after each step (a dropped chord step is in neither)
+    and the LU factorizations. A caller that computed the start by
+    another solve may keep its report in ``coarse_start``."""
+
+    iterations: int = 0
+    residuals: list = field(default_factory=list)
+    converged: bool = False
+    factorizations: int = 0
+    wall_time: float = 0.0
+    coarse_start: SolveReport | None = None
 
 
 @dataclass(frozen=True)
@@ -225,35 +241,23 @@ class AssemblyWorkspace:
 
 
 def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
-    """Symmetric elimination of the dofs in ``fixed`` (dof -> value).
+    """Restrict A x = b to the dofs not in ``fixed`` (dof -> value).
 
-    Rows and columns of fixed dofs are zeroed, the diagonal set to
-    one and the right-hand side adjusted so the solution takes the
-    prescribed values exactly. Symmetric input stays symmetric. The
-    result is a new sorted CSR matrix with A's stored pattern, plus any
-    diagonal entry of a fixed dof that A lacks: the zeroed entries stay
-    stored. The minimum degree ordering of the solvers reads that
-    pattern, and on a P1 stiffness, which holds exact zeros on right
-    triangles, the pattern without its zeros fills far more.
+    Returns (A[free, free], b[free] - A[free, fixed] x_fixed, free, x).
+    The matrix keeps every entry A stores among the free dofs, zeros
+    included: the solvers' minimum degree ordering reads that pattern,
+    and a P1 stiffness without its exact zeros fills far more. ``free``
+    is ascending, and x is a new full vector that holds the prescribed
+    values, into which the caller writes the solution at ``free``.
     """
     n = A.shape[0]
     idx = np.fromiter(fixed.keys(), dtype=int)
     if np.any(idx < 0) or np.any(idx >= n):
         raise IndexError("constraint on nonexistent dof")
-    vals = np.fromiter(fixed.values(), dtype=float)
-
-    x_c = np.zeros(n)
-    x_c[idx] = vals
-    b = b - A @ x_c
-    b[idx] = vals
-
-    A = sp.csr_matrix(A, copy=True)
-    A.sum_duplicates()
-    is_fixed = np.zeros(n, dtype=bool)
-    is_fixed[idx] = True
-    A.data[np.repeat(is_fixed, np.diff(A.indptr)) | is_fixed[A.indices]] = 0.0
-    A[idx, idx] = 1.0
-    return A, b
+    x = np.zeros(n)
+    x[idx] = np.fromiter(fixed.values(), dtype=float)
+    free = np.setdiff1d(np.arange(n), idx, assume_unique=True)
+    return A[free][:, free], (b - A @ x)[free], free, x
 
 
 # Largest relative residual |Ax - b| / |b| a solve may leave.

@@ -16,13 +16,13 @@ from .fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
+    SolveReport,
     apply_constraints,
     assemble_csr,
     solve_refined,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
 from .mesh import BoundaryConditions, BoundaryTag, Mesh, checked_field
-from .thermal import SolveReport
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,12 @@ def _stiffness_blocks(geo, quad, a, d, l, s):
 def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                                bc: MechanicalBC, T: np.ndarray,
                                body_force=None, extra_constraints=None):
-    """Assemble and constrain the thermoelastic system; returns
-    (K, f, fixed) with ``fixed`` the eliminated dofs (2 * node +
-    component) and their values. f adds the element loads, then the
-    traction loads, in one ``np.bincount``: each dof's terms in a fixed
-    order.
+    """Assemble the thermoelastic system; returns (K, f, fixed): the
+    unconstrained stiffness and load over every dof (2 * node +
+    component), and ``fixed``, the constrained dofs and their values,
+    which :func:`solve_mechanical` eliminates. f adds the element loads,
+    then the traction loads, in one ``np.bincount``: each dof's terms in
+    a fixed order.
 
     ``body_force`` is a verification-only hook mapping (r, y) to a
     (2,)-vector density; ``extra_constraints`` maps (node, component) to
@@ -199,8 +200,6 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
     if not any(d % 2 == 1 for d in fixed):
         raise SingularSystemError(
             "axial rigid translation unconstrained: no u_y dof is fixed")
-
-    K, f = apply_constraints(K, f, fixed)
     return K, f, fixed
 
 
@@ -208,24 +207,23 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
                      T: np.ndarray, body_force=None, extra_constraints=None):
     """Solve for the displacement field; returns (u (N,2), SolveReport).
 
-    K, which keeps the stored 2x2 block pattern of its assembly through
-    the constraints, is factored in single precision, in SuperLU's
-    minimum degree ordering of that pattern, and the solution refined in
-    double (:func:`solve_refined`); the report counts a second
-    factorization when that falls back to a double-precision LU. Fixed
-    dofs take their prescribed values exactly. The report's one residual
-    is the relative residual |K u - f| / |f| of the constrained system
-    (0 for f = 0).
+    :func:`apply_constraints` restricts K and f to the free dofs, and
+    K_ff, which keeps the stored 2x2 block pattern of the assembly, is
+    factored in single precision and the solution refined in double
+    (:func:`solve_refined`); the report counts a second factorization
+    when that falls back to a double-precision LU. Fixed dofs hold their
+    prescribed values exactly. The report's one residual is
+    |K_ff u_f - f_f| / |f_f| (0 for f_f = 0).
     """
     start = time.perf_counter()
     K, f, fixed = assemble_mechanical_system(mesh, materials, bc, T,
                                              body_force, extra_constraints)
-    x, factorizations = solve_refined(K, f)
-    # refined values of fixed dofs can miss the prescribed ones in the
-    # last bits
-    x[np.fromiter(fixed, int)] = np.fromiter(fixed.values(), float)
+    # rebinding K frees the unconstrained matrix before the factorization
+    K, f, free, x = apply_constraints(K, f, fixed)
+    x_free, factorizations = solve_refined(K, f)
+    x[free] = x_free
     fnorm = np.linalg.norm(f)
-    res = np.linalg.norm(K @ x - f)
+    res = np.linalg.norm(K @ x_free - f)
     report = SolveReport(iterations=1,
                          residuals=[float(res / fnorm if fnorm > 0 else res)],
                          converged=True, factorizations=factorizations,

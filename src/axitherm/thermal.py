@@ -11,11 +11,11 @@ the uniform NEWTON_START.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_core import ConvergenceError, assemble_csr, solve_lu
+from .fem_core import ConvergenceError, SolveReport, assemble_csr, solve_lu
 from .materials import MaterialSet
 from .mesh import BoundaryConditions, Mesh, checked_field
 
@@ -80,21 +80,6 @@ class NewtonConfig:
     def __post_init__(self):
         if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError("abs_tol must be positive and finite")
-
-
-@dataclass
-class SolveReport:
-    """What a solve did: the Newton steps it took, the residual norms of
-    its start and after each step (a dropped chord step is in neither)
-    and the LU factorizations. A caller that computed the start by
-    another solve may keep its report in ``coarse_start``."""
-
-    iterations: int = 0
-    residuals: list = field(default_factory=list)
-    converged: bool = False
-    factorizations: int = 0
-    wall_time: float = 0.0
-    coarse_start: SolveReport | None = None
 
 
 class _ThermalWorkspace:

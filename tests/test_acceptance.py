@@ -12,7 +12,7 @@ import sympy as sp
 from scipy.interpolate import PPoly, splrep
 
 from axitherm.cli import RunConfig, run_scenario
-from axitherm.fem_core import SingularSystemError
+from axitherm.fem_core import SingularSystemError, apply_constraints
 from axitherm.io import vtk_text
 from axitherm.hearth import (
     CONDUCTIVITY_SAMPLE_TEMPS,
@@ -275,10 +275,10 @@ def test_criterion_8_structural_invariants(hearth_solution, tmp_path):
         BoundaryTag.OUTER: TRACTION_FREE,
         BoundaryTag.INNER: TRACTION_FREE,
     })
-    K, _, _ = assemble_mechanical_system(
+    K, f, fixed = assemble_mechanical_system(
         cyl, simple, bc, np.full(cyl.num_nodes, 300.0))
     checks.append(("symmetry", float(abs(K - K.T).max()) == 0.0))
-    eigvals = np.linalg.eigvalsh(K.toarray())
+    eigvals = np.linalg.eigvalsh(apply_constraints(K, f, fixed)[0].toarray())
     checks.append(("spd", bool(eigvals.min() > 0)))
 
     # rigid axial translation carries no stress, and a fully

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import axitherm.mesh as mesh_module
 from axitherm import mechanical, thermal
-from axitherm.fem_core import AssemblyWorkspace, solve_lu
+from axitherm.fem_core import AssemblyWorkspace, apply_constraints, solve_lu
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.mechanical import recover_stress, solve_mechanical
 from axitherm.thermal import assemble_thermal_jacobian, newton_solve
@@ -89,7 +89,7 @@ def test_stiffness_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
     ref = _fresh_csr(rows.ravel(), cols.ravel(), vals.ravel(),
                      2 * mesh.num_nodes)
     _assert_same_matrix(K, ref)
-    # before constraints, K is bitwise symmetric and keeps its pattern
+    # K is bitwise symmetric and keeps its pattern
     assert (K != K.T).nnz == 0
 
 
@@ -131,19 +131,24 @@ def test_arrays_are_read_only(mesh, hearth_materials):
 
 
 def test_stiffness_keeps_its_block_pattern(hearth_materials):
-    # every entry of every 2x2 block stays stored through the
-    # constraints: the exact zeros a P1 stiffness holds on right
-    # triangles, dropped, leave a graph whose minimum degree ordering
-    # fills far more
+    # every entry of every 2x2 block stays stored, and so does every one
+    # among the free dofs when the system is restricted to them: the
+    # exact zeros a P1 stiffness holds on right triangles, dropped, leave
+    # a graph whose minimum degree ordering fills far more
     mesh = hearth_mesh(0.1)
     T, _ = newton_solve(mesh, hearth_materials, hearth_thermal_bc())
-    K, f, _ = mechanical.assemble_mechanical_system(
+    K, f, fixed = mechanical.assemble_mechanical_system(
         mesh, hearth_materials, hearth_mechanical_bc(), T)
     assert K.nnz == 4 * mesh.assembly_workspace.scalar_pattern.nnz
-    x, factor = solve_lu(K, f)
-    dropped = K.copy()
+    K_ff, f_f, free, _ = apply_constraints(K, f, fixed)
+    is_free = np.zeros(K.shape[0], dtype=bool)
+    is_free[free] = True
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    assert K_ff.nnz == np.count_nonzero(is_free[rows] & is_free[K.indices])
+    x, factor = solve_lu(K_ff, f_f)
+    dropped = K_ff.copy()
     dropped.eliminate_zeros()
-    assert dropped.nnz < K.nnz
-    _, dropped_factor = solve_lu(dropped, f)
+    assert dropped.nnz < K_ff.nnz
+    _, dropped_factor = solve_lu(dropped, f_f)
     assert factor.nnz <= 0.9 * dropped_factor.nnz
-    assert np.linalg.norm(K @ x - f) <= 1e-12 * np.linalg.norm(f)
+    assert np.linalg.norm(K_ff @ x - f_f) <= 1e-12 * np.linalg.norm(f_f)

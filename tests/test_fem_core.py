@@ -117,91 +117,114 @@ class TestDofMapAndConstraints:
         B = rng.standard_normal((n, n))
         A = sp.csr_matrix(B @ B.T + n * np.eye(n))
         b = rng.standard_normal(n)
-        Ac, bc = apply_constraints(A, b, {0: 2.5, 3: -1.0})
+        Ac, bc, free, x = apply_constraints(A, b, {0: 2.5, 3: -1.0})
+        assert np.array_equal(free, [1, 2, 4, 5, 6, 7])
+        assert Ac.shape == (6, 6)
         dense = Ac.toarray()
-        assert np.allclose(dense, dense.T)
-        x, _ = solve_lu(Ac, bc)
+        assert np.array_equal(dense, dense.T)
+        x[free] = solve_lu(Ac, bc)[0]
         assert x[0] == 2.5
         assert x[3] == -1.0
         # unconstrained equations hold with the prescribed values in place
-        free = [i for i in range(n) if i not in (0, 3)]
-        full = A.toarray()
-        assert np.allclose(full[np.ix_(free, range(n))] @ x, b[free])
+        assert np.allclose(A.toarray()[free] @ x, b[free])
 
-    # a missing diagonal entry is inserted, which scipy warns about
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
     @pytest.mark.parametrize("drop_diagonal", [False, True])
-    def test_matches_elimination_by_products(self, eliminate_by_products,
-                                             drop_diagonal):
+    def test_matches_dense_restriction(self, drop_diagonal):
         rng = np.random.default_rng(11)
         n = 40
         R = sp.random(n, n, density=0.1, random_state=rng)
         S = (R + R.T + n * sp.eye(n)).tocoo()
         rows, cols, data = S.row, S.col, S.data.copy()
         # explicit zeros on a symmetric set of off-diagonal entries: the
-        # matrix stays symmetric positive definite
+        # matrix stays symmetric
         zero = np.zeros((n, n), dtype=bool)
         pick = (rows < cols) & (rng.random(len(rows)) < 0.3)
         zero[rows[pick], cols[pick]] = True
         data[(zero | zero.T)[rows, cols]] = 0.0
-        dofs = rng.choice(n, size=8, replace=False)
+        dofs = rng.choice(n, size=9, replace=False)
+        fixed_dofs, free_dof = dofs[:8], dofs[8]
         if drop_diagonal:
-            # a fixed dof whose row stores no diagonal entry
-            kept = (rows != dofs[0]) | (cols != dofs[0])
+            # a fixed and a free dof whose rows store no diagonal entry,
+            # which the restriction must not insert
+            kept = ~((rows == cols) & np.isin(rows, dofs[[0, 8]]))
             rows, cols, data = rows[kept], cols[kept], data[kept]
         A = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         A.sort_indices()
-        assert (A.data == 0).any()
         b = rng.standard_normal(n)
-        fixed = dict(zip(dofs.tolist(), rng.standard_normal(8).tolist()))
+        fixed = dict(zip(fixed_dofs.tolist(), rng.standard_normal(8).tolist()))
         before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
 
-        Ac, bc = apply_constraints(A, b, fixed)
-        ref, ref_b = eliminate_by_products(A, b, fixed)
-        assert np.array_equal(Ac.toarray(), ref.toarray())
+        Ac, bc, free, x = apply_constraints(A, b, fixed)
+        is_free = np.ones(n, dtype=bool)
+        is_free[fixed_dofs] = False
+        assert np.array_equal(free, np.flatnonzero(is_free))
+        dense = A.toarray()
+        assert np.array_equal(Ac.toarray(), dense[np.ix_(free, free)])
+        # b[free] - A[free, fixed] x_fixed, summed in column order as the
+        # sparse product does
+        ref_b = np.array([b[i] - sum(dense[i, j] * fixed[j]
+                                     for j in sorted(fixed)) for i in free])
         assert np.array_equal(bc, ref_b)
+        expect_x = np.zeros(n)
+        expect_x[fixed_dofs] = list(fixed.values())
+        assert np.array_equal(x, expect_x)
+        # A's stored pattern among the free dofs, zeros included, sorted,
+        # and nothing more
+        stored = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                               shape=(n, n)).toarray()[np.ix_(free, free)]
+        r, c = np.nonzero(stored)
+        assert (Ac.data == 0).any()
         assert Ac.has_sorted_indices
-        # A's stored pattern, zeros included, plus the one diagonal entry
-        # the dropped case lacks
-        kept = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
-                             shape=(n, n))
+        assert np.array_equal(np.diff(Ac.indptr),
+                              np.bincount(r, minlength=len(free)))
+        assert np.array_equal(Ac.indices, c)
         if drop_diagonal:
-            kept = (kept + sp.csr_matrix(([1.0], ([dofs[0]], [dofs[0]])),
-                                         shape=(n, n))).tocsr()
-            kept.sort_indices()
-        assert kept.nnz == A.nnz + drop_diagonal
-        assert np.array_equal(Ac.indptr, kept.indptr)
-        assert np.array_equal(Ac.indices, kept.indices)
+            k = np.searchsorted(free, free_dof)
+            assert stored[k, k] == 0
         for a, copy in zip((A.indptr, A.indices, A.data, b), before):
             assert np.array_equal(a, copy)
 
     def test_no_constraints_is_identity(self):
         A = sp.eye(3, format="csr")
         b = np.ones(3)
-        Ac, bc = apply_constraints(A, b, {})
-        assert np.allclose(Ac.toarray(), np.eye(3))
-        assert np.allclose(bc, b)
+        Ac, bc, free, x = apply_constraints(A, b, {})
+        assert np.array_equal(Ac.toarray(), np.eye(3))
+        assert np.array_equal(bc, b)
+        assert np.array_equal(free, [0, 1, 2])
+        assert np.array_equal(x, np.zeros(3))
 
-    def test_no_constraints_returns_a_new_matrix(self, eliminate_by_products):
+    def test_no_constraints_returns_a_new_matrix(self):
         # a stored zero, which the result keeps
         A = sp.csr_matrix((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]),
                            np.array([0, 2, 3])), shape=(2, 2))
         b = np.array([1.0, -1.0])
         before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
-        Ac, bc = apply_constraints(A, b, {})
-        ref, ref_b = eliminate_by_products(A, b, {})
+        Ac, bc, _, x = apply_constraints(A, b, {})
         assert Ac is not A
         assert bc is not b
-        assert np.array_equal(Ac.toarray(), ref.toarray())
-        assert np.array_equal(bc, ref_b)
+        assert np.array_equal(bc, b)
         assert np.array_equal(Ac.indptr, A.indptr)
         assert np.array_equal(Ac.indices, A.indices)
         assert np.array_equal(Ac.data, A.data)
-        for a in (Ac.indptr, Ac.indices, Ac.data, bc):
+        for a in (Ac.indptr, Ac.indices, Ac.data, bc, x):
             assert not any(np.shares_memory(a, c) for c in
                            (A.indptr, A.indices, A.data, b))
         for a, copy in zip((A.indptr, A.indices, A.data, b), before):
             assert np.array_equal(a, copy)
+
+    def test_every_dof_fixed_gives_an_empty_system(self):
+        A = TestSolvers._spd(5)
+        values = np.array([1.5, -2.0, 0.25, 3.0, -0.125])
+        Ac, bc, free, x = apply_constraints(A, np.ones(5),
+                                            dict(enumerate(values)))
+        assert Ac.shape == (0, 0)
+        assert bc.shape == (0,)
+        assert free.shape == (0,)
+        # the solve of solve_mechanical
+        x_free, factorizations = solve_refined(Ac, bc)
+        x[free] = x_free
+        assert factorizations == 1
+        assert np.array_equal(x, values)
 
 
 class TestSolvers:
@@ -243,11 +266,12 @@ class TestSolvers:
 
 @pytest.fixture(scope="module")
 def hearth_stiffness(hearth_materials):
-    """Constrained hearth K and f at h = 0.2 under a uniform 1000 K."""
+    """Hearth K and f at h = 0.2 under a uniform 1000 K, on the free
+    dofs."""
     mesh = hearth_mesh(0.2)
     T = np.full(mesh.num_nodes, 1000.0)
-    K, f, _ = assemble_mechanical_system(mesh, hearth_materials,
-                                         hearth_mechanical_bc(), T)
+    K, f, _, _ = apply_constraints(*assemble_mechanical_system(
+        mesh, hearth_materials, hearth_mechanical_bc(), T))
     return K, f
 
 

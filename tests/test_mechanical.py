@@ -6,11 +6,11 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
-from axitherm import mechanical
 from axitherm.fem_core import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     SingularSystemError,
+    apply_constraints,
     triangle_rule,
 )
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
@@ -130,35 +130,27 @@ def _per_edge_traction_load(mesh, bc, f):
 
 
 class TestTractionLoad:
-    """f against the per-edge reference, bit for bit, before the
-    constraints are applied."""
+    """The assembled f against the per-edge reference, bit for bit."""
 
     @staticmethod
-    def _load(monkeypatch, mesh, mats, bc, T):
-        seen = []
-        real = mechanical.apply_constraints
-        monkeypatch.setattr(mechanical, "apply_constraints",
-                            lambda K, f, fixed: seen.append(f) or
-                            real(K, f, fixed))
-        assemble_mechanical_system(mesh, mats, bc, T)
-        return seen[-1]
+    def _load(mesh, mats, bc, T):
+        return assemble_mechanical_system(mesh, mats, bc, T)[1]
 
-    def _assert_matches_reference(self, monkeypatch, mesh, mats, bc):
+    def _assert_matches_reference(self, mesh, mats, bc):
         T = 300.0 + 300.0 * mesh.nodes[:, 0] + 100.0 * mesh.nodes[:, 1]
         free = MechanicalBC({tag: TRACTION_FREE if isinstance(c, Traction)
                              else c for tag, c in bc.conditions.items()})
-        f = self._load(monkeypatch, mesh, mats, bc, T)
-        ref = _per_edge_traction_load(
-            mesh, bc, self._load(monkeypatch, mesh, mats, free, T))
-        assert np.count_nonzero(f - self._load(monkeypatch, mesh, mats,
-                                               free, T)) > 0
+        f = self._load(mesh, mats, bc, T)
+        ref = _per_edge_traction_load(mesh, bc,
+                                      self._load(mesh, mats, free, T))
+        assert np.count_nonzero(f - self._load(mesh, mats, free, T)) > 0
         assert f.tobytes() == ref.tobytes()
 
-    def test_hearth(self, monkeypatch, coarse_hearth_mesh, hearth_materials):
-        self._assert_matches_reference(monkeypatch, coarse_hearth_mesh,
-                                       hearth_materials, hearth_mechanical_bc())
+    def test_hearth(self, coarse_hearth_mesh, hearth_materials):
+        self._assert_matches_reference(coarse_hearth_mesh, hearth_materials,
+                                       hearth_mechanical_bc())
 
-    def test_two_conditions_sharing_a_corner(self, monkeypatch):
+    def test_two_conditions_sharing_a_corner(self):
         poly = SubdomainPolygon(1, ((0.5, 0.0), (1.5, 0.0), (1.5, 1.0),
                                     (0.5, 1.0)))
         mesh = generate_mesh([poly], 0.125)
@@ -175,7 +167,7 @@ class TestTractionLoad:
                           for n in (i, j)}
                     for tag in (BoundaryTag.INNER, BoundaryTag.TOP)}
         assert nodes_of[BoundaryTag.INNER] & nodes_of[BoundaryTag.TOP]
-        self._assert_matches_reference(monkeypatch, mesh, _materials(), bc)
+        self._assert_matches_reference(mesh, _materials(), bc)
 
 
 class TestSolveMechanical:
@@ -195,8 +187,10 @@ class TestSolveMechanical:
         mats = _materials()
         T = 300.0 + 500.0 * mesh.nodes[:, 0]
         u, report = solve_mechanical(mesh, mats, BASE_BC, T)
-        K, f, _ = assemble_mechanical_system(mesh, mats, BASE_BC, T)
-        rel = np.linalg.norm(K @ u.ravel() - f) / np.linalg.norm(f)
+        # |K_ff u_f - f_f| / |f_f| on the free dofs
+        K, f, free, _ = apply_constraints(
+            *assemble_mechanical_system(mesh, mats, BASE_BC, T))
+        rel = np.linalg.norm(K @ u.ravel()[free] - f) / np.linalg.norm(f)
         assert report.residuals == [pytest.approx(rel, rel=1e-6, abs=1e-18)]
         assert report.residuals[0] <= 1e-10
         assert report.factorizations == 1
@@ -228,11 +222,11 @@ class TestSolveMechanical:
         d = K - K.T
         assert abs(d).max() == 0.0
 
-    def test_stiffness_matches_dense_element_oracle(
-            self, hearth_materials, eliminate_by_products, rng):
+    def test_stiffness_matches_dense_element_oracle(self, hearth_materials,
+                                                     rng):
         mesh = hearth_mesh(0.2)
         T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
-        K, _, fixed = assemble_mechanical_system(
+        K, _, _ = assemble_mechanical_system(
             mesh, hearth_materials, hearth_mechanical_bc(), T)
         # sum_q w_q E_q B_q^T C B_q per element, with B_q the full 4 x 6
         # strain-displacement matrix over (u_r, u_y) of each vertex
@@ -263,8 +257,18 @@ class TestSolveMechanical:
         raw = sp.coo_matrix((Ke.ravel(), (np.repeat(dofs, 6, axis=1).ravel(),
                                           np.tile(dofs, (1, 6)).ravel())),
                             shape=(n, n)).tocsr()
-        ref, _ = eliminate_by_products(raw, np.zeros(n), fixed)
-        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+        assert abs(K - raw).max() <= 1e-14 * abs(raw).max()
+
+    def test_stiffness_maps_axial_translation_to_zero(self, hearth_materials,
+                                                      rng):
+        # the unconstrained K: a rigid translation along the axis strains
+        # nothing, while u_r = const strains the hoop direction
+        mesh = hearth_mesh(0.2)
+        T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
+        K, _, _ = assemble_mechanical_system(
+            mesh, hearth_materials, hearth_mechanical_bc(), T)
+        translation = np.tile([0.0, 1.0], mesh.num_nodes)
+        assert np.abs(K @ translation).max() <= 1e-12 * abs(K).max()
 
     def test_assembly_transient_memory_per_triangle(self):
         # tracemalloc high-water mark of one assembly on a warm workspace,
@@ -358,10 +362,29 @@ class TestSolveMechanical:
         mesh = _cylinder_mesh(h=0.5)
         T = np.full(mesh.num_nodes, 300.0)
         bottom = int(np.flatnonzero(mesh.nodes[:, 1] == 0.0)[-1])
-        _, f, fixed = assemble_mechanical_system(
-            mesh, _materials(), BASE_BC, T, extra_constraints={(bottom, 1): 0.25})
+        pinned = {(bottom, 1): 0.25}
+        _, _, fixed = assemble_mechanical_system(
+            mesh, _materials(), BASE_BC, T, extra_constraints=pinned)
         assert fixed[2 * bottom + 1] == 0.25
-        assert f[2 * bottom + 1] == 0.25
+        u, _ = solve_mechanical(mesh, _materials(), BASE_BC, T,
+                                extra_constraints=pinned)
+        assert u[bottom, 1] == 0.25
+
+    def test_every_dof_prescribed(self):
+        # no free dof: a 0 x 0 system, and the prescribed values exactly
+        mesh = _cylinder_mesh(h=0.5)
+        T = np.full(mesh.num_nodes, 600.0)
+        exact = 1e-4 * np.column_stack([mesh.nodes[:, 1],
+                                        -mesh.nodes[:, 0] ** 2])
+        pinned = {(node, comp): exact[node, comp]
+                  for node in range(mesh.num_nodes) for comp in range(2)}
+        K, f, fixed = assemble_mechanical_system(mesh, _materials(), BASE_BC,
+                                                 T, extra_constraints=pinned)
+        assert apply_constraints(K, f, fixed)[0].shape == (0, 0)
+        u, report = solve_mechanical(mesh, _materials(), BASE_BC, T,
+                                     extra_constraints=pinned)
+        assert np.array_equal(u, exact)
+        assert report.residuals == [0.0]
 
     def test_missing_tag_raises(self):
         mesh = _cylinder_mesh(h=0.5)
