@@ -80,9 +80,9 @@ def hearth_mesh(target_h: float) -> Mesh:
 
 
 # Material data. Conductivity samples in W/(m K), modulus samples in Pa,
-# at the sample temperatures.
-CONDUCTIVITY_KNOTS = (293.0, 673.0, 1800.0)
-MODULUS_KNOTS = (293.0, 823.0, 1800.0)
+# at the sample temperatures. Each fit spans its first sample
+# temperature to PROPERTY_T_MAX and holds its end values beyond.
+PROPERTY_T_MAX = 1800.0
 
 CONDUCTIVITY_SAMPLE_TEMPS = (293.0, 473.0, 873.0, 1273.0)
 MODULUS_SAMPLE_TEMPS = (293.0, 573.0, 1073.0, 1273.0)
@@ -111,21 +111,22 @@ EXPANSION_COEFF = {1: 2.3e-6, 2: 4.6e-6, 3: 4.7e-6, 4: 4.6e-6,
 REFERENCE_TEMPERATURE = 300.0
 
 
-def _property(sid, constants, samples, temps, knots) -> PiecewiseQuadratic:
+def _property(sid, constants, samples, temps) -> PiecewiseQuadratic:
     """The constant of subdomain ``sid``, or the fit of its samples."""
     if sid in constants:
         return PiecewiseQuadratic.constant(constants[sid])
-    return fit_piecewise_quadratic(list(zip(temps, samples[sid])), knots)
+    return fit_piecewise_quadratic(list(zip(temps, samples[sid])),
+                                   PROPERTY_T_MAX)
 
 
 def hearth_conductivity(subdomain_id: int) -> PiecewiseQuadratic:
     return _property(subdomain_id, CONSTANT_CONDUCTIVITY, CONDUCTIVITY_SAMPLES,
-                     CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_KNOTS)
+                     CONDUCTIVITY_SAMPLE_TEMPS)
 
 
 def hearth_modulus(subdomain_id: int) -> PiecewiseQuadratic:
     return _property(subdomain_id, CONSTANT_MODULUS, MODULUS_SAMPLES,
-                     MODULUS_SAMPLE_TEMPS, MODULUS_KNOTS)
+                     MODULUS_SAMPLE_TEMPS)
 
 
 def build_hearth_materials() -> MaterialSet:

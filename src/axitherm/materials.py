@@ -84,38 +84,34 @@ class PiecewiseQuadratic:
         return bool(np.all(self(np.asarray(Ts)) > 0))
 
 
-def fit_piecewise_quadratic(samples, knots) -> PiecewiseQuadratic:
+def fit_piecewise_quadratic(samples, T_max) -> PiecewiseQuadratic:
     """Fit the two-piece quadratic through 4 samples with C1 matching.
 
-    ``samples`` is a sequence of 4 (T, value) pairs, two with T in
-    [Ta, Tb] and two in [Tb, Tc]. The 6x6 system combines the four
-    interpolation conditions with value and slope continuity at Tb;
-    two steps of iterative refinement keep the interpolation residual
-    at the 1e-10 relative level despite the T^2 scaling.
+    ``samples`` is a sequence of 4 (T, value) pairs with strictly
+    increasing T, the last at most ``T_max``. The knots follow from
+    them: Ta is the first sample temperature, Tb = (T_1 + T_2) / 2, the
+    interior knot of scipy's interpolating quadratic spline (splrep,
+    k=2, s=0), so two samples lie on each piece, and Tc = ``T_max``.
+    The 6x6 system combines the four interpolation conditions with
+    value and slope continuity at Tb; two steps of iterative refinement
+    keep the interpolation residual at the 1e-10 relative level despite
+    the T^2 scaling.
     """
-    Ta, Tb, Tc = knots
-    lo = [(T, v) for T, v in samples if Ta - 1e-12 <= T < Tb]
-    hi = [(T, v) for T, v in samples if Tb < T <= Tc + 1e-12]
-    # a sample at Tb lies on both closed pieces: give it to the one
-    # short of two samples
-    for T, v in samples:
-        if T == Tb:
-            if len(lo) < 2:
-                lo.append((T, v))
-            else:
-                hi.insert(0, (T, v))
-    if len(samples) != 4 or len(lo) != 2 or len(hi) != 2:
-        raise ValueError("need exactly two samples per piece inside the knot range")
-    if len({T for T, _ in samples}) != 4:
-        raise ValueError("sample temperatures must be distinct")
+    if len(samples) != 4:
+        raise ValueError(f"need exactly 4 samples, got {len(samples)}")
+    temps = [T for T, _ in samples]
+    if not all(a < b for a, b in zip(temps, temps[1:])):
+        raise ValueError(f"sample temperatures must increase strictly: {temps}")
+    if not temps[3] <= T_max:
+        raise ValueError(f"sample at T={temps[3]} lies above T_max={T_max}")
+    Ta, Tb, Tc = temps[0], (temps[1] + temps[2]) / 2, T_max
 
     A = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for row, (T, v) in enumerate(lo):
-        A[row, :3] = [T * T, T, 1.0]
-        rhs[row] = v
-    for row, (T, v) in enumerate(hi, start=2):
-        A[row, 3:] = [T * T, T, 1.0]
+    # rows 0-1: the lower piece's samples, rows 2-3: the upper piece's
+    for row, (T, v) in enumerate(samples):
+        col = 0 if row < 2 else 3
+        A[row, col:col + 3] = [T * T, T, 1.0]
         rhs[row] = v
     A[4] = [Tb * Tb, Tb, 1.0, -Tb * Tb, -Tb, -1.0]
     A[5] = [2 * Tb, 1.0, 0.0, -2 * Tb, -1.0, 0.0]

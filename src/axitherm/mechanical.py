@@ -50,16 +50,17 @@ class MechanicalBC(BoundaryConditions):
 
 
 def _contact_constraints(mesh: Mesh, bc: MechanicalBC) -> dict:
-    """u . n = 0 on contact edges: u_y on horizontal edges, u_r on
-    vertical ones (and always u_r on the axis), as {dof: 0.0} with
+    """u . n = 0 on contact edges and the axis: the normal's larger
+    component, u_r where |n_r| > |n_y| (the axis, whose normal is
+    (-1, 0), among them) and u_y elsewhere, as {dof: 0.0} with
     dof = 2 * node + component."""
     table = mesh.boundary_edge_table
     axis = np.array([t is BoundaryTag.AXIS for t in table.tags], dtype=bool)
     contact = np.array([c == FRICTIONLESS_CONTACT
                         for c in table.conditions(bc.lookup)], dtype=bool)
     rows = np.flatnonzero(contact | axis)
-    d = mesh.nodes[table.j[rows]] - mesh.nodes[table.i[rows]]
-    comp = np.where(axis[rows] | (np.abs(d[:, 1]) > np.abs(d[:, 0])), 0, 1)
+    n = np.abs(table.normal[rows])
+    comp = np.where(n[:, 0] > n[:, 1], 0, 1)
     dofs = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
     return dict.fromkeys(dofs.ravel().tolist(), 0.0)
 

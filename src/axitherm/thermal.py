@@ -2,9 +2,11 @@
 
 Weak form: sum_i int k(T) grad T . grad psi r + int_R h T psi r ds
          = int_R h T_R psi r ds (+ an optional volumetric source used
-only for manufactured-solution verification). Solved by the chord
-method: steps are taken on the LU factor of an earlier Jacobian, and
-the Jacobian is factored afresh when a step stops cutting the residual
+only for manufactured-solution verification). A ThermalProblem holds
+one problem's data; the residual and the Jacobian are assembled from
+it and a temperature field. Solved by the chord method: steps are
+taken on the LU factor of an earlier Jacobian, and the Jacobian is
+factored afresh when a step stops cutting the residual
 CHORD_CONTRACTION-fold. Every step is a full one, from a given start or
 the uniform NEWTON_START.
 """
@@ -82,10 +84,10 @@ class NewtonConfig:
             raise ValueError("abs_tol must be positive and finite")
 
 
-class _ThermalWorkspace:
-    """Material and Robin edge data shared by residual and Jacobian, on
-    top of the mesh's assembly workspace; valid for the mesh, materials
-    and bc it was built with.
+class ThermalProblem:
+    """One thermal problem: the mesh, materials, bc and optional source
+    it was built for, as the data the residual and the Jacobian share,
+    on top of the mesh's assembly workspace.
 
     Convection edges use the vertex (trapezoid) rule: robin_ij (E, 2)
     end nodes, E >= 0; robin_weight (E, 2) 0.5 * length * r * h at each
@@ -94,7 +96,9 @@ class _ThermalWorkspace:
     M-matrix on meshes of right triangles and so preserves the discrete
     maximum principle (Ciarlet & Raviart, CMAME 2, 1973); a consistent
     Gauss rule produces positive off-diagonals that let corner nodes
-    overshoot the hottest ambient temperature.
+    overshoot the hottest ambient temperature. The residual's rows sum
+    to the net Robin heat sum(robin_weight * (T[robin_ij] -
+    robin_ambient)), since the conduction terms of each element cancel.
 
     A volumetric ``source`` is evaluated once, on the quadrature points:
     source_load (M, 3) is its r-weighted integral against each hat
@@ -103,6 +107,7 @@ class _ThermalWorkspace:
 
     def __init__(self, mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
                  source=None):
+        self.mesh = mesh
         self.mesh_ws = mesh.assembly_workspace
         self.records = materials.by_subdomain(self.mesh_ws.subdomains)
         table = mesh.boundary_edge_table
@@ -116,7 +121,7 @@ class _ThermalWorkspace:
             ambient[ks] = cond.ambient(r[ks], y[ks])
         self.robin_ij, self.robin_weight, self.robin_ambient = ij, weight, ambient
         self.robin_diagonal = self.mesh_ws.scalar_pattern.diagonal()[ij]
-        self.source, self.source_load = source, None
+        self.source_load = None
         if source is not None:
             quad = self.mesh_ws.quadrature(3)
             self.source_load = ((quad.w * source(quad.r, quad.y))
@@ -130,55 +135,47 @@ class _ThermalWorkspace:
         return k
 
 
-def assemble_thermal_residual(mesh: Mesh, materials: MaterialSet,
-                              bc: ThermalBC, T: np.ndarray,
-                              source=None,
-                              workspace: _ThermalWorkspace | None = None
-                              ) -> np.ndarray:
-    """Residual vector of the weak form tested with every hat function.
-    A ``workspace`` must have been built with the same ``source``."""
-    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
-    ws = workspace or _ThermalWorkspace(mesh, materials, bc, source)
-    if ws.source is not source:
-        raise ValueError("the workspace was built for another source")
-    geo = ws.mesh_ws
+def assemble_thermal_residual(problem: ThermalProblem,
+                              T: np.ndarray) -> np.ndarray:
+    """Residual vector of ``problem``'s weak form at T, tested with every
+    hat function."""
+    n = problem.mesh.num_nodes
+    T = checked_field("T", T, (n,), "nodes")
+    geo = problem.mesh_ws
     quad = geo.quadrature(3)
     T_el = T[geo.triangles]                                  # (M, 3)
     # grad lambda_i . grad T per element: (M, 3)
     flux = np.einsum("mij,mj->mi", geo.grad_products, T_el)
-    k_q = ws.conductivity(T_el @ quad.rule.points.T)         # (M, Q)
+    k_q = problem.conductivity(T_el @ quad.rule.points.T)    # (M, Q)
     contrib = (quad.w * k_q).sum(axis=1)[:, None] * flux
-    if ws.source_load is not None:
-        contrib -= ws.source_load
+    if problem.source_load is not None:
+        contrib -= problem.source_load
     R = np.bincount(geo.triangles.ravel(), weights=contrib.ravel(),
-                    minlength=mesh.num_nodes)
+                    minlength=n)
     # h (T - T_R) on the end-node rows of each convection edge
-    robin = ws.robin_weight * (T[ws.robin_ij] - ws.robin_ambient)
-    R += np.bincount(ws.robin_ij.ravel(), weights=robin.ravel(),
-                     minlength=mesh.num_nodes)
+    robin = problem.robin_weight * (T[problem.robin_ij] - problem.robin_ambient)
+    R += np.bincount(problem.robin_ij.ravel(), weights=robin.ravel(),
+                     minlength=n)
     return R
 
 
-def assemble_thermal_jacobian(mesh: Mesh, materials: MaterialSet,
-                              bc: ThermalBC, T: np.ndarray,
-                              workspace: _ThermalWorkspace | None = None):
-    """Exact Jacobian: k-stiffness + dk/dT secondary term + the lumped
-    Robin mass on the diagonal."""
-    T = checked_field("T", T, (mesh.num_nodes,), "nodes")
-    ws = workspace or _ThermalWorkspace(mesh, materials, bc)
-    geo = ws.mesh_ws
+def assemble_thermal_jacobian(problem: ThermalProblem, T: np.ndarray):
+    """Exact Jacobian of ``problem``'s residual at T: k-stiffness + dk/dT
+    secondary term + the lumped Robin mass on the diagonal."""
+    T = checked_field("T", T, (problem.mesh.num_nodes,), "nodes")
+    geo = problem.mesh_ws
     quad = geo.quadrature(3)
     gg = geo.grad_products
     T_el = T[geo.triangles]
     flux = np.einsum("mij,mj->mi", gg, T_el)                 # (M, 3)
     T_q = T_el @ quad.rule.points.T
-    wk = (quad.w * ws.conductivity(T_q)).sum(axis=1)
-    wdk = (quad.w * ws.conductivity(T_q, derivative=True)) @ quad.rule.points
+    wk = (quad.w * problem.conductivity(T_q)).sum(axis=1)
+    wdk = (quad.w * problem.conductivity(T_q, derivative=True)) @ quad.rule.points
     # k grad lambda_j . grad lambda_i + dk/dT lambda_j grad T . grad lambda_i
     blocks = wk[:, None, None] * gg + flux[:, :, None] * wdk[:, None, :]
     J = assemble_csr(geo.scalar_pattern, blocks.ravel())
     # unbuffered, in edge order: a node on two Robin edges gets both
-    np.add.at(J.data, ws.robin_diagonal, ws.robin_weight)
+    np.add.at(J.data, problem.robin_diagonal, problem.robin_weight)
     return J
 
 
@@ -202,7 +199,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     NEWTON_MAX_ITER kept steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
-    ws = _ThermalWorkspace(mesh, materials, bc, source)
+    problem = ThermalProblem(mesh, materials, bc, source)
     if start is None:
         start = np.full(mesh.num_nodes, NEWTON_START)
     T = np.array(checked_field("start", np.ravel(start), (mesh.num_nodes,),
@@ -213,7 +210,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     report = SolveReport()
     began = time.perf_counter()
 
-    R = assemble_thermal_residual(mesh, materials, bc, T, source, ws)
+    R = assemble_thermal_residual(problem, T)
     norm = np.linalg.norm(R)
     ref = norm if (config.relative and norm > 0) else 1.0
     report.residuals.append(norm)
@@ -233,12 +230,11 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
         if chord:
             delta = -factor.solve(R)
         else:
-            J = assemble_thermal_jacobian(mesh, materials, bc, T, ws)
+            J = assemble_thermal_jacobian(problem, T)
             delta, factor = solve_lu(J, -R)
             report.factorizations += 1
         T_next = T + delta
-        R_next = assemble_thermal_residual(mesh, materials, bc, T_next,
-                                           source, ws)
+        R_next = assemble_thermal_residual(problem, T_next)
         norm_next = np.linalg.norm(R_next)
         # negated so that a chord step leaving a NaN norm is dropped too
         if chord and not norm_next <= CHORD_CONTRACTION * norm:

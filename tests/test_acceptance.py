@@ -42,6 +42,7 @@ from axitherm.mesh import (
 from axitherm.materials import PiecewiseQuadratic, uniform_materials
 from axitherm.thermal import (
     NewtonConfig,
+    ThermalProblem,
     assemble_thermal_jacobian,
     assemble_thermal_residual,
     newton_solve,
@@ -200,14 +201,15 @@ def test_criterion_6_jacobian_consistency():
     bc = hearth_thermal_bc()
     rng = np.random.default_rng(20260823)
     T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
-    J = assemble_thermal_jacobian(mesh, materials, bc, T)
+    problem = ThermalProblem(mesh, materials, bc)
+    J = assemble_thermal_jacobian(problem, T)
     eps = 1e-3
     worst = 0.0
     for _ in range(10):
         d = rng.standard_normal(mesh.num_nodes)
         d /= np.linalg.norm(d)
-        Rp = assemble_thermal_residual(mesh, materials, bc, T + eps * d)
-        Rm = assemble_thermal_residual(mesh, materials, bc, T - eps * d)
+        Rp = assemble_thermal_residual(problem, T + eps * d)
+        Rm = assemble_thermal_residual(problem, T - eps * d)
         fd = (Rp - Rm) / (2 * eps)
         an = J @ d
         worst = max(worst, np.linalg.norm(fd - an) / np.linalg.norm(an))

@@ -13,7 +13,8 @@ from axitherm import mechanical, thermal
 from axitherm.fem_core import AssemblyWorkspace, apply_constraints, solve_lu
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
 from axitherm.mechanical import recover_stress, solve_mechanical
-from axitherm.thermal import assemble_thermal_jacobian, newton_solve
+from axitherm.thermal import (ThermalProblem, assemble_thermal_jacobian,
+                              newton_solve)
 from axitherm.verification import weighted_l2_error
 
 
@@ -56,17 +57,18 @@ def test_jacobian_matches_fresh_coo_build(monkeypatch, mesh, hearth_materials,
                                           rng):
     calls = _captured(monkeypatch, thermal)
     T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
-    J = assemble_thermal_jacobian(mesh, hearth_materials, hearth_thermal_bc(), T)
+    problem = ThermalProblem(mesh, hearth_materials, hearth_thermal_bc())
+    J = assemble_thermal_jacobian(problem, T)
     (vals, A), = calls
     assert A is J
     # element blocks (M, 3, 3) row-major, then the lumped Robin mass of
     # each edge on the diagonal entries of its two end nodes
     tris = mesh.triangles
-    ws = thermal._ThermalWorkspace(mesh, hearth_materials, hearth_thermal_bc())
-    ij = ws.robin_ij.ravel()
+    ij = problem.robin_ij.ravel()
     rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), ij])
     cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), ij])
-    ref = _fresh_csr(rows, cols, np.concatenate([vals, ws.robin_weight.ravel()]),
+    ref = _fresh_csr(rows, cols,
+                     np.concatenate([vals, problem.robin_weight.ravel()]),
                      mesh.num_nodes)
     _assert_same_matrix(J, ref)
 

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import splev, splrep
 
 from axitherm.hearth import (
-    CONDUCTIVITY_KNOTS,
     CONDUCTIVITY_SAMPLE_TEMPS,
     CONDUCTIVITY_SAMPLES,
-    MODULUS_KNOTS,
+    PROPERTY_T_MAX,
     build_hearth_materials,
     hearth_conductivity,
     hearth_modulus,
@@ -84,14 +84,16 @@ class TestPiecewiseQuadratic:
 class TestFitPiecewiseQuadratic:
     def test_interpolates_samples(self):
         samples = list(zip(CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_SAMPLES[1]))
-        m = fit_piecewise_quadratic(samples, CONDUCTIVITY_KNOTS)
+        m = fit_piecewise_quadratic(samples, PROPERTY_T_MAX)
         for T, v in samples:
             assert m(T) == pytest.approx(v, rel=1e-10)
 
     def test_c1_at_knot(self):
         samples = list(zip(CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_SAMPLES[2]))
-        m = fit_piecewise_quadratic(samples, CONDUCTIVITY_KNOTS)
-        Tb = CONDUCTIVITY_KNOTS[1]
+        m = fit_piecewise_quadratic(samples, PROPERTY_T_MAX)
+        # Ta the first sample, Tb the midpoint of the middle two
+        assert (m.Ta, m.Tb, m.Tc) == (293.0, 673.0, PROPERTY_T_MAX)
+        Tb = m.Tb
         a0, b0, c0, a1, b1, c1 = m.coeffs
         assert a0 * Tb**2 + b0 * Tb + c0 == pytest.approx(
             a1 * Tb**2 + b1 * Tb + c1, rel=1e-10)
@@ -103,44 +105,56 @@ class TestFitPiecewiseQuadratic:
 
     def test_constant_data_gives_constant_spline(self):
         samples = [(293.0, 5.3), (473.0, 5.3), (873.0, 5.3), (1273.0, 5.3)]
-        m = fit_piecewise_quadratic(samples, CONDUCTIVITY_KNOTS)
+        m = fit_piecewise_quadratic(samples, PROPERTY_T_MAX)
         a0, b0, c0, a1, b1, c1 = m.coeffs
         assert abs(a0) < 1e-12 and abs(b0) < 1e-9
         assert abs(a1) < 1e-12 and abs(b1) < 1e-9
         assert c0 == pytest.approx(5.3)
         assert c1 == pytest.approx(5.3)
 
-    def test_sample_at_middle_knot(self):
-        # T == Tb lies on both closed pieces; it used to be counted in
-        # the lower piece only and rejected as a third sample there
-        samples = list(zip((293.0, 473.0, 673.0, 1273.0),
-                           CONDUCTIVITY_SAMPLES[1]))
-        m = fit_piecewise_quadratic(samples, (293.0, 673.0, 1800.0))
-        for T, v in samples:
-            assert m(T) == pytest.approx(v, rel=1e-10)
-        a0, b0, c0, a1, b1, c1 = m.coeffs
-        Tb = 673.0
-        assert a0 * Tb**2 + b0 * Tb + c0 == pytest.approx(
-            a1 * Tb**2 + b1 * Tb + c1, rel=1e-10)
-        assert 2 * a0 * Tb + b0 == pytest.approx(2 * a1 * Tb + b1, rel=1e-9)
-
     def test_needs_two_samples_per_piece(self):
-        bad = [(300.0, 1.0), (400.0, 2.0), (500.0, 3.0), (1273.0, 4.0)]
-        with pytest.raises(ValueError, match="two samples per piece"):
-            fit_piecewise_quadratic(bad, CONDUCTIVITY_KNOTS)
+        # exactly 4 samples with increasing T put two on each side of
+        # the derived middle knot; any other call is rejected by name
+        good = list(zip(CONDUCTIVITY_SAMPLE_TEMPS, CONDUCTIVITY_SAMPLES[1]))
+        for bad, message in (
+            (good[:3], "^need exactly 4 samples, got 3$"),
+            (good + [(1500.0, 17.0)], "^need exactly 4 samples, got 5$"),
+            ([good[0], good[2], good[1], good[3]], "must increase strictly"),
+            (good[:2] + [good[1]] + good[3:], "must increase strictly"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fit_piecewise_quadratic(bad, PROPERTY_T_MAX)
+        with pytest.raises(ValueError, match=r"^sample at T=1273.0 lies "
+                                             r"above T_max=1200.0$"):
+            fit_piecewise_quadratic(good, 1200.0)
+        # the last sample may lie at T_max
+        assert fit_piecewise_quadratic(good, 1273.0).Tc == 1273.0
 
     def test_needs_distinct_temperatures(self):
         bad = [(300.0, 1.0), (300.0, 2.0), (900.0, 3.0), (1273.0, 4.0)]
-        with pytest.raises(ValueError):
-            fit_piecewise_quadratic(bad, CONDUCTIVITY_KNOTS)
+        with pytest.raises(ValueError, match="must increase strictly"):
+            fit_piecewise_quadratic(bad, PROPERTY_T_MAX)
 
     @given(v=st.tuples(*[st.floats(1.0, 100.0) for _ in range(4)]))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, v):
         samples = list(zip(CONDUCTIVITY_SAMPLE_TEMPS, v))
-        m = fit_piecewise_quadratic(samples, CONDUCTIVITY_KNOTS)
+        m = fit_piecewise_quadratic(samples, PROPERTY_T_MAX)
         for T, val in samples:
             assert m(T) == pytest.approx(val, rel=1e-8, abs=1e-8)
+
+    @given(temps=st.lists(st.floats(250.0, 1700.0), min_size=4, max_size=4)
+           .map(sorted).filter(lambda t: min(np.diff(t)) >= 10.0),
+           values=st.lists(st.floats(0.1, 100.0), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_interpolating_spline(self, temps, values):
+        # scipy's quadratic interpolating spline through the same samples
+        # shares no code with the fit: same interior knot, same curve
+        m = fit_piecewise_quadratic(list(zip(temps, values)), PROPERTY_T_MAX)
+        tck = splrep(temps, values, k=2, s=0)
+        assert m.Tb == np.unique(tck[0])[1]
+        T = np.linspace(temps[0], temps[-1], 50)
+        assert np.abs(m(T) - splev(T, tck)).max() <= 1e-9 * max(values)
 
 
 class TestElasticityMatrix:

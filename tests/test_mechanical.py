@@ -37,6 +37,7 @@ from axitherm.mesh import (
 )
 from axitherm.thermal import (
     ThermalBC,
+    ThermalProblem,
     assemble_thermal_jacobian,
     assemble_thermal_residual,
     newton_solve,
@@ -490,9 +491,9 @@ def _field_call(entry, mesh, mats, T, u):
     """The call of ``entry`` that checks the fields T and u."""
     return {
         "assemble_thermal_residual": lambda: assemble_thermal_residual(
-            mesh, mats, hearth_thermal_bc(), T),
+            ThermalProblem(mesh, mats, hearth_thermal_bc()), T),
         "assemble_thermal_jacobian": lambda: assemble_thermal_jacobian(
-            mesh, mats, hearth_thermal_bc(), T),
+            ThermalProblem(mesh, mats, hearth_thermal_bc()), T),
         "solve_mechanical": lambda: solve_mechanical(
             mesh, mats, hearth_mechanical_bc(), T),
         "recover_stress": lambda: recover_stress(mesh, mats, T, u),

@@ -21,6 +21,7 @@ from axitherm.thermal import (
     NewtonConfig,
     Robin,
     ThermalBC,
+    ThermalProblem,
     assemble_thermal_jacobian,
     assemble_thermal_residual,
     newton_solve,
@@ -53,10 +54,11 @@ class TestResidual:
                                     (0, 2, BoundaryTag.AXIS)])
         bc = ThermalBC(dict.fromkeys(BoundaryTag, ADIABATIC))
         T = np.array([0.0, 1.0, 0.0])
-        R = assemble_thermal_residual(mesh, _const_materials(2.0), bc, T)
+        problem = ThermalProblem(mesh, _const_materials(2.0), bc)
+        R = assemble_thermal_residual(problem, T)
         assert R == pytest.approx([-1 / 3, 1 / 3, 0.0], abs=1e-14)
         # with no Robin edge, J is the r-weighted k-stiffness alone
-        J = assemble_thermal_jacobian(mesh, _const_materials(2.0), bc, T)
+        J = assemble_thermal_jacobian(problem, T)
         expected = np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]) / 3
         assert J.toarray() == pytest.approx(expected, abs=1e-14)
 
@@ -66,27 +68,26 @@ class TestResidual:
         mats = _const_materials()
         bc = ThermalBC(ALL_ROBIN)
         T = np.full(mesh.num_nodes, 400.0)
-        R = assemble_thermal_residual(mesh, mats, bc, T)
+        R = assemble_thermal_residual(ThermalProblem(mesh, mats, bc), T)
         assert np.allclose(R, 0.0, atol=1e-12)
 
     def test_missing_bc_raises(self):
         mesh = _strip_mesh()
         bc = ThermalBC({BoundaryTag.BOTTOM: Robin(10.0, 300.0)})
         with pytest.raises(ValueError, match="no thermal boundary condition"):
-            assemble_thermal_residual(mesh, _const_materials(), bc,
-                                      np.full(mesh.num_nodes, 300.0))
+            ThermalProblem(mesh, _const_materials(), bc)
 
     def test_missing_material_raises(self):
         mesh = _strip_mesh()
         record = _const_materials().records[1]
         mats = MaterialSet(records={9: record})
         with pytest.raises(ValueError, match="no material record"):
-            assemble_thermal_residual(mesh, mats, ThermalBC(ALL_ROBIN),
-                                      np.full(mesh.num_nodes, 300.0))
+            ThermalProblem(mesh, mats, ThermalBC(ALL_ROBIN))
 
-    def test_source_evaluated_once_per_workspace(self, rng):
-        # the workspace's load gives the residual, bit for bit, that a
-        # fresh evaluation of the source gives
+    def test_source_evaluated_once_per_problem(self, rng):
+        # the problem's load gives the residual, bit for bit, that a
+        # fresh problem's evaluation of the source gives, and it is the
+        # source-free residual less the r-weighted source integral
         mesh = _strip_mesh(h=0.2)
         mats, bc = _const_materials(), ThermalBC(ALL_ROBIN)
         calls = []
@@ -95,20 +96,26 @@ class TestResidual:
             calls.append(r.shape)
             return 1e3 * (1.0 + r * np.sin(3.0 * y))
 
-        ws = thermal._ThermalWorkspace(mesh, mats, bc, source)
+        problem = ThermalProblem(mesh, mats, bc, source)
         assert len(calls) == 1
+        plain = ThermalProblem(mesh, mats, bc)
         for _ in range(3):
             T = 300.0 + 100.0 * rng.random(mesh.num_nodes)
-            cached = assemble_thermal_residual(mesh, mats, bc, T, source, ws)
-            fresh = assemble_thermal_residual(mesh, mats, bc, T, source)
+            cached = assemble_thermal_residual(problem, T)
+            fresh = assemble_thermal_residual(
+                ThermalProblem(mesh, mats, bc, source), T)
             assert np.array_equal(cached, fresh)
-        # one evaluation for the workspace, one for each fresh residual
+            without = assemble_thermal_residual(plain, T)
+            load = np.bincount(mesh.triangles.ravel(),
+                               weights=problem.source_load.ravel(),
+                               minlength=mesh.num_nodes)
+            assert np.abs(without - cached - load).max() \
+                <= 1e-12 * np.abs(without).max()
+        # one evaluation per problem, none per residual
         assert len(calls) == 1 + 3
         calls.clear()
         newton_solve(mesh, mats, bc, source=source)
         assert len(calls) == 1
-        with pytest.raises(ValueError, match="another source"):
-            assemble_thermal_residual(mesh, mats, bc, T, None, ws)
 
 
 def _per_edge_ambient(mesh, bc):
@@ -136,16 +143,55 @@ class TestRobinEdges:
                                 case.boundary_conditions()),
                                (coarse_hearth_mesh, hearth_materials,
                                 hearth_thermal_bc())):
-            ws = thermal._ThermalWorkspace(mesh, mats, bc)
-            assert np.array_equal(ws.robin_ambient,
+            problem = ThermalProblem(mesh, mats, bc)
+            assert np.array_equal(problem.robin_ambient,
                                   _per_edge_ambient(mesh, bc))
+
+
+def _robin_terms(problem, T):
+    """h (T - T_R) at each end node of each Robin edge, weighted by the
+    lumped vertex rule: the residual's Robin terms."""
+    return problem.robin_weight * (T[problem.robin_ij] - problem.robin_ambient)
+
+
+class TestHeatBalance:
+    """The conduction terms of each element sum to zero, so the
+    residual's rows sum to the net Robin heat, and at the solution the
+    heat that enters the wall leaves it."""
+
+    @pytest.fixture(scope="class", params=[0.1, 0.05])
+    def hearth(self, request, hearth_materials):
+        mesh = hearth_mesh(request.param)
+        bc = hearth_thermal_bc()
+        T, _ = newton_solve(mesh, hearth_materials, bc)
+        return ThermalProblem(mesh, hearth_materials, bc), T
+
+    @staticmethod
+    def _inflow(q):
+        # the heat into the wall: the Robin terms with T below T_R
+        inflow = -q[q < 0].sum()
+        assert inflow > 0
+        return inflow
+
+    def test_residual_sums_to_robin_heat(self, hearth, rng):
+        problem, _ = hearth
+        T = 300.0 + 1500.0 * rng.random(problem.mesh.num_nodes)
+        q = _robin_terms(problem, T)
+        R = assemble_thermal_residual(problem, T)
+        assert abs(R.sum() - q.sum()) <= 1e-12 * self._inflow(q)
+
+    def test_net_robin_heat_vanishes_at_the_solution(self, hearth):
+        problem, T = hearth
+        q = _robin_terms(problem, T)
+        assert abs(q.sum()) <= 1e-10 * self._inflow(q)
 
 
 class TestJacobian:
     def test_symmetric_for_constant_k(self):
         mesh = _strip_mesh()
         T = np.linspace(300.0, 600.0, mesh.num_nodes)
-        J = assemble_thermal_jacobian(mesh, _const_materials(), ThermalBC(ALL_ROBIN), T)
+        J = assemble_thermal_jacobian(
+            ThermalProblem(mesh, _const_materials(), ThermalBC(ALL_ROBIN)), T)
         d = J - J.T
         assert abs(d).max() == 0.0
 
@@ -157,13 +203,14 @@ class TestJacobian:
                                  nu=0.3, alpha=1e-5)
         bc = ThermalBC(ALL_ROBIN)
         T = 300.0 + 200.0 * rng.random(mesh.num_nodes)
-        J = assemble_thermal_jacobian(mesh, mats, bc, T)
+        problem = ThermalProblem(mesh, mats, bc)
+        J = assemble_thermal_jacobian(problem, T)
         eps = 1e-5
         for _ in range(5):
             d = rng.standard_normal(mesh.num_nodes)
             d /= np.linalg.norm(d)
-            Rp = assemble_thermal_residual(mesh, mats, bc, T + eps * d)
-            Rm = assemble_thermal_residual(mesh, mats, bc, T - eps * d)
+            Rp = assemble_thermal_residual(problem, T + eps * d)
+            Rm = assemble_thermal_residual(problem, T - eps * d)
             fd = (Rp - Rm) / (2 * eps)
             an = J @ d
             assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
@@ -350,13 +397,14 @@ def _stiff_strip():
 
 def _all_lu_newton(mesh, materials, bc, abs_tol=1e-4):
     """Reference: full Newton with a fresh sparse LU every step."""
+    problem = ThermalProblem(mesh, materials, bc)
     T = np.full(mesh.num_nodes, 300.0)
-    R = assemble_thermal_residual(mesh, materials, bc, T)
+    R = assemble_thermal_residual(problem, T)
     iterations = 0
     while np.linalg.norm(R) > abs_tol:
-        J = assemble_thermal_jacobian(mesh, materials, bc, T)
+        J = assemble_thermal_jacobian(problem, T)
         T = T + spla.spsolve(J.tocsc(), -R)
-        R = assemble_thermal_residual(mesh, materials, bc, T)
+        R = assemble_thermal_residual(problem, T)
         iterations += 1
     return T, iterations
 
