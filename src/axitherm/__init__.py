@@ -19,6 +19,7 @@ from .mesh import (
 from .fem_core import SolveReport
 from .thermal import NewtonConfig, Robin, ThermalBC, newton_solve
 from .mechanical import (
+    Displacement,
     MechanicalBC,
     Traction,
     recover_stress,
@@ -35,7 +36,7 @@ __all__ = [
     "MaterialRecord", "MaterialSet", "PiecewiseQuadratic",
     "build_hearth_materials", "elasticity_matrix", "fit_piecewise_quadratic",
     "thermal_stress_term", "NewtonConfig", "Robin", "SolveReport",
-    "ThermalBC", "newton_solve", "MechanicalBC", "Traction",
+    "ThermalBC", "newton_solve", "Displacement", "MechanicalBC", "Traction",
     "hydrostatic_traction", "recover_stress", "solve_mechanical",
     "IsoLine", "extract_isoline",
 ]

@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
         checks = ver.material_fit_checks()
         bad = [f"{c.prop}{c.subdomain}" for c in checks if not c.ok]
         print(f"material fits: {len(checks) - len(bad)}/{len(checks)} reproduce "
-              "their samples, knots and positivity"
+              "their samples and are positive"
               + (f" (FAIL: {', '.join(bad)})" if bad else " (ok)"))
         ok &= not bad
         # the printed table is not the fit of the tabulated samples (see

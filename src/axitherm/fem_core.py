@@ -240,23 +240,28 @@ class AssemblyWorkspace:
                                    np.tile(tris, (1, 3)), len(self.nodes))
 
 
-def apply_constraints(A: sp.csr_matrix, b: np.ndarray, fixed: dict):
-    """Restrict A x = b to the dofs not in ``fixed`` (dof -> value).
+def apply_constraints(A: sp.csr_matrix, b: np.ndarray, dofs, values):
+    """Restrict A x = b to the dofs not fixed, ``dofs`` to ``values``.
 
     Returns (A[free, free], b[free] - A[free, fixed] x_fixed, free, x).
     The matrix keeps every entry A stores among the free dofs, zeros
     included: the solvers' minimum degree ordering reads that pattern,
     and a P1 stiffness without its exact zeros fills far more. ``free``
     is ascending, and x is a new full vector that holds the prescribed
-    values, into which the caller writes the solution at ``free``.
+    values, into which the caller writes the solution at ``free``. A
+    dof fixed twice raises ValueError.
     """
     n = A.shape[0]
-    idx = np.fromiter(fixed.keys(), dtype=int)
-    if np.any(idx < 0) or np.any(idx >= n):
+    dofs = np.asarray(dofs, dtype=np.intp)
+    if np.any(dofs < 0) or np.any(dofs >= n):
         raise IndexError("constraint on nonexistent dof")
+    is_free = np.ones(n, dtype=bool)
+    is_free[dofs] = False
+    free = np.flatnonzero(is_free)
+    if len(free) + len(dofs) > n:
+        raise ValueError("a dof is fixed twice")
     x = np.zeros(n)
-    x[idx] = np.fromiter(fixed.values(), dtype=float)
-    free = np.setdiff1d(np.arange(n), idx, assume_unique=True)
+    x[dofs] = values
     return A[free][:, free], (b - A @ x)[free], free, x
 
 

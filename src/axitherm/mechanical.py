@@ -3,7 +3,8 @@
 The stiffness comes from the r-weighted virtual work of the 4-component
 strain (e_rr, e_yy, e_theta, g_ry); the load combines the thermal-strain
 right-hand side with boundary tractions. Bilateral frictionless contact
-on axis-aligned boundaries reduces to single-component zero constraints.
+on axis-aligned boundaries reduces to single-component zero constraints;
+a prescribed displacement fixes both components of its edges' nodes.
 """
 from __future__ import annotations
 
@@ -38,36 +39,57 @@ class Traction:
         return np.broadcast_to(self.g(r, y, normal), normal.shape).astype(float)
 
 
+@dataclass(frozen=True)
+class Displacement:
+    """Prescribed boundary displacement ``g(r, y)``, with r, y and the
+    returned components shaped as for Traction."""
+
+    g: object
+
+
 FRICTIONLESS_CONTACT = "contact"
 TRACTION_FREE = "traction_free"
 
 
 class MechanicalBC(BoundaryConditions):
-    """Traction, FRICTIONLESS_CONTACT or TRACTION_FREE per tag."""
+    """A Traction, a Displacement or one of ``constants`` per tag."""
 
-    physics, kinds = "mechanical", (Traction,)
+    physics, kinds = "mechanical", (Traction, Displacement)
     constants = (FRICTIONLESS_CONTACT, TRACTION_FREE)
 
 
-def _contact_constraints(mesh: Mesh, bc: MechanicalBC) -> dict:
-    """u . n = 0 on contact edges and the axis: the normal's larger
-    component, u_r where |n_r| > |n_y| (the axis, whose normal is
-    (-1, 0), among them) and u_y elsewhere, as {dof: 0.0} with
-    dof = 2 * node + component."""
+def _constraints(mesh: Mesh, bc: MechanicalBC):
+    """The fixed dofs (2 * node + component), ascending, and their values:
+    g on both components of a Displacement edge's nodes, and u . n = 0 on
+    contact edges and the axis, on the normal's larger component. A value
+    of g wins over a contact zero; two that differ raise ValueError."""
     table = mesh.boundary_edge_table
-    axis = np.array([t is BoundaryTag.AXIS for t in table.tags], dtype=bool)
-    contact = np.array([c == FRICTIONLESS_CONTACT
-                        for c in table.conditions(bc.lookup)], dtype=bool)
-    rows = np.flatnonzero(contact | axis)
+    rows, groups = table.condition_groups(bc.lookup, Displacement)
+    ij = np.column_stack([table.i[rows], table.j[rows]])          # (E, 2)
+    r, y = np.moveaxis(mesh.nodes[ij], -1, 0)
+    g = np.empty(ij.shape + (2,))
+    for cond, ks in groups:   # one call of g per distinct condition
+        g[ks] = cond.g(r[ks], y[ks])
+    rows = np.flatnonzero([t is BoundaryTag.AXIS or c == FRICTIONLESS_CONTACT
+                           for t, c in zip(table.tags,
+                                           table.conditions(bc.lookup))])
     n = np.abs(table.normal[rows])
     comp = np.where(n[:, 0] > n[:, 1], 0, 1)
-    dofs = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
-    return dict.fromkeys(dofs.ravel().tolist(), 0.0)
+    zero = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
+    # prescribed dofs first: np.unique keeps each dof's first value
+    dofs = np.concatenate([(2 * ij[..., None] + np.arange(2)).ravel(),
+                           zero.ravel()])
+    fixed, first, inv = np.unique(dofs, return_index=True, return_inverse=True)
+    values = np.concatenate([g.ravel(), np.zeros(zero.size)])[first]
+    clash = dofs[:g.size][values[inv[:g.size]] != g.ravel()]
+    if len(clash):
+        raise ValueError(f"Displacements disagree at node {clash[0] // 2}")
+    return fixed, values
 
 
 def _traction_loads(mesh: Mesh, bc: MechanicalBC):
     """Loads sum_g w_g L r_g N_a(t_g) g(r_g, y_g, n) of the traction edges
-    on their end nodes a (contact constraints win at nodes), as (dofs,
+    on their end nodes a (fixed dofs win at nodes), as (dofs,
     values) ordered by edge, Gauss point, end node and component."""
     table = mesh.boundary_edge_table
     rows, groups = table.condition_groups(bc.lookup, Traction)
@@ -144,17 +166,15 @@ def _stiffness_blocks(geo, quad, a, d, l, s):
 
 def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                                bc: MechanicalBC, T: np.ndarray,
-                               body_force=None, extra_constraints=None):
-    """Assemble the thermoelastic system; returns (K, f, fixed): the
-    unconstrained stiffness and load over every dof (2 * node +
-    component), and ``fixed``, the constrained dofs and their values,
-    which :func:`solve_mechanical` eliminates. f adds the element loads,
-    then the traction loads, in one ``np.bincount``: each dof's terms in
-    a fixed order.
+                               body_force=None):
+    """Assemble the thermoelastic system; returns (K, f, dofs, values):
+    the unconstrained stiffness and load over every dof (2 * node +
+    component), and the fixed dofs, ascending, with their values
+    (:func:`_constraints`), which :func:`solve_mechanical` eliminates.
+    f adds the element loads, then the traction loads, in one
+    ``np.bincount``: each dof's terms in a fixed order.
 
-    ``body_force`` is a verification-only hook mapping (r, y) to a
-    (2,)-vector density; ``extra_constraints`` maps (node, component) to
-    prescribed displacement values, which override the contact ones.
+    ``body_force``, a verification-only hook, maps (r, y) to (f_r, f_y).
     """
     T = checked_field("T", T, (mesh.num_nodes,), "nodes")
     geo = mesh.assembly_workspace
@@ -195,17 +215,15 @@ def assemble_mechanical_system(mesh: Mesh, materials: MaterialSet,
                     weights=np.concatenate([fe.ravel(), t_loads]),
                     minlength=ndof)
 
-    fixed = _contact_constraints(mesh, bc)
-    for (node, comp), value in (extra_constraints or {}).items():
-        fixed[2 * node + comp] = value
-    if not any(d % 2 == 1 for d in fixed):
+    fixed, values = _constraints(mesh, bc)
+    if not np.any(fixed % 2 == 1):
         raise SingularSystemError(
             "axial rigid translation unconstrained: no u_y dof is fixed")
-    return K, f, fixed
+    return K, f, fixed, values
 
 
 def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
-                     T: np.ndarray, body_force=None, extra_constraints=None):
+                     T: np.ndarray, body_force=None):
     """Solve for the displacement field; returns (u (N,2), SolveReport).
 
     :func:`apply_constraints` restricts K and f to the free dofs, and
@@ -217,10 +235,9 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     |K_ff u_f - f_f| / |f_f| (0 for f_f = 0).
     """
     start = time.perf_counter()
-    K, f, fixed = assemble_mechanical_system(mesh, materials, bc, T,
-                                             body_force, extra_constraints)
-    # rebinding K frees the unconstrained matrix before the factorization
-    K, f, free, x = apply_constraints(K, f, fixed)
+    # the unconstrained K is freed before the factorization
+    K, f, free, x = apply_constraints(
+        *assemble_mechanical_system(mesh, materials, bc, T, body_force))
     x_free, factorizations = solve_refined(K, f)
     x[free] = x_free
     fnorm = np.linalg.norm(f)

@@ -227,8 +227,8 @@ def _exterior_keys(keys: np.ndarray) -> np.ndarray:
 def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     """The table of ``mesh.boundary_edges``: each exterior edge once, tagged."""
     n_edges = len(mesh.boundary_edges)
-    i = np.fromiter((e[0] for e in mesh.boundary_edges), np.int64, n_edges)
-    j = np.fromiter((e[1] for e in mesh.boundary_edges), np.int64, n_edges)
+    i, j = np.array([e[:2] for e in mesh.boundary_edges],
+                    np.int64).reshape(n_edges, 2).T.copy()
     tags = tuple(e[2] for e in mesh.boundary_edges)
     n = mesh.num_nodes
     # the axisymmetric forms weight by r, so the domain lies in r >= 0

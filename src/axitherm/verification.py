@@ -5,7 +5,7 @@ spline coefficients from the raw property samples.
 Manufactured forcing terms are derived symbolically from the strong
 operators, so the declared forcing is the exact image of the declared
 solution by construction; a finite-difference cross-check lives in the
-test suite.
+test suite. The exact displacement is a Displacement on every tag.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from . import hearth
 from .materials import (MaterialSet, PiecewiseQuadratic, elasticity_matrix,
                         thermal_stress_term, uniform_materials)
 from .mesh import BoundaryTag, Mesh, SubdomainPolygon, generate_mesh
-from .mechanical import MechanicalBC, TRACTION_FREE, solve_mechanical
+from .mechanical import Displacement, MechanicalBC, solve_mechanical
 from .thermal import ADIABATIC, NewtonConfig, Robin, ThermalBC, newton_solve
 
 _r, _y, _T = sp.symbols("r y T", positive=True)
@@ -178,7 +178,7 @@ class MechanicalManufacturedCase:
     """Exact displacement plus symbolically derived body force.
 
     The body force is minus the divergence of the axisymmetric stress of
-    the exact field; boundary data is imposed as nodal Dirichlet values.
+    the exact field, which is a Displacement condition on every tag.
     """
 
     ur_expr: sp.Expr
@@ -224,25 +224,17 @@ class MechanicalManufacturedCase:
             PiecewiseQuadratic.constant(self.E),
             nu=self.nu, alpha=self.alpha, T0=self.T0)
 
-    def dirichlet_constraints(self, mesh: Mesh) -> dict:
-        """Exact displacement pinned on every exterior boundary node."""
-        table = mesh.boundary_edge_table
-        nodes = np.unique(np.column_stack([table.i, table.j]))
-        u = self.exact(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-        return {(n, comp): value for n, row in zip(nodes.tolist(), u.tolist())
-                for comp, value in enumerate(row)}
-
 
 def mms_mechanical_study(case: MechanicalManufacturedCase, h_levels) -> ConvergenceRecord:
     """Refinement study for the mechanical solver against a manufactured
     solution; needs at least 3 levels."""
     mats = case.material_set()
-    bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
+    exact = Displacement(case.exact)
+    bc = MechanicalBC({tag: exact for tag in BoundaryTag})
 
     def error(mesh):
         u, _ = solve_mechanical(mesh, mats, bc, case.temperature(mesh),
-                                body_force=case.body_force,
-                                extra_constraints=case.dirichlet_constraints(mesh))
+                                body_force=case.body_force)
         return weighted_l2_error(mesh, u, case.exact)
 
     return _refinement_study(h_levels, error)

@@ -139,10 +139,10 @@ def test_stiffness_keeps_its_block_pattern(hearth_materials):
     # a graph whose minimum degree ordering fills far more
     mesh = hearth_mesh(0.1)
     T, _ = newton_solve(mesh, hearth_materials, hearth_thermal_bc())
-    K, f, fixed = mechanical.assemble_mechanical_system(
+    K, f, dofs, values = mechanical.assemble_mechanical_system(
         mesh, hearth_materials, hearth_mechanical_bc(), T)
     assert K.nnz == 4 * mesh.assembly_workspace.scalar_pattern.nnz
-    K_ff, f_f, free, _ = apply_constraints(K, f, fixed)
+    K_ff, f_f, free, _ = apply_constraints(K, f, dofs, values)
     is_free = np.zeros(K.shape[0], dtype=bool)
     is_free[free] = True
     rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))

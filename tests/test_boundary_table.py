@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh, hearth_thermal_bc
-from axitherm.mechanical import MechanicalBC
+from axitherm.mechanical import Displacement, MechanicalBC
 from axitherm.mesh import BoundaryTag, Mesh, load_mesh, save_mesh
 from axitherm.thermal import Robin, ThermalBC
 
@@ -108,6 +108,7 @@ def test_condition_groups_follow_identity_in_table_order():
     (hearth_thermal_bc, "adiabatc"),
     (hearth_thermal_bc, "contact"),
     (hearth_thermal_bc, None),
+    (hearth_thermal_bc, Displacement(lambda r, y: (0.0, 0.0))),
 ])
 def test_conditions_of_the_wrong_kind_are_rejected(make, value):
     # each was once taken as TRACTION_FREE or ADIABATIC, or failed on

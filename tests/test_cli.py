@@ -284,6 +284,34 @@ def test_cli_import_leaves_out_sympy():
     assert out.strip() == "[]"
 
 
+def test_outputs_under_one_and_two_blas_threads(tmp_path, parse_vtk):
+    # the mesh, T and the isolines do not depend on the BLAS thread
+    # count; u and the stress may in their last digits (the float32
+    # factor of K_ff), so bytes are compared only under one fixed count.
+    # h = 0.05 is the coarsest hearth mesh on which u was seen to differ.
+    src = str(Path(axitherm.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, axitherm.cli; sys.exit(axitherm.cli.main())",
+             "solve", "--h", "0.05", "--isoline", "1423", "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True)
+        fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        vtk = parse_vtk((out / "solution.vtk").read_text())["cell_data"]
+        stress = np.column_stack([vtk[f"stress_{c}"]
+                                  for c in ("rr", "yy", "tt", "ry")])
+        runs[threads] = out, fields[:, 3], fields[:, 4:], stress
+    (out1, T1, u1, s1), (out2, T2, u2, s2) = runs["1"], runs["2"]
+    for name in ("mesh.txt", "isoline_1423K.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert np.array_equal(T1, T2)
+    assert np.abs(u1 - u2).max() <= 1e-10 * np.abs(u1).max()
+    assert np.abs(s1 - s2).max() <= 1e-10 * np.abs(s1).max()
+
+
 class TestMain:
     def test_mesh_subcommand(self, tmp_path, capsys):
         rc = main(["mesh", "--h", "0.5", "--out", str(tmp_path)])

@@ -104,12 +104,20 @@ class TestTriangleGeometry:
 
 
 class TestDofMapAndConstraints:
-    """apply_constraints with a {dof: value} map of fixed dofs."""
+    """apply_constraints with arrays of fixed dofs and their values."""
 
     def test_out_of_range_constraint(self):
         A = sp.eye(4, format="csr")
-        with pytest.raises(IndexError, match="nonexistent dof"):
-            apply_constraints(A, np.ones(4), {5: 0.0})
+        for dof in (5, 4, -1):
+            with pytest.raises(IndexError, match="nonexistent dof"):
+                apply_constraints(A, np.ones(4), [dof], [0.0])
+
+    def test_repeated_dof_rejected(self):
+        # even with the same value twice: each fixed dof is listed once
+        A = sp.eye(4, format="csr")
+        for dofs in ([1, 1], [3, 0, 3]):
+            with pytest.raises(ValueError, match="fixed twice"):
+                apply_constraints(A, np.ones(4), dofs, np.zeros(len(dofs)))
 
     def test_elimination_exact_and_symmetric(self):
         rng = np.random.default_rng(3)
@@ -117,7 +125,7 @@ class TestDofMapAndConstraints:
         B = rng.standard_normal((n, n))
         A = sp.csr_matrix(B @ B.T + n * np.eye(n))
         b = rng.standard_normal(n)
-        Ac, bc, free, x = apply_constraints(A, b, {0: 2.5, 3: -1.0})
+        Ac, bc, free, x = apply_constraints(A, b, [3, 0], [-1.0, 2.5])
         assert np.array_equal(free, [1, 2, 4, 5, 6, 7])
         assert Ac.shape == (6, 6)
         dense = Ac.toarray()
@@ -151,10 +159,12 @@ class TestDofMapAndConstraints:
         A = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         A.sort_indices()
         b = rng.standard_normal(n)
-        fixed = dict(zip(fixed_dofs.tolist(), rng.standard_normal(8).tolist()))
-        before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
+        fixed_values = rng.standard_normal(8)
+        fixed = dict(zip(fixed_dofs.tolist(), fixed_values.tolist()))
+        before = [a.copy() for a in (A.indptr, A.indices, A.data, b,
+                                     fixed_dofs, fixed_values)]
 
-        Ac, bc, free, x = apply_constraints(A, b, fixed)
+        Ac, bc, free, x = apply_constraints(A, b, fixed_dofs, fixed_values)
         is_free = np.ones(n, dtype=bool)
         is_free[fixed_dofs] = False
         assert np.array_equal(free, np.flatnonzero(is_free))
@@ -166,7 +176,7 @@ class TestDofMapAndConstraints:
                                      for j in sorted(fixed)) for i in free])
         assert np.array_equal(bc, ref_b)
         expect_x = np.zeros(n)
-        expect_x[fixed_dofs] = list(fixed.values())
+        expect_x[fixed_dofs] = fixed_values
         assert np.array_equal(x, expect_x)
         # A's stored pattern among the free dofs, zeros included, sorted,
         # and nothing more
@@ -181,13 +191,14 @@ class TestDofMapAndConstraints:
         if drop_diagonal:
             k = np.searchsorted(free, free_dof)
             assert stored[k, k] == 0
-        for a, copy in zip((A.indptr, A.indices, A.data, b), before):
+        for a, copy in zip((A.indptr, A.indices, A.data, b, fixed_dofs,
+                            fixed_values), before):
             assert np.array_equal(a, copy)
 
     def test_no_constraints_is_identity(self):
         A = sp.eye(3, format="csr")
         b = np.ones(3)
-        Ac, bc, free, x = apply_constraints(A, b, {})
+        Ac, bc, free, x = apply_constraints(A, b, [], [])
         assert np.array_equal(Ac.toarray(), np.eye(3))
         assert np.array_equal(bc, b)
         assert np.array_equal(free, [0, 1, 2])
@@ -199,7 +210,7 @@ class TestDofMapAndConstraints:
                            np.array([0, 2, 3])), shape=(2, 2))
         b = np.array([1.0, -1.0])
         before = [a.copy() for a in (A.indptr, A.indices, A.data, b)]
-        Ac, bc, _, x = apply_constraints(A, b, {})
+        Ac, bc, _, x = apply_constraints(A, b, np.empty(0, int), np.empty(0))
         assert Ac is not A
         assert bc is not b
         assert np.array_equal(bc, b)
@@ -215,8 +226,8 @@ class TestDofMapAndConstraints:
     def test_every_dof_fixed_gives_an_empty_system(self):
         A = TestSolvers._spd(5)
         values = np.array([1.5, -2.0, 0.25, 3.0, -0.125])
-        Ac, bc, free, x = apply_constraints(A, np.ones(5),
-                                            dict(enumerate(values)))
+        Ac, bc, free, x = apply_constraints(A, np.ones(5), np.arange(5),
+                                            values)
         assert Ac.shape == (0, 0)
         assert bc.shape == (0,)
         assert free.shape == (0,)

@@ -22,6 +22,7 @@ from axitherm.materials import (
 )
 from axitherm.mechanical import (
     FRICTIONLESS_CONTACT,
+    Displacement,
     MechanicalBC,
     TRACTION_FREE,
     Traction,
@@ -34,6 +35,7 @@ from axitherm.mesh import (
     Mesh,
     SubdomainPolygon,
     generate_mesh,
+    tag_boundaries,
 )
 from axitherm.thermal import (
     ThermalBC,
@@ -219,7 +221,7 @@ class TestSolveMechanical:
     def test_stiffness_symmetric(self):
         mesh = _cylinder_mesh(h=0.5)
         T = np.full(mesh.num_nodes, 300.0)
-        K, _, _ = assemble_mechanical_system(mesh, _materials(), BASE_BC, T)
+        K = assemble_mechanical_system(mesh, _materials(), BASE_BC, T)[0]
         d = K - K.T
         assert abs(d).max() == 0.0
 
@@ -227,8 +229,8 @@ class TestSolveMechanical:
                                                      rng):
         mesh = hearth_mesh(0.2)
         T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
-        K, _, _ = assemble_mechanical_system(
-            mesh, hearth_materials, hearth_mechanical_bc(), T)
+        K = assemble_mechanical_system(
+            mesh, hearth_materials, hearth_mechanical_bc(), T)[0]
         # sum_q w_q E_q B_q^T C B_q per element, with B_q the full 4 x 6
         # strain-displacement matrix over (u_r, u_y) of each vertex
         tris = mesh.triangles
@@ -266,8 +268,8 @@ class TestSolveMechanical:
         # nothing, while u_r = const strains the hoop direction
         mesh = hearth_mesh(0.2)
         T = 300.0 + 1200.0 * rng.random(mesh.num_nodes)
-        K, _, _ = assemble_mechanical_system(
-            mesh, hearth_materials, hearth_mechanical_bc(), T)
+        K = assemble_mechanical_system(
+            mesh, hearth_materials, hearth_mechanical_bc(), T)[0]
         translation = np.tile([0.0, 1.0], mesh.num_nodes)
         assert np.abs(K @ translation).max() <= 1e-12 * abs(K).max()
 
@@ -304,16 +306,20 @@ class TestSolveMechanical:
             uy_expr=sympy.Rational(1, 10000) * r**2,
             delta_T_expr=100 * r)
         mesh = _cylinder_mesh(h=1 / 16, y1=1.0)
-        pinned = case.dirichlet_constraints(mesh)
-        bc = MechanicalBC({tag: TRACTION_FREE for tag in BoundaryTag})
+        bc = MechanicalBC({tag: Displacement(case.exact)
+                           for tag in BoundaryTag})
         u, _ = solve_mechanical(mesh, case.material_set(), bc,
                                 case.temperature(mesh),
-                                body_force=case.body_force,
-                                extra_constraints=pinned)
-        nodes = np.unique([node for node, _ in pinned])
-        exact = case.exact(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-        assert np.count_nonzero(exact) > 0
-        assert np.array_equal(u[nodes], exact)
+                                body_force=case.body_force)
+        # every node on the square's sides, and no other, is prescribed
+        nr, ny = mesh.nodes.T
+        on_side = (nr == 0.0) | (nr == 1.0) | (ny == 0.0) | (ny == 1.0)
+        u_exact = case.exact(nr, ny)
+        assert np.count_nonzero(u_exact[on_side]) > 0
+        assert np.array_equal(u[on_side], u_exact[on_side])
+        # the interior is solved for, and close to the exact field
+        assert not np.any(u[~on_side] == u_exact[~on_side])
+        assert np.abs(u - u_exact).max() <= 1e-2 * np.abs(u_exact).max()
 
     def test_unconstrained_axial_mode_rejected(self):
         mesh = _cylinder_mesh(h=0.5)
@@ -336,9 +342,10 @@ class TestSolveMechanical:
             comp = 0 if axis or abs(dy) > abs(dr) else 1
             expected |= {2 * i + comp, 2 * j + comp}
         T = np.full(mesh.num_nodes, 300.0)
-        _, _, fixed = assemble_mechanical_system(mesh, hearth_materials, bc, T)
-        assert set(fixed) == expected
-        assert set(fixed.values()) == {0.0}
+        _, _, dofs, values = assemble_mechanical_system(mesh, hearth_materials,
+                                                        bc, T)
+        assert np.array_equal(dofs, sorted(expected))
+        assert np.array_equal(values, np.zeros(len(expected)))
 
     def test_traction_free_equals_zero_traction(self, coarse_hearth_mesh,
                                                 hearth_materials):
@@ -350,42 +357,108 @@ class TestSolveMechanical:
         assert free.lookup(BoundaryTag.OUTER) == TRACTION_FREE
         zero = MechanicalBC({**free.conditions, BoundaryTag.OUTER:
                              Traction(lambda r, y, n: (0.0, 0.0))})
-        K1, f1, fixed1 = assemble_mechanical_system(mesh, hearth_materials,
-                                                    free, T)
-        K2, f2, fixed2 = assemble_mechanical_system(mesh, hearth_materials,
-                                                    zero, T)
+        K1, f1, dofs1, values1 = assemble_mechanical_system(
+            mesh, hearth_materials, free, T)
+        K2, f2, dofs2, values2 = assemble_mechanical_system(
+            mesh, hearth_materials, zero, T)
         for a, b in ((K1.indptr, K2.indptr), (K1.indices, K2.indices),
-                     (K1.data, K2.data), (f1, f2)):
+                     (K1.data, K2.data), (f1, f2), (dofs1, dofs2),
+                     (values1, values2)):
             assert a.tobytes() == b.tobytes()
-        assert fixed1 == fixed2
 
-    def test_extra_constraints_override_contact(self):
+    def test_displacement_overrides_contact(self):
+        # BOTTOM in contact (u_y = 0), OUTER held at a nonzero g: at their
+        # corner (1, 0) both components take g, u_y's over the contact zero
         mesh = _cylinder_mesh(h=0.5)
         T = np.full(mesh.num_nodes, 300.0)
-        bottom = int(np.flatnonzero(mesh.nodes[:, 1] == 0.0)[-1])
-        pinned = {(bottom, 1): 0.25}
-        _, _, fixed = assemble_mechanical_system(
-            mesh, _materials(), BASE_BC, T, extra_constraints=pinned)
-        assert fixed[2 * bottom + 1] == 0.25
-        u, _ = solve_mechanical(mesh, _materials(), BASE_BC, T,
-                                extra_constraints=pinned)
-        assert u[bottom, 1] == 0.25
+
+        def g(r, y):
+            return np.stack([2e-4 + 1e-4 * y, 2.5e-4 - 1e-4 * y], axis=-1)
+
+        bc = MechanicalBC({**BASE_BC.conditions,
+                           BoundaryTag.OUTER: Displacement(g)})
+        corner = int(np.flatnonzero((mesh.nodes[:, 0] == 1.0)
+                                    & (mesh.nodes[:, 1] == 0.0))[0])
+        _, _, dofs, values = assemble_mechanical_system(mesh, _materials(),
+                                                        bc, T)
+        assert np.all(np.diff(dofs) > 0)
+        k = np.searchsorted(dofs, [2 * corner, 2 * corner + 1])
+        assert np.array_equal(dofs[k], [2 * corner, 2 * corner + 1])
+        assert np.array_equal(values[k], [2e-4, 2.5e-4])
+        u, _ = solve_mechanical(mesh, _materials(), bc, T)
+        assert np.array_equal(u[corner], [2e-4, 2.5e-4])
+        outer = mesh.nodes[:, 0] == 1.0
+        assert np.array_equal(u[outer], g(mesh.nodes[outer, 0],
+                                          mesh.nodes[outer, 1]))
+        bottom = (mesh.nodes[:, 1] == 0.0) & ~outer
+        assert np.all(u[bottom, 1] == 0.0)
 
     def test_every_dof_prescribed(self):
-        # no free dof: a 0 x 0 system, and the prescribed values exactly
-        mesh = _cylinder_mesh(h=0.5)
+        # a strip one cell high: every node lies on a Displacement edge,
+        # so no dof is free, a 0 x 0 system, and u = g exactly
+        r = np.linspace(0.5, 1.0, 5)
+        nodes = np.concatenate([np.column_stack([r, np.zeros(5)]),
+                                np.column_stack([r, np.full(5, 0.25)])])
+        a = np.arange(4)
+        tris = np.concatenate([np.column_stack([a, a + 1, a + 6]),
+                               np.column_stack([a, a + 6, a + 5])])
+        mesh = tag_boundaries(Mesh(nodes, tris, np.ones(8, int)))
         T = np.full(mesh.num_nodes, 600.0)
-        exact = 1e-4 * np.column_stack([mesh.nodes[:, 1],
-                                        -mesh.nodes[:, 0] ** 2])
-        pinned = {(node, comp): exact[node, comp]
-                  for node in range(mesh.num_nodes) for comp in range(2)}
-        K, f, fixed = assemble_mechanical_system(mesh, _materials(), BASE_BC,
-                                                 T, extra_constraints=pinned)
-        assert apply_constraints(K, f, fixed)[0].shape == (0, 0)
-        u, report = solve_mechanical(mesh, _materials(), BASE_BC, T,
-                                     extra_constraints=pinned)
-        assert np.array_equal(u, exact)
+
+        def g(r, y):
+            return 1e-4 * np.stack([y, -r**2], axis=-1)
+
+        bc = MechanicalBC({tag: Displacement(g) for tag in BoundaryTag})
+        K, f, dofs, values = assemble_mechanical_system(mesh, _materials(),
+                                                        bc, T)
+        assert np.array_equal(dofs, np.arange(2 * mesh.num_nodes))
+        assert apply_constraints(K, f, dofs, values)[0].shape == (0, 0)
+        u, report = solve_mechanical(mesh, _materials(), bc, T)
+        assert np.array_equal(u, g(nodes[:, 0], nodes[:, 1]))
+        assert np.count_nonzero(u) == 2 * mesh.num_nodes - 5
         assert report.residuals == [0.0]
+
+    def test_disagreeing_displacements_raise(self):
+        # OUTER and TOP meet at the corner (1, 2), where OUTER's u_y is
+        # 2e-3: a TOP that agrees passes, one that differs raises
+        mesh = _cylinder_mesh(h=0.5)
+        T = np.full(mesh.num_nodes, 300.0)
+        corner = int(np.flatnonzero((mesh.nodes[:, 0] == 1.0)
+                                    & (mesh.nodes[:, 1] == 2.0))[0])
+        outer = Displacement(lambda r, y: np.stack([0 * y, 1e-3 * y], -1))
+
+        def bc(top_uy):
+            return MechanicalBC({**BASE_BC.conditions, BoundaryTag.OUTER: outer,
+                                 BoundaryTag.TOP: Displacement(
+                                     lambda r, y: (0.0, top_uy))})
+
+        dofs, values = assemble_mechanical_system(mesh, _materials(),
+                                                  bc(2e-3), T)[2:]
+        assert values[dofs == 2 * corner + 1] == [2e-3]
+        with pytest.raises(ValueError, match=f"disagree at node {corner}$"):
+            assemble_mechanical_system(mesh, _materials(), bc(3e-3), T)
+
+    def test_displacement_evaluated_once_per_condition(self):
+        # one call per distinct condition, on all of its edges' end nodes
+        mesh = _cylinder_mesh(h=0.5)
+        T = np.full(mesh.num_nodes, 300.0)
+        calls = []
+
+        def g(r, y):
+            calls.append(r.shape)
+            return 1e-4 * np.stack([r * y, r], axis=-1)
+
+        shared = Displacement(g)
+        tags = (BoundaryTag.OUTER, BoundaryTag.TOP, BoundaryTag.BOTTOM)
+        bc = MechanicalBC({**BASE_BC.conditions,
+                           **{tag: shared for tag in tags}})
+        assemble_mechanical_system(mesh, _materials(), bc, T)
+        edges = sum(t in tags for _, _, t in mesh.boundary_edges)
+        assert calls == [(edges, 2)]
+        calls.clear()
+        bc = MechanicalBC({**bc.conditions, BoundaryTag.TOP: Displacement(g)})
+        assemble_mechanical_system(mesh, _materials(), bc, T)
+        assert len(calls) == 2
 
     def test_missing_tag_raises(self):
         mesh = _cylinder_mesh(h=0.5)
@@ -407,10 +480,10 @@ class TestSolveMechanical:
                                      (0.0, -1e5, 2e9, 0.0, -1e5, 2e9))
         mats = uniform_materials(PiecewiseQuadratic.constant(10.0), E_model,
                                  nu=0.3, alpha=1e-5, T0=300.0)
-        K_cold, _, _ = assemble_mechanical_system(
-            mesh, mats, BASE_BC, np.full(mesh.num_nodes, 300.0))
-        K_hot, _, _ = assemble_mechanical_system(
-            mesh, mats, BASE_BC, np.full(mesh.num_nodes, 1300.0))
+        K_cold = assemble_mechanical_system(
+            mesh, mats, BASE_BC, np.full(mesh.num_nodes, 300.0))[0]
+        K_hot = assemble_mechanical_system(
+            mesh, mats, BASE_BC, np.full(mesh.num_nodes, 1300.0))[0]
         # probe an unconstrained dof: u_r of an interior node
         interior = np.flatnonzero(
             (mesh.nodes[:, 0] > 0) & (mesh.nodes[:, 0] < 1.0)
