@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver failures and the like

@@ -65,17 +65,17 @@ def _constraints(mesh: Mesh, bc: MechanicalBC):
     of g wins over a contact zero; two that differ raise ValueError."""
     table = mesh.boundary_edge_table
     rows, groups = table.condition_groups(bc.lookup, Displacement)
-    ij = np.column_stack([table.i[rows], table.j[rows]])          # (E, 2)
+    ij = table.ij[rows]                                           # (E, 2)
     r, y = np.moveaxis(mesh.nodes[ij], -1, 0)
     g = np.empty(ij.shape + (2,))
     for cond, ks in groups:   # one call of g per distinct condition
         g[ks] = cond.g(r[ks], y[ks])
-    rows = np.flatnonzero([t is BoundaryTag.AXIS or c == FRICTIONLESS_CONTACT
-                           for t, c in zip(table.tags,
-                                           table.conditions(bc.lookup))])
+    rows = np.flatnonzero((table.tags == BoundaryTag.AXIS)
+                          | [c == FRICTIONLESS_CONTACT
+                             for c in table.conditions(bc.lookup)])
     n = np.abs(table.normal[rows])
     comp = np.where(n[:, 0] > n[:, 1], 0, 1)
-    zero = 2 * np.column_stack([table.i[rows], table.j[rows]]) + comp[:, None]
+    zero = 2 * table.ij[rows] + comp[:, None]
     # prescribed dofs first: np.unique keeps each dof's first value
     dofs = np.concatenate([(2 * ij[..., None] + np.arange(2)).ravel(),
                            zero.ravel()])
@@ -94,7 +94,7 @@ def _traction_loads(mesh: Mesh, bc: MechanicalBC):
     table = mesh.boundary_edge_table
     rows, groups = table.condition_groups(bc.lookup, Traction)
     t = EDGE_GAUSS_POINTS
-    ij = np.column_stack([table.i[rows], table.j[rows]])          # (E, 2)
+    ij = table.ij[rows]                                           # (E, 2)
     p, q = mesh.nodes[ij[:, :1]], mesh.nodes[ij[:, 1:]]           # (E, 1, 2)
     x = p * (1 - t)[:, None] + q * t[:, None]                     # (E, G, 2)
     r, y = x[..., 0], x[..., 1]

@@ -88,16 +88,15 @@ class BoundaryEdgeTable:
     """Per-edge arrays for ``Mesh.boundary_edges``, one row per edge in
     the same order.
 
-    i, j     (E,) int arrays of the edge's node ids
-    tags     tuple of BoundaryTag
+    ij       (E, 2) int array of the edge's node ids
+    tags     (E,) object array of BoundaryTag
     owner    (E,) the one triangle containing the edge
     normal   (E, 2) unit normal pointing away from the owner's third node
     length   (E,) edge length
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    tags: tuple
+    ij: np.ndarray
+    tags: np.ndarray
     owner: np.ndarray
     normal: np.ndarray
     length: np.ndarray
@@ -152,6 +151,11 @@ class Mesh:
     are read-only (a writable input is copied once, a read-only one is
     shared, so ``dataclasses.replace`` copies no array). So every table
     derived from it is built once, on first use.
+
+    Every mesh, generated, loaded, built by hand or replaced, is checked
+    when made: the shapes above with M >= 1, finite nodes at r >= 0
+    (within GEOM_TOL), node ids in 0..N-1, each node on a triangle. The
+    rows are checked against the triangles by ``boundary_edge_table``.
     """
 
     nodes: np.ndarray
@@ -165,9 +169,36 @@ class Mesh:
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         object.__setattr__(self, "boundary_edges",
                            tuple(map(tuple, self.boundary_edges)))
+        nodes, tris = self.nodes, self.triangles
+        for name, want in (("nodes", nodes.shape[:1] + (2,)),
+                           ("triangles", tris.shape[:1] + (3,)),
+                           ("tri_subdomain", tris.shape[:1])):
+            if getattr(self, name).shape != want:
+                raise ValueError(f"{name} has shape "
+                                 f"{getattr(self, name).shape}, not {want}")
+        n = len(nodes)
+        if not len(tris):
+            raise ValueError("mesh has no triangles")
+        bad = np.flatnonzero(~np.isfinite(nodes)) // 2   # their nodes
+        if bad.size:
+            raise ValueError(f"node {bad[0]} has a non-finite coordinate: "
+                             f"{tuple(nodes[bad[0]].tolist())}")
+        # the axisymmetric forms weight by r, so the domain lies in r >= 0
+        left = np.flatnonzero(nodes[:, 0] < -GEOM_TOL)
+        if left.size:
+            raise ValueError(f"node {left[0]} lies left of the axis, at r = "
+                             f"{nodes[left[0], 0]:g}")
         for i, j, tag in self.boundary_edges:
             if not isinstance(tag, BoundaryTag):
                 raise ValueError(f"boundary edge ({i}, {j}) has no tag")
+        ends = np.array([e[:2] for e in self.boundary_edges], np.int64)
+        for what, ids in (("triangle", tris), ("boundary edge", ends)):
+            bad = ids[(ids < 0) | (ids >= n)]
+            if bad.size:
+                raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
+        unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n) == 0)
+        if unused.size:
+            raise ValueError(f"node {unused[0]} lies on no triangle")
 
     @property
     def num_nodes(self) -> int:
@@ -227,15 +258,11 @@ def _exterior_keys(keys: np.ndarray) -> np.ndarray:
 def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     """The table of ``mesh.boundary_edges``: each exterior edge once, tagged."""
     n_edges = len(mesh.boundary_edges)
-    i, j = np.array([e[:2] for e in mesh.boundary_edges],
-                    np.int64).reshape(n_edges, 2).T.copy()
-    tags = tuple(e[2] for e in mesh.boundary_edges)
+    ij = np.array([e[:2] for e in mesh.boundary_edges],
+                  np.int64).reshape(n_edges, 2)
+    tags = np.array([e[2] for e in mesh.boundary_edges], object)
+    i, j = ij.T
     n = mesh.num_nodes
-    # the axisymmetric forms weight by r, so the domain lies in r >= 0
-    left = np.flatnonzero(mesh.nodes[:, 0] < -GEOM_TOL)
-    if left.size:
-        raise ValueError(f"node {left[0]} lies left of the axis, at r = "
-                         f"{mesh.nodes[left[0], 0]:g}")
     keys, tri = _sorted_edge_keys(mesh.triangles, n)
     # sorted, three equal keys in a row are an edge of three triangles
     over = np.flatnonzero(keys[2:] == keys[:-2])
@@ -265,7 +292,7 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     p, q, o = mesh.nodes[i], mesh.nodes[j], mesh.nodes[third]
     # a row is AXIS exactly when both its ends lie on r = 0
     on_axis = (np.abs(p[:, 0]) < GEOM_TOL) & (np.abs(q[:, 0]) < GEOM_TOL)
-    tagged_axis = np.array([t is BoundaryTag.AXIS for t in tags], dtype=bool)
+    tagged_axis = tags == BoundaryTag.AXIS
     if np.any(on_axis != tagged_axis):
         e = int(np.flatnonzero(on_axis != tagged_axis)[0])
         where = "lies" if on_axis[e] else "does not lie"
@@ -278,10 +305,10 @@ def _build_edge_table(mesh: Mesh) -> BoundaryEdgeTable:
     length = np.linalg.norm(t, axis=1)
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     # the table is shared by every caller of the mesh: keep it read-only
-    for a in (i, j, owner, normal, length):
+    for a in (ij, tags, owner, normal, length):
         a.setflags(write=False)
-    return BoundaryEdgeTable(i=i, j=j, tags=tags, owner=owner,
-                             normal=normal, length=length)
+    return BoundaryEdgeTable(ij=ij, tags=tags, owner=owner, normal=normal,
+                             length=length)
 
 
 def _breaklines(polygons, axis: int, target_h: float) -> np.ndarray:
@@ -386,26 +413,21 @@ def tag_boundaries(mesh: Mesh) -> Mesh:
     r_max, y_max = mesh.nodes.max(axis=0).tolist()
     n = mesh.num_nodes
     lo, hi = np.divmod(_exterior_keys(_sorted_edge_keys(mesh.triangles, n)[0]), n)
-
-    tagged = []
-    for i, j in zip(lo.tolist(), hi.tolist()):
-        p, q = mesh.nodes[i], mesh.nodes[j]
-        if abs(p[0]) < GEOM_TOL and abs(q[0]) < GEOM_TOL:
-            t = BoundaryTag.AXIS
-        elif abs(p[1]) < GEOM_TOL and abs(q[1]) < GEOM_TOL:
-            t = BoundaryTag.BOTTOM
-        elif abs(p[0] - r_max) < GEOM_TOL and abs(q[0] - r_max) < GEOM_TOL:
-            t = BoundaryTag.OUTER
-        elif abs(p[1] - y_max) < GEOM_TOL and abs(q[1] - y_max) < GEOM_TOL:
-            t = BoundaryTag.TOP
-        elif max(p[0], q[0]) < r_max - GEOM_TOL:
-            t = BoundaryTag.INNER
-        else:
-            raise ValueError(
-                f"untaggable exterior edge ({p[0]:g},{p[1]:g})-({q[0]:g},{q[1]:g})"
-            )
-        tagged.append((i, j, t))
-    return replace(mesh, boundary_edges=tagged)
+    ends = mesh.nodes[[lo, hi]]                     # (2, E, 2)
+    # (E, 2) each: the edge lies on r = 0 or y = 0; on r_max or y_max
+    low, high = ((np.abs(ends - line) < GEOM_TOL).all(axis=0)
+                 for line in ([0.0, 0.0], [r_max, y_max]))
+    # the rules in order: the first that holds tags the edge
+    rules = [low[:, 0], low[:, 1], high[:, 0], high[:, 1],
+             ends[..., 0].max(axis=0) < r_max - GEOM_TOL]
+    tags = np.select(rules, [BoundaryTag.AXIS, BoundaryTag.BOTTOM,
+                             BoundaryTag.OUTER, BoundaryTag.TOP,
+                             BoundaryTag.INNER], None)
+    bad = np.flatnonzero(~np.any(rules, axis=0))
+    if bad.size:
+        (pr, py), (qr, qy) = ends[:, bad[0]]
+        raise ValueError(f"untaggable exterior edge ({pr:g},{py:g})-({qr:g},{qy:g})")
+    return replace(mesh, boundary_edges=zip(lo.tolist(), hi.tolist(), tags))
 
 
 def _cells(lines: np.ndarray, x: np.ndarray):
@@ -548,8 +570,8 @@ def load_mesh(path) -> Mesh:
     """Read the plain-text mesh format written by :func:`save_mesh` and
     build its boundary-edge table, dropping the ``interface`` rows of
     older files. A file that is empty, truncated, malformed or longer
-    than its sections, a non-finite coordinate, a node id outside 0..N-1,
-    a node on no triangle or a table that cannot be built raises."""
+    than its sections raises, as does a mesh that :class:`Mesh` or its
+    table rejects."""
     with open(path) as f:
         text = f.read()
     lines = list(filter(None, map(str.strip,
@@ -584,13 +606,7 @@ def load_mesh(path) -> Mesh:
         return out
 
     nodes = numbers(section("nodes"), 2, float)
-    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
-    if bad.size:
-        raise ValueError(f"node {bad[0]} has a non-finite coordinate: "
-                         f"{tuple(nodes[bad[0]].tolist())}")
     tri_rows = numbers(section("triangles"), 4, int)
-    tris = tri_rows[:, :3]
-    sub = tri_rows[:, 3]
     rows = section("boundary_edges")
     if pos < len(lines):
         raise ValueError(f"content after the boundary_edges section: "
@@ -604,18 +620,7 @@ def load_mesh(path) -> Mesh:
             f"ids and tag one of {', '.join(_TAG_NAMES)}, got '{rows[k - 1]}'")
     bedges = [(int(a), int(c), _TAG_NAMES[name]) for a, c, name in fields
               if _TAG_NAMES[name] is not BoundaryTag.INTERFACE]
-    n = len(nodes)
-    if len(tris) == 0:
-        raise ValueError("mesh file has no triangles")
-    ends = np.array([e[:2] for e in bedges], dtype=np.int64).reshape(-1, 2)
-    for what, ids in (("triangle", tris), ("boundary edge", ends)):
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")
-    unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n) == 0)
-    if unused.size:
-        raise ValueError(f"node {unused[0]} lies on no triangle")
-    mesh = Mesh(nodes=nodes, triangles=tris, tri_subdomain=sub,
-                boundary_edges=bedges)
+    mesh = Mesh(nodes=nodes, triangles=tri_rows[:, :3],
+                tri_subdomain=tri_rows[:, 3], boundary_edges=bedges)
     mesh.boundary_edge_table  # checks the rows; every later use reuses it
     return mesh

@@ -112,7 +112,7 @@ class ThermalProblem:
         self.records = materials.by_subdomain(self.mesh_ws.subdomains)
         table = mesh.boundary_edge_table
         rows, groups = table.condition_groups(bc.lookup, Robin)
-        ij = np.column_stack([table.i[rows], table.j[rows]])
+        ij = table.ij[rows]
         r, y = mesh.nodes[ij, 0], mesh.nodes[ij, 1]
         weight, ambient = np.empty_like(r), np.empty_like(r)
         # one ambient call per distinct condition, on all of its edges

@@ -29,9 +29,11 @@ def _brute_force(mesh, i, j):
 
 def _check_table(mesh):
     table = mesh.boundary_edge_table
-    assert len(table.i) == len(mesh.boundary_edges)
-    assert tuple((int(a), int(b), t) for a, b, t in
-                 zip(table.i, table.j, table.tags)) == mesh.boundary_edges
+    n_edges = len(mesh.boundary_edges)
+    assert table.ij.shape == (n_edges, 2)
+    assert table.tags.shape == (n_edges,) and table.tags.dtype == object
+    assert tuple((int(a), int(b), t) for (a, b), t in
+                 zip(table.ij, table.tags)) == mesh.boundary_edges
     for e, (i, j, _) in enumerate(mesh.boundary_edges):
         owner, k, normal, length = _brute_force(mesh, i, j)
         assert table.owner[e] == owner
@@ -58,15 +60,17 @@ def test_loaded_mesh(tmp_path, coarse_hearth_mesh):
     _check_table(back)
     ref = coarse_hearth_mesh.boundary_edge_table
     table = back.boundary_edge_table
-    for name in ("i", "j", "owner", "normal", "length"):
+    for name in ("ij", "tags", "owner", "normal", "length"):
         assert np.array_equal(getattr(table, name), getattr(ref, name))
 
 
 def test_table_is_built_once_and_read_only(unit_square_mesh):
     table = unit_square_mesh.boundary_edge_table
     assert unit_square_mesh.boundary_edge_table is table
-    with pytest.raises(ValueError):
-        table.normal[0, 0] = 0.0
+    for name, value in (("ij", 0), ("tags", BoundaryTag.TOP), ("owner", 0),
+                        ("normal", 0.0), ("length", 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = value
 
 
 def test_conditions_reject_untagged_rows():
@@ -139,11 +143,11 @@ def test_edge_shared_by_three_triangles_raises(tmp_path):
 
 def test_hand_built_mesh_off_the_axis_raises(unit_square_mesh):
     nodes = unit_square_mesh.nodes
-    # the r-weighted forms take negative weights left of r = 0
-    left = replace(unit_square_mesh, nodes=nodes - [0.5, 0.0])
+    # the r-weighted forms take negative weights left of r = 0, so such
+    # a mesh is never made
     with pytest.raises(ValueError,
                        match=r"node 0 lies left of the axis, at r = -0\.5"):
-        left.boundary_edge_table
+        replace(unit_square_mesh, nodes=nodes - [0.5, 0.0])
     # the whole square moved to r >= 1, its AXIS rows with it
     moved = replace(unit_square_mesh, nodes=nodes + [1.0, 0.0])
     with pytest.raises(ValueError, match=r"is tagged axis but does not lie "

@@ -654,3 +654,30 @@ class TestMain:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, message", [
+        ("solve", "Is a directory"),
+        ("mesh", "File exists"),
+        ("isoline", "Is a directory"),
+    ])
+    def test_os_error_on_a_given_path_exits_2(self, tmp_path, capsys,
+                                              command, message):
+        # each once exited 1, as a solver failure does
+        assert main(["mesh", "--h", "0.5", "--out", str(tmp_path)]) == 0
+        folder, taken = tmp_path / "folder", tmp_path / "taken"
+        folder.mkdir()
+        taken.write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "run"
+        argv, path = {
+            "solve": (["--mesh-file", str(folder), "--out", str(out)], folder),
+            "mesh": (["--h", "0.5", "--out", str(taken)], taken),
+            "isoline": (["--mesh-file", str(tmp_path / "mesh.txt"),
+                         "--csv", str(folder), "--isoline", "1423",
+                         "--out", str(out)], folder),
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"'{path}'" in err, err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert taken.read_text() == "kept\n"

@@ -99,7 +99,16 @@ class TestTriangleGeometry:
     def test_rejects_non_finite_node(self, value):
         tri = REF_TRIANGLE.copy()
         tri[1, 0] = value
-        with pytest.raises(ValueError, match="non-finite triangles"):
+        # such a mesh is never made, so no workspace is built on it
+        with pytest.raises(ValueError,
+                           match=r"^node 1 has a non-finite coordinate: "):
+            _one_triangle_workspace(tri)
+
+    def test_rejects_non_finite_determinant(self):
+        # finite nodes whose determinant overflows to inf
+        tri = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite triangles"):
             _one_triangle_workspace(tri)
 
 

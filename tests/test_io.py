@@ -259,19 +259,22 @@ _SPECIAL = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
                             2.0 ** -1074, -1423.5, math.nan, -math.nan,
                             math.inf, -math.inf])
 _FLOATS = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+_FINITE = _FLOATS.filter(math.isfinite)
 
 
 @st.composite
 def _mesh_and_fields(draw):
-    """A mesh of more than 256 nodes with T, u and stress. Each float
-    column either repeats a few drawn values (formatted once per
-    distinct value) or is drawn value by value (formatted one by one)."""
+    """A valid mesh of more than 256 nodes with T, u and stress. Each
+    float column either repeats a few drawn values (formatted once per
+    distinct value) or is drawn value by value (formatted one by one).
+    The nodes are finite, at r >= 0 or -0.0, and each lies on a
+    triangle; NaN, +-inf and -0.0 may occur in T, u and stress."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(257, 400))
-    m = draw(st.integers(1, 120))
+    n = draw(st.integers(258, 400))   # node id 257 is in range
+    m = draw(st.integers(n, n + 120))
 
-    def column(size):
-        pool = np.array(draw(st.lists(_FLOATS, min_size=1, max_size=6)))
+    def column(size, floats=_FLOATS):
+        pool = np.array(draw(st.lists(floats, min_size=1, max_size=6)))
         if draw(st.booleans()):
             return pool[rng.integers(0, len(pool), size)]
         v = -rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
@@ -280,11 +283,14 @@ def _mesh_and_fields(draw):
 
     node_ids = (rng.choice([0, 255, 256, 257, n - 1], (m, 3))
                 if draw(st.booleans()) else rng.integers(0, n, (m, 3)))
+    # every node on a triangle: the last column starts with each once
+    node_ids[:n, 2] = rng.permutation(n)
+    r, y = column(n, _FINITE), column(n, _FINITE)
     tags = list(BoundaryTag)
     edges = [(int(i), int(j), tags[k]) for i, j, k in zip(
         rng.integers(0, n, 40), rng.integers(0, n, 40),
         rng.integers(0, len(tags), 40))]
-    mesh = Mesh(nodes=np.column_stack([column(n), column(n)]),
+    mesh = Mesh(nodes=np.column_stack([np.where(r < 0, -r, r), y]),
                 triangles=node_ids,
                 tri_subdomain=rng.integers(1, 7, m),
                 boundary_edges=edges[:draw(st.integers(0, 40))])

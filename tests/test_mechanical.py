@@ -65,7 +65,7 @@ def boundary_stress_components(mesh, stress, tag):
     the adjacent element's recovered stress.
     """
     table = mesh.boundary_edge_table
-    rows = np.flatnonzero([t is tag for t in table.tags])
+    rows = np.flatnonzero(table.tags == tag)
     n = table.normal[rows]
     s = stress[table.owner[rows]]
     traction = np.column_stack([
@@ -74,7 +74,7 @@ def boundary_stress_components(mesh, stress, tag):
     ])
     sigma_n = traction[:, 0] * n[:, 0] + traction[:, 1] * n[:, 1]
     tangential = traction - sigma_n[:, None] * n
-    return [((int(table.i[e]), int(table.j[e])), float(sn), tan)
+    return [(tuple(table.ij[e].tolist()), float(sn), tan)
             for e, sn, tan in zip(rows, sigma_n, tangential)]
 
 
@@ -119,7 +119,7 @@ def _per_edge_traction_load(mesh, bc, f):
     for e, cond in enumerate(table.conditions(bc.lookup)):
         if not isinstance(cond, Traction):
             continue
-        i, j = table.i[e], table.j[e]
+        i, j = table.ij[e]
         p, q = mesh.nodes[i], mesh.nodes[j]
         length, normal = table.length[e], table.normal[e]
         for t, wg in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):

@@ -29,8 +29,7 @@ HEARTH_AREA = 20.454675
 def _edges_with_tag(mesh, tag):
     """(i, j) node pairs of the boundary edges carrying ``tag``."""
     table = mesh.boundary_edge_table
-    rows = np.flatnonzero([t is tag for t in table.tags])
-    return list(zip(table.i[rows].tolist(), table.j[rows].tolist()))
+    return list(map(tuple, table.ij[table.tags == tag].tolist()))
 
 
 class TestSubdomainPolygon:
@@ -187,8 +186,35 @@ class TestTagBoundaries:
         # r_max without lying on it, so it is neither OUTER nor INNER
         step = SubdomainPolygon(1, ((0, 0), (3, 0), (3, 1), (2, 1), (2, 3),
                                     (0, 3)))
-        with pytest.raises(ValueError, match="untaggable"):
+        with pytest.raises(ValueError, match=r"^untaggable exterior edge "
+                                             r"\(2\.66667,1\)-\(3,1\)$"):
             generate_mesh([step], 0.5)
+
+    @pytest.mark.parametrize("polygons, h", [
+        (HEARTH_POLYGONS, 0.2),
+        (HEARTH_POLYGONS, 0.1),
+        ([SubdomainPolygon(1, ((0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)))], 0.25),
+        ([SubdomainPolygon(1, ((0, 0), (1, 0), (1, 3), (0, 3))),
+          SubdomainPolygon(1, ((2, 0), (3, 0), (3, 3), (2, 3)))], 0.5),
+    ], ids=["hearth-0.2", "hearth-0.1", "annulus", "two-blocks"])
+    def test_tags_follow_the_rules_edge_by_edge(self, polygons, h):
+        # the rules, applied in order to one edge at a time
+        mesh = generate_mesh(polygons, h)
+        r_max, y_max = mesh.nodes.max(axis=0)
+        for i, j, tag in mesh.boundary_edges:
+            (pr, py), (qr, qy) = mesh.nodes[i], mesh.nodes[j]
+            if abs(pr) < GEOM_TOL and abs(qr) < GEOM_TOL:
+                want = BoundaryTag.AXIS
+            elif abs(py) < GEOM_TOL and abs(qy) < GEOM_TOL:
+                want = BoundaryTag.BOTTOM
+            elif abs(pr - r_max) < GEOM_TOL and abs(qr - r_max) < GEOM_TOL:
+                want = BoundaryTag.OUTER
+            elif abs(py - y_max) < GEOM_TOL and abs(qy - y_max) < GEOM_TOL:
+                want = BoundaryTag.TOP
+            else:
+                assert max(pr, qr) < r_max - GEOM_TOL
+                want = BoundaryTag.INNER
+            assert tag is want, (i, j)
 
     def test_tag_multiset_stable_under_refinement(self):
         tags = []
@@ -253,6 +279,59 @@ class TestImmutableMesh:
         save_mesh(mesh, tmp_path / "mesh.txt")
         back = load_mesh(tmp_path / "mesh.txt")
         assert back.h == _brute_force_longest_edge(back) == mesh.h
+
+
+# the unit square cut into four triangles about its centre, node 4
+SQUARE = dict(
+    nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                    [0.5, 0.5]]),
+    triangles=np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+    tri_subdomain=np.ones(4, int),
+    boundary_edges=((0, 1, BoundaryTag.BOTTOM), (1, 2, BoundaryTag.OUTER),
+                    (2, 3, BoundaryTag.TOP), (0, 3, BoundaryTag.AXIS)))
+TRIS = SQUARE["triangles"]
+
+
+class TestMeshGate:
+    """Every mesh, however made, is checked when it is made. Each mesh
+    below was once accepted: it solved with uninitialized conductivities,
+    dropped a column, or failed later with a message that named neither
+    the node nor the array."""
+
+    def test_hand_built_square_is_accepted(self):
+        table = Mesh(**SQUARE).boundary_edge_table
+        assert table.ij.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
+
+    @pytest.mark.parametrize("make", ["Mesh", "replace"])
+    @pytest.mark.parametrize("change, message", [
+        (dict(tri_subdomain=np.ones(2, int)),
+         "tri_subdomain has shape (2,), not (4,)"),
+        (dict(triangles=np.column_stack([TRIS, TRIS[:, :1]])),
+         "triangles has shape (4, 4), not (4, 3)"),
+        (dict(nodes=np.ones((5, 3))), "nodes has shape (5, 3), not (5, 2)"),
+        (dict(triangles=np.empty((0, 3), int), tri_subdomain=np.ones(0, int)),
+         "mesh has no triangles"),
+        (dict(triangles=np.where(TRIS == 4, 5, TRIS)),
+         "triangle node id 5 outside 0..4"),
+        (dict(triangles=np.where(TRIS == 4, -1, TRIS)),
+         "triangle node id -1 outside 0..4"),
+        (dict(nodes=np.where([[0, 0]] * 2 + [[1, 0]] + [[0, 0]] * 2,
+                             np.nan, SQUARE["nodes"])),
+         "node 2 has a non-finite coordinate: (nan, 1.0)"),
+        (dict(nodes=np.vstack([SQUARE["nodes"], [2.0, 2.0]])),
+         "node 5 lies on no triangle"),
+        (dict(boundary_edges=((0, 1, BoundaryTag.BOTTOM),
+                              (1, 7, BoundaryTag.OUTER))),
+         "boundary edge node id 7 outside 0..4"),
+    ], ids=["short-tri-subdomain", "four-columns", "three-coordinates",
+            "no-triangles", "id-above-n", "id-below-0", "nan-node",
+            "unused-node", "row-id-above-n"])
+    def test_bad_mesh_raises_when_made(self, make, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if make == "Mesh":
+                Mesh(**(SQUARE | change))
+            else:
+                dataclasses.replace(Mesh(**SQUARE), **change)
 
 
 class TestHearthGeometry:

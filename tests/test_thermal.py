@@ -124,7 +124,7 @@ def _per_edge_ambient(mesh, bc):
     table = mesh.boundary_edge_table
     conds = table.conditions(bc.lookup)
     rows = [e for e, c in enumerate(conds) if isinstance(c, Robin)]
-    ij = np.column_stack([table.i[rows], table.j[rows]])
+    ij = table.ij[rows]
     return np.array([conds[e].ambient(mesh.nodes[n, 0], mesh.nodes[n, 1])
                      for e, n in zip(rows, ij)])
 
