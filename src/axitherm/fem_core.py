@@ -3,13 +3,11 @@
 P1 triangle geometry, r-weighted quadrature, the per-mesh assembly
 workspace with its cached scalar sparsity pattern, on which scalar and
 two-dof-per-node matrices are assembled, the restriction of a system to
-the dofs that are not fixed, the report of a solve, and the sparse LU
-solvers:
-:func:`solve_lu`, whose double-precision factor can be reused (Newton's
-chord steps are taken on the Jacobian's), and :func:`solve_refined` for
-one-shot solves (the stiffness), which factors in single precision and
-refines in double to the same residual bound. SuperLU orders every
-factorization itself, by minimum degree on A^T + A's stored pattern.
+the dofs that are not fixed, the report of a solve, and the one sparse
+LU solver, :func:`solve_lu`, for the Jacobian and the stiffness alike:
+it factors in single precision, refines in double, and returns a factor
+that Newton's chord steps reuse. SuperLU orders every factorization
+itself, by minimum degree on A^T + A's stored pattern.
 """
 from __future__ import annotations
 
@@ -268,24 +266,37 @@ def apply_constraints(A: sp.csr_matrix, b: np.ndarray, dofs, values):
 # Largest relative residual |Ax - b| / |b| a solve may leave.
 LU_RTOL = 1e-10
 
-
-def _splu(A: sp.csr_matrix, dtype=None) -> spla.SuperLU:
-    """SuperLU factor of A, in ``dtype`` if given, with the minimum
-    degree column ordering of A^T + A's stored pattern."""
-    C = A.tocsc() if dtype is None else A.astype(dtype).tocsc()
-    return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
+# A refinement step must cut the residual at least this many times, or
+# the system goes to the double-precision factor instead.
+REFINE_MIN_REDUCTION = 10.0
 
 
-def solve_lu(A: sp.spmatrix, b: np.ndarray):
-    """Sparse LU solve with a residual check (<= LU_RTOL relative).
+def _splu(A: sp.csr_matrix, dtype) -> spla.SuperLU:
+    """SuperLU factor of A in ``dtype``, with the minimum degree column
+    ordering of A^T + A's stored pattern."""
+    return spla.splu(A.astype(dtype).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    Returns (x, factor); the factor, a ``scipy.sparse.linalg.SuperLU``,
-    solves further systems with the same matrix.
-    """
-    A = A.tocsr()
-    _reject_empty_rows(A.indptr)
+
+@dataclass(frozen=True)
+class _Float32Factor:
+    """A float32 SuperLU factor applied to float64 right-hand sides."""
+
+    lu: spla.SuperLU
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """M^-1 (b / |b|) |b|, inside float32's range; zeros for b = 0.
+        The solution is widened before the scaling, which float32 *
+        float would keep in single precision."""
+        norm = np.linalg.norm(b)
+        if norm == 0:
+            return np.zeros(len(b))
+        return self.lu.solve((b / norm).astype(np.float32)).astype(float) * norm
+
+
+def _solve_double(A: sp.csr_matrix, b: np.ndarray):
+    """The float64 fallback of :func:`solve_lu`: 2 factorizations, checked."""
     try:
-        factor = _splu(A)
+        factor = _splu(A, float)
         x = factor.solve(b)
     except RuntimeError as exc:
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
@@ -298,49 +309,39 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray):
             raise SingularSystemError(
                 f"LU residual {rel:.3e} exceeds {LU_RTOL:g}; "
                 "matrix near-singular")
-    return x, factor
+    return x, factor, 2
 
 
-# A refinement step must cut the residual at least this many times, or
-# solve_refined gives the system to solve_lu instead.
-REFINE_MIN_REDUCTION = 10.0
-
-
-def solve_refined(A: sp.spmatrix, b: np.ndarray):
-    """One-shot solve of A x = b to the residual bound of :func:`solve_lu`
-    (<= LU_RTOL relative) from a single-precision factor, which holds
-    about 60% of the memory of a double-precision one. Returns
-    (x, factorizations): 1, or 2 when the system went to solve_lu.
-
-    A is factored in float32, then x is refined in float64:
-    r = b - A x, x += M^-1 (r / |r|) |r|, where the scaling by |r| keeps
-    each correction inside float32's range (Carson & Higham, SIAM J.
-    Sci. Comput. 40, 2018). The system goes to :func:`solve_lu` instead,
-    with its checks and messages, if the float32 factorization fails or
-    a step cuts the residual less than REFINE_MIN_REDUCTION times, as
-    one whose correction is not finite does.
-    """
+def solve_lu(A: sp.spmatrix, b: np.ndarray):
+    """Solve A x = b to a relative residual <= LU_RTOL; returns (x,
+    factor, factorizations). A is factored in float32 and x refined in
+    float64, x += factor.solve(b - A x) (Carson & Higham, SIAM J. Sci.
+    Comput. 40, 2018); the factor solves further systems with A to about
+    float32 accuracy, as chord steps need. If that factorization fails,
+    or a step cuts the residual less than REFINE_MIN_REDUCTION times (a
+    non-finite one does), the float64 factor is made and returned, and
+    factorizations is 2, else 1. An empty row, a failed float64
+    factorization, a non-finite x or a residual above LU_RTOL raise
+    SingularSystemError."""
     A = A.tocsr()
     _reject_empty_rows(A.indptr)
     try:
         with np.errstate(over="ignore"):   # too large for float32: inf
-            factor = _splu(A, np.float32)
+            factor = _Float32Factor(_splu(A, np.float32))
     except RuntimeError:
-        return solve_lu(A, b)[0], 2
+        return _solve_double(A, b)
     x = np.zeros(len(b))
     r = np.asarray(b, float)
     rnorm = np.linalg.norm(r)
     bound = LU_RTOL * rnorm
     # negated so that a NaN residual enters the loop and falls back
     while not rnorm <= bound:
-        # the float32 correction is widened before the scaling, which
-        # float32 * float would keep in single precision
-        x += factor.solve((r / rnorm).astype(np.float32)).astype(float) * rnorm
+        x += factor.solve(r)
         r = b - A @ x
         previous, rnorm = rnorm, np.linalg.norm(r)
         if not rnorm * REFINE_MIN_REDUCTION <= previous:
-            return solve_lu(A, b)[0], 2
-    return x, 1
+            return _solve_double(A, b)
+    return x, factor, 1
 
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:

@@ -20,7 +20,7 @@ from .fem_core import (
     SolveReport,
     apply_constraints,
     assemble_csr,
-    solve_refined,
+    solve_lu,
 )
 from .materials import MaterialSet, elasticity_matrix, thermal_stress_term
 from .mesh import BoundaryConditions, BoundaryTag, Mesh, checked_field
@@ -228,8 +228,7 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
 
     :func:`apply_constraints` restricts K and f to the free dofs, and
     K_ff, which keeps the stored 2x2 block pattern of the assembly, is
-    factored in single precision and the solution refined in double
-    (:func:`solve_refined`); the report counts a second factorization
+    solved by :func:`solve_lu`; the report counts a second factorization
     when that falls back to a double-precision LU. Fixed dofs hold their
     prescribed values exactly. The report's one residual is
     |K_ff u_f - f_f| / |f_f| (0 for f_f = 0).
@@ -238,7 +237,7 @@ def solve_mechanical(mesh: Mesh, materials: MaterialSet, bc: MechanicalBC,
     # the unconstrained K is freed before the factorization
     K, f, free, x = apply_constraints(
         *assemble_mechanical_system(mesh, materials, bc, T, body_force))
-    x_free, factorizations = solve_refined(K, f)
+    x_free, _, factorizations = solve_lu(K, f)
     x[free] = x_free
     fnorm = np.linalg.norm(f)
     res = np.linalg.norm(K @ x_free - f)

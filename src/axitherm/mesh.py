@@ -154,8 +154,10 @@ class Mesh:
 
     Every mesh, generated, loaded, built by hand or replaced, is checked
     when made: the shapes above with M >= 1, finite nodes at r >= 0
-    (within GEOM_TOL), node ids in 0..N-1, each node on a triangle. The
-    rows are checked against the triangles by ``boundary_edge_table``.
+    (within GEOM_TOL), integer node ids in 0..N-1 (an integral float
+    such as 2.0 counts, and is kept as an int), each node on a
+    triangle. The rows are checked against the triangles by
+    ``boundary_edge_table``.
     """
 
     nodes: np.ndarray
@@ -164,11 +166,24 @@ class Mesh:
     boundary_edges: tuple = ()
 
     def __post_init__(self):
+        rows = tuple(map(tuple, self.boundary_edges))
+        ends = np.array([e[:2] for e in rows])
+        # before the int64 conversions, which truncate a fraction
+        for what, ids in (("triangle", np.asarray(self.triangles)),
+                          ("boundary edge", ends)):
+            if ids.dtype.kind == "f":
+                bad = ids[~np.isfinite(ids) | (ids != np.floor(ids))]
+                if bad.size:
+                    raise ValueError(f"{what} node id {bad[0]:g} is not an "
+                                     "integer")
+        if ends.dtype.kind == "f" and ends.size:
+            # integral floats, kept as the ints save_mesh writes
+            rows = tuple((int(i), int(j)) + e[2:]
+                         for (i, j), e in zip(ends, rows))
+        object.__setattr__(self, "boundary_edges", rows)
         for name, dtype in (("nodes", float), ("triangles", np.int64),
                             ("tri_subdomain", None)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
-        object.__setattr__(self, "boundary_edges",
-                           tuple(map(tuple, self.boundary_edges)))
         nodes, tris = self.nodes, self.triangles
         for name, want in (("nodes", nodes.shape[:1] + (2,)),
                            ("triangles", tris.shape[:1] + (3,)),
@@ -191,8 +206,8 @@ class Mesh:
         for i, j, tag in self.boundary_edges:
             if not isinstance(tag, BoundaryTag):
                 raise ValueError(f"boundary edge ({i}, {j}) has no tag")
-        ends = np.array([e[:2] for e in self.boundary_edges], np.int64)
-        for what, ids in (("triangle", tris), ("boundary edge", ends)):
+        for what, ids in (("triangle", tris),
+                          ("boundary edge", ends.astype(np.int64))):
             bad = ids[(ids < 0) | (ids >= n)]
             if bad.size:
                 raise ValueError(f"{what} node id {bad[0]} outside 0..{n - 1}")

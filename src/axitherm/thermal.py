@@ -186,16 +186,16 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
 
     The chord method (Kelley, Solving Nonlinear Equations with Newton's
     Method, SIAM 2003, ch. 5): with no factor in hand, J is assembled
-    at the current T and factored by :func:`solve_lu`, and that exact
-    Newton step is always taken. Later steps solve with that factor, a
-    lagged Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004), and
-    one is kept only if it cuts the residual norm to CHORD_CONTRACTION
-    of the last one or less; a step that does not (a NaN norm among
-    them) is dropped, with its factor, so the next step factors J at
-    the same T. Each step is taken in full, T + delta, from ``start``,
-    one finite value per node (copied, never written), or the uniform
-    NEWTON_START without one; with ``config.relative`` the reference
-    residual is the start's. A solve not converged after
+    at the current T and solved by :func:`solve_lu`, and that exact
+    Newton step is always taken. Later steps solve with its float32
+    factor, a lagged Jacobian (Knoll & Keyes, J. Comput. Phys. 193,
+    2004), and one is kept only if it cuts the residual norm to
+    CHORD_CONTRACTION of the last one or less; a step that does not (a
+    NaN norm among them) is dropped, with its factor, so the next step
+    factors J at the same T. Each step is taken in full, T + delta,
+    from ``start``, one finite value per node (copied, never written),
+    or the uniform NEWTON_START without one; with ``config.relative``
+    the reference residual is the start's. A solve not converged after
     NEWTON_MAX_ITER kept steps raises ConvergenceError.
     """
     config = config or NewtonConfig()
@@ -231,8 +231,8 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             delta = -factor.solve(R)
         else:
             J = assemble_thermal_jacobian(problem, T)
-            delta, factor = solve_lu(J, -R)
-            report.factorizations += 1
+            delta, factor, factorizations = solve_lu(J, -R)
+            report.factorizations += factorizations
         T_next = T + delta
         R_next = assemble_thermal_residual(problem, T_next)
         norm_next = np.linalg.norm(R_next)

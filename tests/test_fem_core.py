@@ -15,7 +15,6 @@ from axitherm.fem_core import (
     apply_constraints,
     assemble_csr,
     solve_lu,
-    solve_refined,
     triangle_rule,
 )
 from axitherm.mechanical import assemble_mechanical_system
@@ -241,7 +240,7 @@ class TestDofMapAndConstraints:
         assert bc.shape == (0,)
         assert free.shape == (0,)
         # the solve of solve_mechanical
-        x_free, factorizations = solve_refined(Ac, bc)
+        x_free, _, factorizations = solve_lu(Ac, bc)
         x[free] = x_free
         assert factorizations == 1
         assert np.array_equal(x, values)
@@ -255,24 +254,46 @@ class TestSolvers:
         return sp.csr_matrix(B @ B.T + n * np.eye(n))
 
     def test_lu_solves(self):
-        # nonsymmetric; the factor solves further systems with A
+        # nonsymmetric; the float32 factor solves further systems with A
+        # to about single precision
         A = sp.csr_matrix(self._spd(20).toarray() + np.triu(np.ones((20, 20))))
         x_ref = np.arange(20, dtype=float)
-        x, factor = solve_lu(A, A @ x_ref)
+        x, factor, factorizations = solve_lu(A, A @ x_ref)
+        assert factorizations == 1
         assert np.allclose(x, x_ref)
+        assert _relative_residual(A, x, A @ x_ref) <= LU_RTOL
         b2 = np.ones(20)
-        assert np.allclose(A @ factor.solve(b2), b2)
+        y = factor.solve(b2)
+        assert y.dtype == np.float64
+        assert 0 < _relative_residual(A, y, b2) <= 1e-5
+
+    def test_factor_solve_scales_into_float32_range(self):
+        # a right-hand side beyond float32's range, and the solution
+        # widened before it is scaled back
+        A = sp.csr_matrix(np.diag([2.0, 4.0]))
+        factor = solve_lu(A, np.ones(2))[1]
+        y = factor.solve(np.array([1e100, 1e100]))
+        assert np.allclose(y, [0.5e100, 0.25e100], rtol=1e-7, atol=0)
+
+    def test_factor_maps_zero_to_zeros(self):
+        # the float32 factor scales by the norm, which is 0 here
+        _, factor, _ = solve_lu(self._spd(6), np.ones(6))
+        assert factor.lu.L.dtype == np.float32
+        y = factor.solve(np.zeros(6))
+        assert y.dtype == np.float64
+        assert np.array_equal(y, np.zeros(6))
 
     def test_lu_detects_empty_row(self):
         A = sp.csr_matrix((5, 5))
         A = A.tolil()
         A[range(4), range(4)] = 1.0
-        with pytest.raises(SingularSystemError, match="row"):
+        with pytest.raises(SingularSystemError, match="row 4 is empty"):
             solve_lu(A.tocsr(), np.ones(5))
 
     def test_lu_detects_singular(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError,
+                           match="LU factorization failed"):
             solve_lu(A, np.array([1.0, 1.0]))
 
     def test_lu_detects_near_singular(self):
@@ -300,26 +321,31 @@ def _relative_residual(A, x, b):
 
 
 class TestSolveRefined:
+    """solve_lu's float32 factor with float64 refinement, and its
+    fallback to a float64 factor."""
+
     @staticmethod
-    def _count_lu_calls(monkeypatch):
-        """Spy on fem_core.solve_lu; returns the list of its calls."""
+    def _count_fallbacks(monkeypatch):
+        """Spy on the double-precision fallback; returns the list of its
+        calls and the fallback itself."""
         calls = []
+        fallback = fem_core._solve_double
 
         def spy(*args):
             calls.append(args)
-            return solve_lu(*args)
+            return fallback(*args)
 
-        monkeypatch.setattr(fem_core, "solve_lu", spy)
-        return calls
+        monkeypatch.setattr(fem_core, "_solve_double", spy)
+        return calls, fallback
 
     def test_matches_lu_on_hearth_stiffness(self, hearth_stiffness):
         K, f = hearth_stiffness
-        x, factorizations = solve_refined(K, f)
-        x_lu, _ = solve_lu(K, f)
+        x, _, factorizations = solve_lu(K, f)
+        x_ref = fem_core._solve_double(K.tocsr(), f)[0]
         assert factorizations == 1
         assert x.dtype == np.float64
         assert _relative_residual(K, x, f) <= LU_RTOL
-        assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()
+        assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
     def test_hearth_stiffness_factored_in_single_precision(
             self, hearth_stiffness, monkeypatch):
@@ -328,9 +354,10 @@ class TestSolveRefined:
         def refuse(*args):
             raise AssertionError("fell back to the double-precision LU")
 
-        monkeypatch.setattr(fem_core, "solve_lu", refuse)
-        x, factorizations = solve_refined(K, f)
+        monkeypatch.setattr(fem_core, "_solve_double", refuse)
+        x, factor, factorizations = solve_lu(K, f)
         assert factorizations == 1
+        assert factor.lu.L.dtype == np.float32
         assert _relative_residual(K, x, f) <= LU_RTOL
 
     def test_falls_back_beyond_float32_range(self, monkeypatch):
@@ -338,19 +365,22 @@ class TestSolveRefined:
         # factor
         A = 1e40 * TestSolvers._spd(20)
         b = A @ np.arange(20.0)
-        calls = self._count_lu_calls(monkeypatch)
-        x, factorizations = solve_refined(A, b)
+        calls, _ = self._count_fallbacks(monkeypatch)
+        x, factor, factorizations = solve_lu(A, b)
         assert len(calls) == 1
         assert factorizations == 2
         assert _relative_residual(A, x, b) <= LU_RTOL
+        # the chord factor is the float64 one
+        assert factor.L.dtype == np.float64
+        assert _relative_residual(A, factor.solve(b), b) <= LU_RTOL
 
     def test_falls_back_on_non_finite_correction(self, monkeypatch):
         # 1e-40 is subnormal in float32 and factors, but the correction
         # 1e40 overflows it
         A = sp.csr_matrix(np.diag([1e-40, 1.0]))
         b = np.ones(2)
-        calls = self._count_lu_calls(monkeypatch)
-        x, factorizations = solve_refined(A, b)
+        calls, _ = self._count_fallbacks(monkeypatch)
+        x, _, factorizations = solve_lu(A, b)
         assert len(calls) == 1
         assert factorizations == 2
         assert np.array_equal(x, [1e40, 1.0])
@@ -359,43 +389,56 @@ class TestSolveRefined:
         # no step can cut the residual 1e30 times
         K, f = hearth_stiffness
         monkeypatch.setattr(fem_core, "REFINE_MIN_REDUCTION", 1e30)
-        calls = self._count_lu_calls(monkeypatch)
-        x, factorizations = solve_refined(K, f)
+        calls, fallback = self._count_fallbacks(monkeypatch)
+        x, _, factorizations = solve_lu(K, f)
         assert len(calls) == 1
         assert factorizations == 2
-        assert np.array_equal(x, solve_lu(K, f)[0])
+        assert np.array_equal(x, fallback(K.tocsr(), f)[0])
 
     def test_falls_back_on_ill_conditioned_matrix(self, monkeypatch):
         # the 8 x 8 Hilbert matrix (condition about 1.5e10) is beyond
         # single-precision refinement but within the double LU's reach
         n = 8
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
-        calls = self._count_lu_calls(monkeypatch)
-        x, factorizations = solve_refined(A, np.ones(n))
+        calls, _ = self._count_fallbacks(monkeypatch)
+        x, _, factorizations = solve_lu(A, np.ones(n))
         assert len(calls) == 1
         assert factorizations == 2
         assert _relative_residual(A, x, np.ones(n)) <= LU_RTOL
 
-    def test_singular_raises_lu_message(self):
+    def test_singular_raises_lu_message(self, monkeypatch):
+        # the float32 factorization fails, and so does the float64 one
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(SingularSystemError, match="LU factorization failed"):
-            solve_refined(A, np.array([1.0, 1.0]))
+        calls, _ = self._count_fallbacks(monkeypatch)
+        with pytest.raises(SingularSystemError,
+                           match="LU factorization failed"):
+            solve_lu(A, np.array([1.0, 1.0]))
+        assert len(calls) == 1
 
-    def test_near_singular_raises_lu_message(self):
+    def test_near_singular_raises_lu_message(self, monkeypatch):
+        # refinement stalls, and the float64 solve misses LU_RTOL
         n = 12
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
+        calls, _ = self._count_fallbacks(monkeypatch)
         with pytest.raises(SingularSystemError, match="near-singular"):
-            solve_refined(A, np.ones(n))
+            solve_lu(A, np.ones(n))
+        assert len(calls) == 1
 
-    def test_empty_row_raises_lu_message(self):
+    def test_empty_row_raises_lu_message(self, monkeypatch):
+        # before any factorization
         A = sp.lil_matrix((5, 5))
         A[range(4), range(4)] = 1.0
+
+        def refuse(*args):
+            raise AssertionError("factored a matrix with an empty row")
+
+        monkeypatch.setattr(fem_core, "_splu", refuse)
         with pytest.raises(SingularSystemError, match="row 4 is empty"):
-            solve_refined(A.tocsr(), np.ones(5))
+            solve_lu(A.tocsr(), np.ones(5))
 
     def test_zero_right_hand_side_gives_zeros(self, hearth_stiffness):
         K, f = hearth_stiffness
-        x, factorizations = solve_refined(K, np.zeros_like(f))
+        x, _, factorizations = solve_lu(K, np.zeros_like(f))
         assert factorizations == 1
         assert np.array_equal(x, np.zeros_like(f))
 

@@ -323,15 +323,54 @@ class TestMeshGate:
         (dict(boundary_edges=((0, 1, BoundaryTag.BOTTOM),
                               (1, 7, BoundaryTag.OUTER))),
          "boundary edge node id 7 outside 0..4"),
+        (dict(triangles=np.where(TRIS == 4, 3.5, TRIS)),
+         "triangle node id 3.5 is not an integer"),
+        (dict(triangles=np.where(TRIS == 4, np.nan, TRIS)),
+         "triangle node id nan is not an integer"),
+        (dict(boundary_edges=((0, 1, BoundaryTag.BOTTOM),
+                              (1, 1.9, BoundaryTag.OUTER))),
+         "boundary edge node id 1.9 is not an integer"),
     ], ids=["short-tri-subdomain", "four-columns", "three-coordinates",
             "no-triangles", "id-above-n", "id-below-0", "nan-node",
-            "unused-node", "row-id-above-n"])
+            "unused-node", "row-id-above-n", "fractional-id", "nan-id",
+            "fractional-row-id"])
     def test_bad_mesh_raises_when_made(self, make, change, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if make == "Mesh":
                 Mesh(**(SQUARE | change))
             else:
                 dataclasses.replace(Mesh(**SQUARE), **change)
+
+    def test_fractional_ids_are_not_truncated(self):
+        # int64 conversion alone would read the triangle as (0, 1, 2)
+        # and the row as (0, 1)
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match=r"^triangle node id 2\.7 is not an integer$"):
+            Mesh(nodes, [[0, 1, 2.7]], [1], [(0, 1.9, BoundaryTag.BOTTOM)])
+        with pytest.raises(ValueError, match=r"^boundary edge node id 1\.9 "):
+            Mesh(nodes, [[0, 1, 2]], [1], [(0, 1.9, BoundaryTag.BOTTOM)])
+
+    @pytest.mark.parametrize("make", ["Mesh", "replace"])
+    def test_integral_float_ids_are_accepted(self, make, tmp_path):
+        change = dict(triangles=TRIS.astype(float),
+                      boundary_edges=[(float(i), float(j), tag) for i, j, tag
+                                      in SQUARE["boundary_edges"]])
+        if make == "Mesh":
+            mesh = Mesh(**(SQUARE | change))
+        else:
+            mesh = dataclasses.replace(Mesh(**SQUARE), **change)
+        assert mesh.triangles.dtype == np.int64
+        assert np.array_equal(mesh.triangles, TRIS)
+        assert mesh.boundary_edge_table.ij.tolist() == \
+            [[0, 1], [1, 2], [2, 3], [0, 3]]
+        # the rows keep int ids, which the mesh file reads back
+        assert mesh.boundary_edges == SQUARE["boundary_edges"]
+        assert all(type(i) is int for row in mesh.boundary_edges
+                   for i in row[:2])
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        assert load_mesh(tmp_path / "mesh.txt").boundary_edges == \
+            SQUARE["boundary_edges"]
 
 
 class TestHearthGeometry:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from axitherm import thermal
+from axitherm import fem_core, thermal
 from axitherm.fem_core import ConvergenceError
 from axitherm.hearth import hearth_mesh, hearth_thermal_bc
 from axitherm.materials import (MaterialSet, PiecewiseQuadratic,
@@ -454,13 +454,52 @@ class TestInexactNewton:
         exact = thermal.solve_lu
 
         def lu_with_nan_factor(*args):
-            return exact(*args)[0], NanFactor()
+            x, _, factorizations = exact(*args)
+            return x, NanFactor(), factorizations
 
         monkeypatch.setattr(thermal, "solve_lu", lu_with_nan_factor)
         T, report = newton_solve(mesh, mats, bc, NewtonConfig())
         assert report.iterations == 5
         assert report.factorizations == 5
         assert np.all(np.isfinite(report.residuals))
+        self._assert_matches(T, T_ref)
+
+    @staticmethod
+    def _spy_on_factorizations(monkeypatch, fail_float32=False):
+        """Record the dtype of every factorization fem_core._splu makes;
+        with ``fail_float32``, make each float32 one fail as SuperLU
+        does."""
+        dtypes = []
+        splu = fem_core._splu
+
+        def spy(A, dtype):
+            dtypes.append(np.dtype(dtype))
+            if fail_float32 and dtypes[-1] == np.float32:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, dtype)
+
+        monkeypatch.setattr(fem_core, "_splu", spy)
+        return dtypes
+
+    def test_jacobian_factored_in_single_precision(self, hearth,
+                                                   monkeypatch):
+        mesh, mats, bc, T_ref = hearth
+        dtypes = self._spy_on_factorizations(monkeypatch)
+        T, report = newton_solve(mesh, mats, bc, NewtonConfig())
+        assert dtypes == [np.float32] * report.factorizations
+        assert report.factorizations < report.iterations
+        self._assert_matches(T, T_ref)
+
+    def test_failed_single_precision_factor_falls_back(self, hearth,
+                                                       monkeypatch):
+        # each Jacobian goes to the double-precision factor, which the
+        # chord steps then use; both factorizations are counted
+        mesh, mats, bc, T_ref = hearth
+        dtypes = self._spy_on_factorizations(monkeypatch, fail_float32=True)
+        T, report = newton_solve(mesh, mats, bc, NewtonConfig())
+        assert report.factorizations == len(dtypes) >= 2
+        assert dtypes == [np.float32, np.float64] * (len(dtypes) // 2)
+        assert report.residuals[-1] <= 1e-4
         self._assert_matches(T, T_ref)
 
     def test_stiff_start_reaches_the_exact_newton_solution(self):

@@ -7,8 +7,8 @@
 starts Newton from the coarse solution. For the fine and the coarse
 solve the test pins the Newton steps, the LU factorizations and the
 residuals recorded, and the mechanical solve's factorizations. It also
-pins the fill nnz(L) + nnz(U) of the factors ``fem_core._splu`` makes of
-J at the converged T and of the float32 K_ff. These counts do not
+pins the fill nnz(L) + nnz(U) of the float32 factors ``fem_core._splu``
+makes of J at the converged T and of K_ff. These counts do not
 depend on the machine or its BLAS thread count, so unlike a time they
 show a change in solver work exactly. The fill depends on SuperLU, so
 the file records the scipy version; under another version the test
@@ -43,7 +43,7 @@ def _solve_counts(report):
             "residuals": len(report.residuals)}
 
 
-def _fill(A, dtype=None):
+def _fill(A, dtype):
     factor = fem_core._splu(A.tocsr(), dtype)
     return int(factor.L.nnz + factor.U.nnz)
 
@@ -59,7 +59,7 @@ def work_counts(h):
         "fine": _solve_counts(run.thermal_report),
         "coarse": _solve_counts(run.thermal_report.coarse_start),
         "mechanical_lus": run.mechanical_report.factorizations,
-        "J_fill": _fill(J),
+        "J_fill": _fill(J, np.float32),
         "K_ff_fill": _fill(K_ff, np.float32),
     }
 
