@@ -6,8 +6,8 @@ two-dof-per-node matrices are assembled, the restriction of a system to
 the dofs that are not fixed, the report of a solve, and the one sparse
 LU solver, :func:`solve_lu`, for the Jacobian and the stiffness alike:
 it factors in single precision, refines in double, and returns a factor
-that Newton's chord steps reuse. SuperLU orders every factorization
-itself, by minimum degree on A^T + A's stored pattern.
+that Newton's chord steps reuse and the residual that it checked. SuperLU
+orders every factorization itself, by minimum degree on A^T + A's pattern.
 """
 from __future__ import annotations
 
@@ -271,6 +271,12 @@ LU_RTOL = 1e-10
 REFINE_MIN_REDUCTION = 10.0
 
 
+def _norm(v: np.ndarray) -> float:
+    """Every solver's vector norm, by numpy's pairwise sum: unlike the BLAS
+    ddot in np.linalg.norm, it sums in one order under any thread count."""
+    return np.sqrt(np.sum(v * v))
+
+
 def _splu(A: sp.csr_matrix, dtype) -> spla.SuperLU:
     """SuperLU factor of A in ``dtype``, with the minimum degree column
     ordering of A^T + A's stored pattern."""
@@ -287,7 +293,7 @@ class _Float32Factor:
         """M^-1 (b / |b|) |b|, inside float32's range; zeros for b = 0.
         The solution is widened before the scaling, which float32 *
         float would keep in single precision."""
-        norm = np.linalg.norm(b)
+        norm = _norm(b)
         if norm == 0:
             return np.zeros(len(b))
         return self.lu.solve((b / norm).astype(np.float32)).astype(float) * norm
@@ -302,20 +308,20 @@ def _solve_double(A: sp.csr_matrix, b: np.ndarray):
         raise SingularSystemError(f"LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("LU solve produced non-finite values")
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0:
-        rel = np.linalg.norm(A @ x - b) / bnorm
-        if rel > LU_RTOL:
-            raise SingularSystemError(
-                f"LU residual {rel:.3e} exceeds {LU_RTOL:g}; "
-                "matrix near-singular")
-    return x, factor, 2
+    rnorm, bnorm = _norm(b - A @ x), _norm(b)
+    rel = rnorm / bnorm if bnorm > 0 else rnorm
+    if not rel <= LU_RTOL:
+        raise SingularSystemError(
+            f"LU residual {rel:.3e} exceeds {LU_RTOL:g}; "
+            "matrix near-singular")
+    return x, factor, 2, rel
 
 
 def solve_lu(A: sp.spmatrix, b: np.ndarray):
     """Solve A x = b to a relative residual <= LU_RTOL; returns (x,
-    factor, factorizations). A is factored in float32 and x refined in
-    float64, x += factor.solve(b - A x) (Carson & Higham, SIAM J. Sci.
+    factor, factorizations, residual), the residual checked: |b - A x| /
+    |b|, or |b - A x| for b = 0. A is factored in float32 and x refined
+    in float64, x += factor.solve(b - A x) (Carson & Higham, SIAM J. Sci.
     Comput. 40, 2018); the factor solves further systems with A to about
     float32 accuracy, as chord steps need. If that factorization fails,
     or a step cuts the residual less than REFINE_MIN_REDUCTION times (a
@@ -332,16 +338,15 @@ def solve_lu(A: sp.spmatrix, b: np.ndarray):
         return _solve_double(A, b)
     x = np.zeros(len(b))
     r = np.asarray(b, float)
-    rnorm = np.linalg.norm(r)
-    bound = LU_RTOL * rnorm
+    bnorm = rnorm = _norm(r)
     # negated so that a NaN residual enters the loop and falls back
-    while not rnorm <= bound:
+    while not rnorm <= LU_RTOL * bnorm:
         x += factor.solve(r)
         r = b - A @ x
-        previous, rnorm = rnorm, np.linalg.norm(r)
+        previous, rnorm = rnorm, _norm(r)
         if not rnorm * REFINE_MIN_REDUCTION <= previous:
             return _solve_double(A, b)
-    return x, factor, 1
+    return x, factor, 1, rnorm / bnorm if bnorm > 0 else rnorm
 
 
 def assemble_csr(pattern: CsrPattern, vals) -> sp.csr_matrix:

@@ -45,7 +45,7 @@ def vtk_text(mesh: Mesh, temperature, displacement, stress) -> str:
         f"CELL_DATA {m}\n"
         "SCALARS subdomain int 1\n"
         "LOOKUP_TABLE default\n",
-        format_table("%d\n", np.asarray(mesh.tri_subdomain, int)),
+        format_table("%d\n", mesh.tri_subdomain),
     ]
     for col, name in enumerate(
             ["stress_rr", "stress_yy", "stress_tt", "stress_ry"]):

@@ -143,7 +143,7 @@ class Mesh:
 
     nodes            (N, 2) float array of (r, y) coordinates
     triangles        (M, 3) int64 array, positively oriented
-    tri_subdomain    (M,) int array of subdomain ids
+    tri_subdomain    (M,) int64 array of subdomain ids
     boundary_edges   tuple of (i, j, BoundaryTag), i < j, per exterior edge;
                      a row without a BoundaryTag raises
 
@@ -154,10 +154,10 @@ class Mesh:
 
     Every mesh, generated, loaded, built by hand or replaced, is checked
     when made: the shapes above with M >= 1, finite nodes at r >= 0
-    (within GEOM_TOL), integer node ids in 0..N-1 (an integral float
-    such as 2.0 counts, and is kept as an int), each node on a
-    triangle. The rows are checked against the triangles by
-    ``boundary_edge_table``.
+    (within GEOM_TOL), integer node and subdomain ids (an integral float
+    such as 2.0 counts, and is kept as an int; a bool or a string does
+    not), node ids in 0..N-1, each node on a triangle. The rows are
+    checked against the triangles by ``boundary_edge_table``.
     """
 
     nodes: np.ndarray
@@ -168,21 +168,23 @@ class Mesh:
     def __post_init__(self):
         rows = tuple(map(tuple, self.boundary_edges))
         ends = np.array([e[:2] for e in rows])
-        # before the int64 conversions, which truncate a fraction
-        for what, ids in (("triangle", np.asarray(self.triangles)),
-                          ("boundary edge", ends)):
+        # before the int64 conversions, which truncate a fraction; a
+        # float id must be integral, and a bool, str or object is none
+        for what, ids in (("triangle node", np.asarray(self.triangles)),
+                          ("boundary edge node", ends),
+                          ("subdomain", np.asarray(self.tri_subdomain))):
             if ids.dtype.kind == "f":
-                bad = ids[~np.isfinite(ids) | (ids != np.floor(ids))]
-                if bad.size:
-                    raise ValueError(f"{what} node id {bad[0]:g} is not an "
-                                     "integer")
+                ids = ids[~np.isfinite(ids) | (ids != np.floor(ids))]
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ValueError(f"{what} id {ids.ravel().tolist()[0]!r} "
+                                 "is not an integer")
         if ends.dtype.kind == "f" and ends.size:
             # integral floats, kept as the ints save_mesh writes
             rows = tuple((int(i), int(j)) + e[2:]
                          for (i, j), e in zip(ends, rows))
         object.__setattr__(self, "boundary_edges", rows)
         for name, dtype in (("nodes", float), ("triangles", np.int64),
-                            ("tri_subdomain", None)):
+                            ("tri_subdomain", np.int64)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         nodes, tris = self.nodes, self.triangles
         for name, want in (("nodes", nodes.shape[:1] + (2,)),

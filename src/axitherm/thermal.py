@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_core import ConvergenceError, SolveReport, assemble_csr, solve_lu
+from .fem_core import (ConvergenceError, SolveReport, _norm, assemble_csr,
+                       solve_lu)
 from .materials import MaterialSet
 from .mesh import BoundaryConditions, Mesh, checked_field
 
@@ -211,7 +212,7 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
     began = time.perf_counter()
 
     R = assemble_thermal_residual(problem, T)
-    norm = np.linalg.norm(R)
+    norm = _norm(R)
     ref = norm if (config.relative and norm > 0) else 1.0
     report.residuals.append(norm)
     factor = None
@@ -231,11 +232,11 @@ def newton_solve(mesh: Mesh, materials: MaterialSet, bc: ThermalBC,
             delta = -factor.solve(R)
         else:
             J = assemble_thermal_jacobian(problem, T)
-            delta, factor, factorizations = solve_lu(J, -R)
+            delta, factor, factorizations, _ = solve_lu(J, -R)
             report.factorizations += factorizations
         T_next = T + delta
         R_next = assemble_thermal_residual(problem, T_next)
-        norm_next = np.linalg.norm(R_next)
+        norm_next = _norm(R_next)
         # negated so that a chord step leaving a NaN norm is dropped too
         if chord and not norm_next <= CHORD_CONTRACTION * norm:
             factor = None

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from axitherm import fem_core
+from axitherm import fem_core, mechanical
 from axitherm.hearth import hearth_mechanical_bc, hearth_mesh
 from axitherm.fem_core import (
     AssemblyWorkspace,
@@ -240,9 +240,9 @@ class TestDofMapAndConstraints:
         assert bc.shape == (0,)
         assert free.shape == (0,)
         # the solve of solve_mechanical
-        x_free, _, factorizations = solve_lu(Ac, bc)
-        x[free] = x_free
+        x[free], _, factorizations, residual = solve_lu(Ac, bc)
         assert factorizations == 1
+        assert residual == 0
         assert np.array_equal(x, values)
 
 
@@ -258,10 +258,10 @@ class TestSolvers:
         # to about single precision
         A = sp.csr_matrix(self._spd(20).toarray() + np.triu(np.ones((20, 20))))
         x_ref = np.arange(20, dtype=float)
-        x, factor, factorizations = solve_lu(A, A @ x_ref)
+        x, factor, factorizations, residual = solve_lu(A, A @ x_ref)
         assert factorizations == 1
         assert np.allclose(x, x_ref)
-        assert _relative_residual(A, x, A @ x_ref) <= LU_RTOL
+        assert residual == _relative_residual(A, x, A @ x_ref) <= LU_RTOL
         b2 = np.ones(20)
         y = factor.solve(b2)
         assert y.dtype == np.float64
@@ -277,7 +277,7 @@ class TestSolvers:
 
     def test_factor_maps_zero_to_zeros(self):
         # the float32 factor scales by the norm, which is 0 here
-        _, factor, _ = solve_lu(self._spd(6), np.ones(6))
+        _, factor, _, _ = solve_lu(self._spd(6), np.ones(6))
         assert factor.lu.L.dtype == np.float32
         y = factor.solve(np.zeros(6))
         assert y.dtype == np.float64
@@ -317,7 +317,7 @@ def hearth_stiffness(hearth_materials):
 
 
 def _relative_residual(A, x, b):
-    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+    return fem_core._norm(b - A @ x) / fem_core._norm(b)
 
 
 class TestSolveRefined:
@@ -340,11 +340,11 @@ class TestSolveRefined:
 
     def test_matches_lu_on_hearth_stiffness(self, hearth_stiffness):
         K, f = hearth_stiffness
-        x, _, factorizations = solve_lu(K, f)
+        x, _, factorizations, residual = solve_lu(K, f)
         x_ref = fem_core._solve_double(K.tocsr(), f)[0]
         assert factorizations == 1
         assert x.dtype == np.float64
-        assert _relative_residual(K, x, f) <= LU_RTOL
+        assert residual == _relative_residual(K, x, f) <= LU_RTOL
         assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
     def test_hearth_stiffness_factored_in_single_precision(
@@ -355,10 +355,10 @@ class TestSolveRefined:
             raise AssertionError("fell back to the double-precision LU")
 
         monkeypatch.setattr(fem_core, "_solve_double", refuse)
-        x, factor, factorizations = solve_lu(K, f)
+        x, factor, factorizations, residual = solve_lu(K, f)
         assert factorizations == 1
         assert factor.lu.L.dtype == np.float32
-        assert _relative_residual(K, x, f) <= LU_RTOL
+        assert residual == _relative_residual(K, x, f) <= LU_RTOL
 
     def test_falls_back_beyond_float32_range(self, monkeypatch):
         # entries about 1e41 are inf in float32, which SuperLU cannot
@@ -366,10 +366,10 @@ class TestSolveRefined:
         A = 1e40 * TestSolvers._spd(20)
         b = A @ np.arange(20.0)
         calls, _ = self._count_fallbacks(monkeypatch)
-        x, factor, factorizations = solve_lu(A, b)
+        x, factor, factorizations, residual = solve_lu(A, b)
         assert len(calls) == 1
         assert factorizations == 2
-        assert _relative_residual(A, x, b) <= LU_RTOL
+        assert residual == _relative_residual(A, x, b) <= LU_RTOL
         # the chord factor is the float64 one
         assert factor.L.dtype == np.float64
         assert _relative_residual(A, factor.solve(b), b) <= LU_RTOL
@@ -380,20 +380,23 @@ class TestSolveRefined:
         A = sp.csr_matrix(np.diag([1e-40, 1.0]))
         b = np.ones(2)
         calls, _ = self._count_fallbacks(monkeypatch)
-        x, _, factorizations = solve_lu(A, b)
+        x, _, factorizations, residual = solve_lu(A, b)
         assert len(calls) == 1
         assert factorizations == 2
         assert np.array_equal(x, [1e40, 1.0])
+        assert residual == _relative_residual(A, x, b) <= LU_RTOL
 
     def test_falls_back_on_stall(self, hearth_stiffness, monkeypatch):
         # no step can cut the residual 1e30 times
         K, f = hearth_stiffness
         monkeypatch.setattr(fem_core, "REFINE_MIN_REDUCTION", 1e30)
         calls, fallback = self._count_fallbacks(monkeypatch)
-        x, _, factorizations = solve_lu(K, f)
+        x, _, factorizations, residual = solve_lu(K, f)
         assert len(calls) == 1
         assert factorizations == 2
-        assert np.array_equal(x, fallback(K.tocsr(), f)[0])
+        x_ref, _, _, residual_ref = fallback(K.tocsr(), f)
+        assert np.array_equal(x, x_ref)
+        assert residual == residual_ref == _relative_residual(K, x, f)
 
     def test_falls_back_on_ill_conditioned_matrix(self, monkeypatch):
         # the 8 x 8 Hilbert matrix (condition about 1.5e10) is beyond
@@ -401,10 +404,10 @@ class TestSolveRefined:
         n = 8
         A = sp.csr_matrix(1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0))
         calls, _ = self._count_fallbacks(monkeypatch)
-        x, _, factorizations = solve_lu(A, np.ones(n))
+        x, _, factorizations, residual = solve_lu(A, np.ones(n))
         assert len(calls) == 1
         assert factorizations == 2
-        assert _relative_residual(A, x, np.ones(n)) <= LU_RTOL
+        assert residual == _relative_residual(A, x, np.ones(n)) <= LU_RTOL
 
     def test_singular_raises_lu_message(self, monkeypatch):
         # the float32 factorization fails, and so does the float64 one
@@ -438,9 +441,38 @@ class TestSolveRefined:
 
     def test_zero_right_hand_side_gives_zeros(self, hearth_stiffness):
         K, f = hearth_stiffness
-        x, _, factorizations = solve_lu(K, np.zeros_like(f))
+        x, _, factorizations, residual = solve_lu(K, np.zeros_like(f))
         assert factorizations == 1
         assert np.array_equal(x, np.zeros_like(f))
+        assert residual == 0
+
+    def test_fallback_zero_right_hand_side_gives_zeros(self, monkeypatch):
+        # |b - A x| itself, which is 0, where |b| = 0
+        A = 1e40 * TestSolvers._spd(20)
+        calls, _ = self._count_fallbacks(monkeypatch)
+        x, _, factorizations, residual = solve_lu(A, np.zeros(20))
+        assert len(calls) == 1
+        assert factorizations == 2
+        assert np.array_equal(x, np.zeros(20))
+        assert residual == 0
+
+    def test_solve_mechanical_reports_the_solve_residual(
+            self, hearth_materials, monkeypatch):
+        # the residual solve_lu checked, not one computed afresh
+        returned = []
+
+        def spy(*args):
+            returned.append(solve_lu(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(mechanical, "solve_lu", spy)
+        mesh = hearth_mesh(0.2)
+        T = np.full(mesh.num_nodes, 1000.0)
+        _, report = mechanical.solve_mechanical(
+            mesh, hearth_materials, hearth_mechanical_bc(), T)
+        [(_, _, _, residual)] = returned
+        assert report.residuals == [residual]
+        assert 0 < residual <= LU_RTOL
 
 
 class TestAssembleCsr:

@@ -330,10 +330,19 @@ class TestMeshGate:
         (dict(boundary_edges=((0, 1, BoundaryTag.BOTTOM),
                               (1, 1.9, BoundaryTag.OUTER))),
          "boundary edge node id 1.9 is not an integer"),
+        (dict(tri_subdomain=np.array([1.0, 1.5, 1.0, 2.0])),
+         "subdomain id 1.5 is not an integer"),
+        (dict(tri_subdomain=np.array([1.0, 1.0, np.nan, 2.0])),
+         "subdomain id nan is not an integer"),
+        (dict(tri_subdomain=np.array(["1", "1", "2", "2"])),
+         "subdomain id '1' is not an integer"),
+        (dict(tri_subdomain=np.array([True, True, False, True])),
+         "subdomain id True is not an integer"),
     ], ids=["short-tri-subdomain", "four-columns", "three-coordinates",
             "no-triangles", "id-above-n", "id-below-0", "nan-node",
             "unused-node", "row-id-above-n", "fractional-id", "nan-id",
-            "fractional-row-id"])
+            "fractional-row-id", "fractional-subdomain", "nan-subdomain",
+            "string-subdomain", "bool-subdomain"])
     def test_bad_mesh_raises_when_made(self, make, change, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if make == "Mesh":
@@ -350,6 +359,16 @@ class TestMeshGate:
             Mesh(nodes, [[0, 1, 2.7]], [1], [(0, 1.9, BoundaryTag.BOTTOM)])
         with pytest.raises(ValueError, match=r"^boundary edge node id 1\.9 "):
             Mesh(nodes, [[0, 1, 2]], [1], [(0, 1.9, BoundaryTag.BOTTOM)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, float])
+    def test_subdomain_ids_are_kept_as_int64(self, dtype):
+        mesh = Mesh(**(SQUARE | dict(
+            tri_subdomain=np.array([1, 1, 2, 2], dtype))))
+        assert mesh.tri_subdomain.dtype == np.int64
+        assert mesh.tri_subdomain.tolist() == [1, 1, 2, 2]
+        assert {k: v.tolist() for k, v in
+                mesh.assembly_workspace.subdomains.items()} == \
+            {1: [0, 1], 2: [2, 3]}
 
     @pytest.mark.parametrize("make", ["Mesh", "replace"])
     def test_integral_float_ids_are_accepted(self, make, tmp_path):

@@ -454,8 +454,8 @@ class TestInexactNewton:
         exact = thermal.solve_lu
 
         def lu_with_nan_factor(*args):
-            x, _, factorizations = exact(*args)
-            return x, NanFactor(), factorizations
+            x, _, factorizations, residual = exact(*args)
+            return x, NanFactor(), factorizations, residual
 
         monkeypatch.setattr(thermal, "solve_lu", lu_with_nan_factor)
         T, report = newton_solve(mesh, mats, bc, NewtonConfig())
